@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .ensemble import (EnsembleError, EnsembleSummary, GridCell, GridSpec,
                        empirical_beta_formula, empirical_sigma_formula,
-                       run_ensemble, scan_grid, scan_grid_causal)
+                       population_limit, run_ensemble, scan_grid)
 from .glm import (DesignMatrix, FitResult, NotConvergedError,
                   SingularDesignError, confidence_interval, fit_logistic,
                   inverse_logit, logit, one_hot, relative_risk)
@@ -33,7 +33,7 @@ __all__ = [
     "confidence_interval", "one_hot",
     "EnsembleError", "EnsembleSummary", "GridSpec", "GridCell",
     "run_ensemble", "empirical_beta_formula", "empirical_sigma_formula",
-    "scan_grid", "scan_grid_causal",
+    "population_limit", "scan_grid",
     "MappingRule", "ColumnSpec", "StudySpec", "MappingParseError",
     "IngestError", "parse_mapping_rule", "parse_mapping_file",
     "parse_study_json", "load_survey", "apply_mappings", "build_design",

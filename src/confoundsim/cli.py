@@ -18,22 +18,19 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import __version__
-from .ensemble import (EnsembleError, GridSpec, format_grid_csv,
-                       format_grid_json, scan_grid)
+from .ensemble import (_Z95, EnsembleError, GridSpec, _csv_repr, _json_value,
+                       format_grid_csv, format_grid_json, scan_grid)
 from .glm import (DesignMatrix, SingularDesignError, fit_logistic,
                   relative_risk)
 from .ingest import (IngestError, MappingParseError, apply_mappings,
                      build_design, load_survey, parse_mapping_file,
                      parse_study_json, staged_analysis)
 from .metamodel import ModelParams, draw_population, write_population_csv
-
-_Z95 = 1.959963984540054
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -65,16 +62,6 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
-
-
-def _json_safe_tree(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {k: _json_safe_tree(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_json_safe_tree(v) for v in value]
-    return value
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -211,7 +198,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
     if args.out:
         _write_output(args.out, json.dumps(
-            _json_safe_tree({"metadata": _metadata(config), "fit": report}),
+            _json_value({"metadata": _metadata(config), "fit": report}),
             indent=2, allow_nan=False) + "\n")
     return EXIT_OK
 
@@ -261,8 +248,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     rows = [_stage_row(r) for r in results]
     if args.format == "json":
         payload = {"metadata": _metadata(config),
-                   "results": [{k: _json_safe(v) for k, v in row.items()}
-                               for row in rows]}
+                   "results": _json_value(rows)}
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
@@ -271,24 +257,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_STAGE_FIELDS)
         for row in rows:
-            writer.writerow([_csv_safe(row[f]) for f in _STAGE_FIELDS])
+            writer.writerow([_csv_repr(row[f]) for f in _STAGE_FIELDS])
         text = buf.getvalue()
     _write_output(args.out, text)
     return EXIT_OK
-
-
-def _json_safe(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
-def _csv_safe(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return "" if math.isnan(value) else repr(value)
-    return str(value)
 
 
 def _build_parser() -> argparse.ArgumentParser:

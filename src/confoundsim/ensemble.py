@@ -10,8 +10,8 @@ the population size N:
     mean standard error ~ N^(-1/2) (4 + 12 b^5) (k - (1 + b) / 4) / k
 
 Both laws are approximations.  Against the exact population limit of the
-averaged coefficient (the no-intercept score equations solved on expected
-cell probabilities), the coefficient law is within 20% on p in [0.55, 0.8],
+averaged coefficient (`population_limit`: the no-intercept score equations
+solved on expected cell probabilities), the coefficient law is within 20% on p in [0.55, 0.8],
 k in [2, 9], worst +19.1% at (p=0.55, k=9).  On the acceptance surface
 p in {0.55, 0.6, 0.7, 0.8} x k in {2, 3, 5, 9} it is more than 15% off at
 three cells: (0.55, 9) with +19.1%, (0.6, 9) with +16.4% and (0.8, 2) with
@@ -33,7 +33,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .glm import SingularDesignError, fit_logistic, relative_risk
+from .glm import (NotConvergedError, SingularDesignError, fit_logistic,
+                  relative_risk)
 from .metamodel import ModelParams, derive_seed, draw_population
 
 __all__ = [
@@ -45,8 +46,8 @@ __all__ = [
     "run_ensemble",
     "empirical_beta_formula",
     "empirical_sigma_formula",
+    "population_limit",
     "scan_grid",
-    "scan_grid_causal",
     "GRID_FIELDS",
     "format_grid_csv",
     "format_grid_json",
@@ -90,6 +91,52 @@ def _check_formula_args(p: float, k: int) -> None:
         raise ValueError(f"k must be >= 1, got {k}")
 
 
+def _cell_bits(codes: np.ndarray, width: int) -> np.ndarray:
+    # bit j of a cell code is the 0/1 value of response column j
+    return ((codes[:, None] >> np.arange(width)) & 1).astype(np.float64)
+
+
+def _pattern_table(responses: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct rows of a 0/1 response table as (y, regressors, counts).
+
+    The regressors are binary, so these counts carry the whole likelihood of
+    a fit of column 0 on the other columns: at most 2^(k+1) rows stand in
+    for N.  Only rows that occur are kept.
+    """
+    width = responses.shape[1]
+    codes = responses @ (1 << np.arange(width))
+    counts = np.bincount(codes, minlength=1 << width)
+    occurring = np.flatnonzero(counts)
+    bits = _cell_bits(occurring, width)
+    return bits[:, 0], bits[:, 1:], counts[occurring].astype(np.float64)
+
+
+def population_limit(p: float, k: int) -> float:
+    """Exact infinite-N limit of the ensemble's averaged coefficient.
+
+    Fits the dependent column on the k regressor columns, with no intercept,
+    over all 2^(k+1) response cells weighted by their expected probabilities
+    under a fair latent coin, scaled so the mean cell weight is 1 (the
+    coefficients do not depend on the scale).  Returns the mean of the k
+    coefficients, the reduction run_ensemble applies with no causal
+    increment.  Deterministic and independent of N.
+    """
+    if not 0.5 < p < 1.0:
+        raise ValueError(f"p must be in (0.5, 1), got {p}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    width = k + 1
+    cells = _cell_bits(np.arange(1 << width), width)
+    ones = cells.sum(axis=1)
+    # each column agrees with the latent trait with probability p
+    prob = 0.5 * (p**ones * (1.0 - p) ** (width - ones)
+                  + (1.0 - p) ** ones * p ** (width - ones))
+    fit = fit_logistic(cells[:, 0], cells[:, 1:], weights=prob * (1 << width))
+    if not fit.converged:
+        raise NotConvergedError(f"population limit did not converge at p={p}, k={k}")
+    return float(fit.coefficients.mean())
+
+
 @dataclass(frozen=True)
 class ReplicationDigest:
     """Per-replication record kept when a caller asks for them."""
@@ -128,13 +175,12 @@ class EnsembleSummary:
 def _fit_one_replication(params: ModelParams, rep_index: int) -> ReplicationDigest:
     rep_params = replace(params, seed=derive_seed(params.seed, rep_index))
     population = draw_population(rep_params, params.k + 1)
-    y = population.responses[:, 0].astype(np.float64)
-    regressors = population.responses[:, 1:].astype(np.float64)
+    y, regressors, counts = _pattern_table(population.responses)
     try:
         # the survey regressions this models fit raw response columns with no
         # constant term; the scaling laws above describe exactly those fits
-        fit = fit_logistic(y, regressors)
-    except (SingularDesignError, ValueError):
+        fit = fit_logistic(y, regressors, weights=counts)
+    except SingularDesignError:
         return ReplicationDigest(rep_index, math.nan, math.nan, False, False)
     if params.causal_increment == 0.0:
         beta1 = float(fit.coefficients.mean())
@@ -160,6 +206,10 @@ def run_ensemble(params: ModelParams, replications: int, *,
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
+    if params.n_respondents <= params.k:
+        raise ValueError(
+            f"n_respondents ({params.n_respondents}) must exceed the regressor "
+            f"count k = {params.k}: a fit needs more observations than regressors")
     indices = range(replications)
     if executor is None:
         digests = [_fit_one_replication(params, i) for i in indices]
@@ -219,6 +269,12 @@ class GridSpec:
             raise ValueError("confounder_counts must be non-empty")
         if any(n < 1 for n in self.confounder_counts):
             raise ValueError("every confounder count must be >= 1")
+        k_max = max(self.confounder_counts) + 1
+        if self.n_respondents <= k_max:
+            raise ValueError(
+                f"n_respondents ({self.n_respondents}) must exceed the largest "
+                f"regressor count k = n + 1 = {k_max}: a fit needs more "
+                f"observations than regressors")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.ci_n_respondents is not None and self.ci_n_respondents < 1:
@@ -229,7 +285,11 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class GridCell:
-    """One row of a grid scan; `error` is set when the whole cell failed."""
+    """One row of a grid scan; `error` says why a cell failed.
+
+    A cell fails when every replication failed (statistics blank) or when its
+    relative risks overflow (statistics kept, relative risks blank).
+    """
 
     r: float
     n_confounders: int
@@ -268,14 +328,6 @@ def scan_grid(spec: GridSpec, threads: int = 1) -> list[GridCell]:
             executor.shutdown()
 
 
-def scan_grid_causal(spec: GridSpec, threads: int = 1) -> list[GridCell]:
-    """Grid scan with the spec's causal increment; identical machinery.
-
-    With a zero increment this degenerates to exactly scan_grid's output.
-    """
-    return scan_grid(spec, threads=threads)
-
-
 def _run_cell(spec: GridSpec, r: float, n_conf: int, index: int,
               executor: Executor | None) -> GridCell:
     p = 0.5 * (1.0 + math.sqrt(r))
@@ -295,13 +347,21 @@ def _run_cell(spec: GridSpec, r: float, n_conf: int, index: int,
 
     ci_n = spec.ci_n_respondents or spec.n_respondents
     sigma_scaled = summary.mean_sigma1 * math.sqrt(spec.n_respondents / ci_n)
-    rr = relative_risk(summary.mean_beta1, spec.rr_baseline)
-    ci_low = relative_risk(summary.mean_beta1 - _Z95 * sigma_scaled, spec.rr_baseline)
-    ci_high = relative_risk(summary.mean_beta1 + _Z95 * sigma_scaled, spec.rr_baseline)
+    low = summary.mean_beta1 - _Z95 * sigma_scaled
+    high = summary.mean_beta1 + _Z95 * sigma_scaled
+    error = None
+    try:
+        rr = relative_risk(summary.mean_beta1, spec.rr_baseline)
+        ci_low = relative_risk(low, spec.rr_baseline)
+        ci_high = relative_risk(high, spec.rr_baseline)
+    except OverflowError:
+        rr = ci_low = ci_high = math.nan
+        error = (f"relative risk overflows: interval [{low!r}, {high!r}] on "
+                 f"the logit scale")
     return GridCell(r, n_conf, spec.n_respondents, spec.replications,
                     summary.mean_beta1, summary.mean_sigma1, rr, ci_low, ci_high,
                     summary.excluded, predicted_beta, predicted_sigma,
-                    summary.mc_error_beta1, error=None)
+                    summary.mc_error_beta1, error=error)
 
 
 # canonical column order shared by the CSV and JSON emitters
@@ -323,8 +383,13 @@ def _csv_repr(value) -> str:
 
 
 def _json_value(value):
+    # non-finite floats become null, at any depth of dicts and lists
     if isinstance(value, float) and not math.isfinite(value):
         return None
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_json_value(v) for v in value]
     return value
 
 

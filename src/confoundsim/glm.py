@@ -1,10 +1,10 @@
 """Binary logistic regression by iteratively reweighted least squares.
 
 Self-contained maximum-likelihood engine: Newton-Raphson on the Bernoulli
-log-likelihood with step-halving, standard errors from the inverse observed
-information, and deterministic separation diagnostics.  Also houses the small
-link-function helpers and the relative-risk conversion used by the reporting
-layers.
+log-likelihood, optionally frequency-weighted, with step-halving, standard
+errors from the inverse observed information, and deterministic separation
+diagnostics.  Also houses the small link-function helpers and the
+relative-risk conversion used by the reporting layers.
 """
 
 from __future__ import annotations
@@ -76,7 +76,8 @@ class DesignMatrix:
     """Regressor matrix plus a flag recording whether column 0 is a constant.
 
     Use build() to assemble one from raw columns; it prepends the intercept
-    column when asked and rejects degenerate (all-zero) regressors.
+    column when asked.  Degenerate (all-zero) regressors raise
+    SingularDesignError, naming the column by its given name if any.
     """
 
     values: np.ndarray
@@ -90,13 +91,15 @@ class DesignMatrix:
             raise ValueError("design matrix must be 2-D with at least one column")
         if not np.isfinite(vals).all():
             raise ValueError("design matrix entries must be finite")
+        if self.names and len(self.names) != vals.shape[1]:
+            raise ValueError("names length must match column count")
         start = 1 if self.intercept_included else 0
         dead = ~vals[:, start:].any(axis=0)
         if dead.any():
+            # an all-zero regressor is the plainest rank defect
             j = int(np.flatnonzero(dead)[0]) + start
-            raise ValueError(f"column {j} is all zero")
-        if self.names and len(self.names) != vals.shape[1]:
-            raise ValueError("names length must match column count")
+            label = repr(self.names[j]) if self.names else str(j)
+            raise SingularDesignError(f"column {label} is all zero")
         object.__setattr__(self, "values", vals)
         vals.setflags(write=False)
 
@@ -146,25 +149,36 @@ class FitResult:
             raise ValueError("coefficients and std_errors must have equal length")
 
 
-def _log_likelihood(y: np.ndarray, eta: np.ndarray) -> float:
-    # sum y*eta - log(1 + exp(eta)), stable via logaddexp
-    return float(y @ eta - np.logaddexp(0.0, eta).sum())
+def _weigh(f: np.ndarray | None, a: np.ndarray) -> np.ndarray:
+    # frequency weights scale each row's term before the usual reduction, so
+    # f = None and f = 1 give the same bits
+    return a if f is None else f * a
 
 
-def _check_rank(x: np.ndarray) -> None:
+def _log_likelihood(fy: np.ndarray, eta: np.ndarray, f: np.ndarray | None) -> float:
+    # sum f * (y*eta - log(1 + exp(eta))) with fy = f * y, stable via logaddexp
+    return float(fy @ eta - _weigh(f, np.logaddexp(0.0, eta)).sum())
+
+
+def _check_rank(x: np.ndarray, f: np.ndarray | None) -> None:
     # rank-revealing check on the Gram matrix; cheap (m x m) and it keeps
     # silently pseudo-inverted collinear confounders out of the results
-    gram = x.T @ x
+    gram = x.T @ (x if f is None else f[:, None] * x)
     eigvals = np.linalg.eigvalsh(gram)
     if eigvals[0] <= eigvals[-1] * x.shape[1] * np.finfo(np.float64).eps:
         raise SingularDesignError("design matrix is rank deficient")
 
 
-def fit_logistic(y, X, tol: float = 1e-8, max_iter: int = 100) -> FitResult:
+def fit_logistic(y, X, tol: float = 1e-8, max_iter: int = 100,
+                 weights=None) -> FitResult:
     """Maximum-likelihood logistic fit of binary y on the given design.
 
     X may be a DesignMatrix or a plain 2-D array (taken as-is, no intercept
-    added).  Converges when the largest absolute coefficient update drops
+    added).  `weights`, when given, are frequency weights: row i stands for
+    weights[i] identical observations, so a table of the distinct (y, x)
+    rows with their counts gives the fit of the rows it counts.  Rows of
+    weight zero are ignored; the observation count is the sum of the
+    weights.  Converges when the largest absolute coefficient update drops
     below tol.  Separated fits are flagged, not raised; a rank-deficient
     design raises SingularDesignError.
     """
@@ -177,21 +191,33 @@ def fit_logistic(y, X, tol: float = 1e-8, max_iter: int = 100) -> FitResult:
         raise ValueError(f"y has {yv.shape[0]} rows, design has {n}")
     if not np.isin(yv, (0.0, 1.0)).all():
         raise ValueError("y entries must be 0 or 1")
+    f = None
+    if weights is not None:
+        f = np.ascontiguousarray(np.asarray(weights, dtype=np.float64))
+        if f.shape != (n,):
+            raise ValueError(f"weights must have shape ({n},), got {f.shape}")
+        if not (np.isfinite(f).all() and (f >= 0.0).all()):
+            raise ValueError("weights must be finite and nonnegative")
+        if not f.all():
+            occurs = f > 0.0
+            x, yv, f = x[occurs], yv[occurs], f[occurs]
+        n = f.sum()
     if n <= m:
-        raise ValueError(f"need more observations ({n}) than regressors ({m})")
-    _check_rank(x)
+        raise ValueError(f"need more observations ({n:g}) than regressors ({m})")
+    _check_rank(x, f)
 
+    fy = _weigh(f, yv)
     beta = np.zeros(m)
-    eta = np.zeros(n)
-    ll = _log_likelihood(yv, eta)
+    eta = np.zeros(x.shape[0])
+    ll = _log_likelihood(fy, eta, f)
     converged = False
     separated = False
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
         mu = inverse_logit(eta)
-        w = mu * (1.0 - mu)
-        grad = x.T @ (yv - mu)
+        w = _weigh(f, mu * (1.0 - mu))
+        grad = x.T @ _weigh(f, yv - mu)
         hess = x.T @ (w[:, None] * x)
         try:
             delta = np.linalg.solve(hess, grad)
@@ -203,7 +229,7 @@ def fit_logistic(y, X, tol: float = 1e-8, max_iter: int = 100) -> FitResult:
         while True:
             candidate = beta + step * delta
             eta_cand = x @ candidate
-            ll_cand = _log_likelihood(yv, eta_cand)
+            ll_cand = _log_likelihood(fy, eta_cand, f)
             if ll_cand >= ll or step <= 2.0**-30:
                 break
             step *= 0.5
@@ -219,7 +245,7 @@ def fit_logistic(y, X, tol: float = 1e-8, max_iter: int = 100) -> FitResult:
             break
 
     mu = inverse_logit(eta)
-    w = mu * (1.0 - mu)
+    w = _weigh(f, mu * (1.0 - mu))
     hess = x.T @ (w[:, None] * x)
     try:
         covariance = np.linalg.inv(hess)

@@ -505,7 +505,8 @@ def staged_analysis(mapped: MappedTable, study: StudySpec,
                 ci_high=relative_risk(hi * scale, prevalence),
                 baseline_prevalence=prevalence,
             ))
-        except (IngestError, ValueError, np.linalg.LinAlgError) as exc:
+        except (IngestError, ValueError, OverflowError,
+                np.linalg.LinAlgError) as exc:
             results.append(StageResult(
                 stage=stage_name, n_confounders=len(confounders), n_used=0,
                 n_dropped=0, beta1=nan, sigma1=nan, relative_risk=nan,

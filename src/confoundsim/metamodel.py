@@ -125,9 +125,9 @@ class ResponseMatrix:
             raise ValueError(f"responses must have shape {(n, k + 1)}, got {resp.shape}")
         if lat.shape != (n,):
             raise ValueError(f"latent must have shape {(n,)}, got {lat.shape}")
-        if not np.isin(lat, (-1, 1)).all():
+        if not ((lat == -1) | (lat == 1)).all():
             raise ValueError("latent entries must be -1 or +1")
-        if not np.isin(resp, (0, 1)).all():
+        if not ((resp == 0) | (resp == 1)).all():
             raise ValueError("response entries must be 0 or 1")
         lat.setflags(write=False)
         resp.setflags(write=False)
@@ -192,14 +192,11 @@ def draw_population(params: ModelParams, column_count: int) -> ResponseMatrix:
     # agreement probability per respondent given the latent trait
     p_i = np.where(latent == 1, params.p, 1.0 - params.p)
 
-    responses = np.empty((n, column_count), dtype=np.int8)
-    responses[:, 1:] = uniforms[:, 1:] < p_i[:, None]
-    if params.causal_increment == 0.0:
-        threshold = p_i
-    else:
+    # booleans are stored as bytes 0/1, so the view is the int8 table
+    responses = (uniforms < p_i[:, None]).view(np.int8)
+    if params.causal_increment != 0.0:
         shift = params.causal_increment * responses[:, 1]
-        threshold = _inverse_logit(_logit(p_i) + shift)
-    responses[:, 0] = uniforms[:, 0] < threshold
+        responses[:, 0] = uniforms[:, 0] < _inverse_logit(_logit(p_i) + shift)
 
     return ResponseMatrix(latent=latent, responses=responses, params=params)
 

@@ -20,8 +20,8 @@ import pytest
 
 from confoundsim.cli import main as cli_main
 from confoundsim.ensemble import (GridSpec, empirical_beta_formula,
-                                  empirical_sigma_formula, run_ensemble,
-                                  scan_grid)
+                                  empirical_sigma_formula, population_limit,
+                                  run_ensemble, scan_grid)
 from confoundsim.glm import DesignMatrix, fit_logistic, inverse_logit
 from confoundsim.ingest import (ColumnSpec, StudySpec, apply_mappings,
                                 build_design, load_survey, parse_mapping_file,
@@ -125,6 +125,13 @@ def test_population_limit_oracle():
         law = empirical_beta_formula(p, k)
         rel = (population_limit_beta(p, k) - law) / law
         assert abs(rel - expected) < 5e-4, (p, k, rel)
+
+
+def test_library_population_limit_matches_oracle():
+    # the library runs the weighted fit_logistic core, the helper its own Newton
+    for p in SURFACE_P:
+        for k in SURFACE_K:
+            assert abs(population_limit(p, k) - population_limit_beta(p, k)) <= 1e-8, (p, k)
 
 
 def test_criterion_3_sigma_surface(surface_grid):

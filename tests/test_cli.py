@@ -112,6 +112,11 @@ class TestScan:
         assert list(payload["results"][0].keys()) == header.split(",")
         assert payload["metadata"]["config"]["seed"] == 99
 
+    def test_population_no_larger_than_k_exits_2(self, capsys):
+        assert run(["scan", "--r-list", "0.1", "--n-list", "8", "--N", "9",
+                    "--reps", "5", "--seed", "1"]) == 2
+        assert "must exceed the largest regressor count" in capsys.readouterr().err
+
     def test_causal_scan_runs(self, tmp_path):
         out = tmp_path / "c.csv"
         assert run(["scan", "--r-list", "0.05", "--n-list", "1", "--N", "800",

@@ -1,16 +1,17 @@
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from confoundsim import ensemble
 from confoundsim.ensemble import (EnsembleError, GridSpec, GRID_FIELDS,
                                   empirical_beta_formula,
                                   empirical_sigma_formula, format_grid_csv,
-                                  format_grid_json, run_ensemble, scan_grid,
-                                  scan_grid_causal)
-from confoundsim.metamodel import ModelParams
+                                  format_grid_json, run_ensemble, scan_grid)
+from confoundsim.metamodel import ModelParams, derive_seed, draw_population
 
 
 def params(p=0.75, k=3, n=10_000, seed=17, beta_prime=0.0):
@@ -75,6 +76,23 @@ class TestRunEnsemble:
         with pytest.raises(EnsembleError):
             run_ensemble(params(p=0.9999, k=1, n=40, seed=2), 5)
 
+    def test_population_no_larger_than_k_is_rejected(self):
+        with pytest.raises(ValueError, match="must exceed the regressor count k = 3"):
+            run_ensemble(params(k=3, n=3), 5)
+
+    def test_replication_with_an_empty_column_is_excluded(self):
+        # at N = 6 a regressor column is all zero in about 1 draw in 32
+        base = params(p=0.6, k=2, n=6, seed=12)
+        summary = run_ensemble(base, 60, keep_replications=True)
+        empty = [i for i in range(60) if not draw_population(
+            replace(base, seed=derive_seed(base.seed, i)), 3).responses[:, 1:]
+            .any(axis=0).all()]
+        assert empty
+        for i in empty:
+            digest = summary.per_replication[i]
+            assert math.isnan(digest.beta1) and not digest.converged
+        assert math.isfinite(summary.mean_beta1)
+
     def test_replication_digests_kept_on_request(self):
         summary = run_ensemble(params(seed=4, n=500), 6, keep_replications=True)
         assert summary.per_replication is not None
@@ -115,9 +133,21 @@ class TestScanGrid:
         spec = self.small_spec()
         assert scan_grid(spec, threads=1) == scan_grid(spec, threads=3)
 
-    def test_causal_scan_with_zero_increment_degenerates(self):
-        spec = self.small_spec(causal_increment=0.0)
-        assert scan_grid_causal(spec) == scan_grid(spec)
+    def test_relative_risk_overflow_flags_only_its_cell(self, monkeypatch):
+        real = ensemble.run_ensemble
+
+        def huge_sigma_at_k3(p, replications, **kwargs):
+            summary = real(p, replications, **kwargs)
+            return replace(summary, mean_sigma1=1e3) if p.k == 3 else summary
+
+        monkeypatch.setattr(ensemble, "run_ensemble", huge_sigma_at_k3)
+        cells = scan_grid(self.small_spec())
+        for cell in cells:
+            if cell.n_confounders == 2:
+                assert "relative risk overflows" in cell.error
+                assert math.isnan(cell.ci_high) and math.isfinite(cell.mean_beta1)
+            else:
+                assert cell.error is None and math.isfinite(cell.ci_high)
 
     def test_spurious_interval_excludes_zero(self):
         # nonzero mean with a CI that excludes zero, despite no true effect
@@ -220,6 +250,13 @@ class TestGridSpecValidation:
         with pytest.raises(ValueError):
             GridSpec(correlations=(), confounder_counts=(1,),
                      n_respondents=10, replications=1, seed=0)
+
+    def test_population_must_exceed_largest_k(self):
+        with pytest.raises(ValueError, match="largest regressor count k = n \\+ 1 = 9"):
+            GridSpec(correlations=(0.1,), confounder_counts=(1, 8),
+                     n_respondents=9, replications=1, seed=0)
+        GridSpec(correlations=(0.1,), confounder_counts=(1, 8),
+                 n_respondents=10, replications=1, seed=0)
 
     def test_bad_counts(self):
         with pytest.raises(ValueError):

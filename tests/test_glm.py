@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -58,6 +59,13 @@ class TestDesignMatrix:
     def test_rejects_all_zero_column(self):
         with pytest.raises(ValueError, match="all zero"):
             DesignMatrix.build([np.zeros(10), np.ones(10)], intercept=False)
+
+    def test_all_zero_column_is_a_rank_defect_named_by_its_name(self):
+        x = np.arange(1, 11.0)
+        with pytest.raises(SingularDesignError, match="column 'DEAD' is all zero"):
+            DesignMatrix.build([x, np.zeros(10)], intercept=True, names=["X", "DEAD"])
+        with pytest.raises(SingularDesignError, match="column 2 is all zero"):
+            DesignMatrix.build([x, np.zeros(10)], intercept=True)
 
     def test_intercept_column_is_exempt(self):
         dm = DesignMatrix.build([np.arange(1, 6)], intercept=True)
@@ -165,6 +173,117 @@ class TestFitLogistic:
             fit_logistic(np.zeros(2), np.ones((2, 3)))  # n <= m
 
 
+def _pattern_counts(y, x):
+    """Distinct (y, x) rows of 0/1 arrays and how often each occurs."""
+    codes = np.column_stack([y, x]).astype(np.int64) @ (1 << np.arange(x.shape[1] + 1))
+    counts = np.bincount(codes)
+    cells = np.flatnonzero(counts)
+    bits = ((cells[:, None] >> np.arange(x.shape[1] + 1)) & 1).astype(float)
+    return bits[:, 0], bits[:, 1:], counts[cells].astype(float)
+
+
+# a Newton step whose log-likelihood gain is below the rounding of the sum is
+# halved away, so either fit can stop one step short of the optimum; the
+# two then differ by that last step (up to 1.1e-7 over 1,000 random designs)
+_STOPPING_RESOLUTION = 1e-6
+
+
+class TestFrequencyWeights:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(20, 2000), st.integers(1, 9),
+           st.floats(0.55, 0.95), st.integers(0, 2**32 - 1))
+    def test_pattern_table_fit_matches_raw_rows(self, n, k, p, seed):
+        rng = np.random.default_rng(seed)
+        latent = rng.integers(0, 2, n)
+        agree = np.where(latent == 1, p, 1.0 - p)[:, None]
+        rows = (rng.random((n, k + 1)) < agree).astype(float)
+        y, x = rows[:, 0], rows[:, 1:]
+        ty, tx, counts = _pattern_counts(y, x)
+        try:
+            raw = fit_logistic(y, x)
+        except SingularDesignError:
+            with pytest.raises(SingularDesignError):
+                fit_logistic(ty, tx, weights=counts)
+            return
+        table = fit_logistic(ty, tx, weights=counts)
+        assert table.converged == raw.converged
+        assert table.separation_detected == raw.separation_detected
+        # the same Newton iterates, up to rounding, until the stopping rule
+        for i in (1, 2):
+            early_raw = fit_logistic(y, x, max_iter=i)
+            early_table = fit_logistic(ty, tx, max_iter=i, weights=counts)
+            assert np.allclose(early_table.coefficients, early_raw.coefficients,
+                               rtol=0.0, atol=1e-10)
+            assert np.allclose(early_table.std_errors, early_raw.std_errors,
+                               rtol=0.0, atol=1e-10)
+        if raw.converged:
+            assert np.allclose(table.coefficients, raw.coefficients,
+                               rtol=0.0, atol=_STOPPING_RESOLUTION)
+            assert np.allclose(table.std_errors, raw.std_errors,
+                               rtol=0.0, atol=_STOPPING_RESOLUTION)
+            assert table.log_likelihood == pytest.approx(raw.log_likelihood,
+                                                         rel=1e-12)
+
+    def test_separated_design_flagged_in_both(self):
+        rng = np.random.default_rng(4)
+        x = rng.integers(0, 2, size=(200, 2)).astype(float)
+        y = x[:, 0].copy()
+        ty, tx, counts = _pattern_counts(y, x)
+        raw = fit_logistic(y, x)
+        table = fit_logistic(ty, tx, weights=counts)
+        assert raw.separation_detected and table.separation_detected
+        assert not raw.converged and not table.converged
+
+    def test_singular_design_raises_in_both(self):
+        rng = np.random.default_rng(5)
+        col = rng.integers(0, 2, size=100).astype(float)
+        x = np.column_stack([col, col, rng.integers(0, 2, size=100)])
+        y = rng.integers(0, 2, size=100).astype(float)
+        ty, tx, counts = _pattern_counts(y, x)
+        with pytest.raises(SingularDesignError):
+            fit_logistic(y, x)
+        with pytest.raises(SingularDesignError):
+            fit_logistic(ty, tx, weights=counts)
+
+    def test_unit_weights_give_identical_bits(self):
+        rng = np.random.default_rng(6)
+        n = 300
+        x = np.column_stack([np.ones(n), rng.normal(size=n),
+                             rng.integers(0, 2, n)])
+        y = (rng.random(n) < inverse_logit(x @ [-0.4, 0.9, 0.5])).astype(float)
+        plain = fit_logistic(y, x)
+        unit = fit_logistic(y, x, weights=np.ones(n))
+        assert plain.coefficients.tobytes() == unit.coefficients.tobytes()
+        assert plain.std_errors.tobytes() == unit.std_errors.tobytes()
+        assert plain.log_likelihood == unit.log_likelihood
+        assert plain.iterations == unit.iterations
+
+    def test_zero_weight_rows_are_ignored(self):
+        rng = np.random.default_rng(7)
+        x = rng.integers(0, 2, size=(120, 2)).astype(float)
+        y = rng.integers(0, 2, size=120).astype(float)
+        weights = np.ones(120)
+        weights[::3] = 0.0
+        kept = weights > 0
+        a = fit_logistic(y, x, weights=weights)
+        b = fit_logistic(y[kept], x[kept])
+        assert np.allclose(a.coefficients, b.coefficients, rtol=0.0, atol=1e-12)
+
+    def test_weight_validation(self):
+        y = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
+        x = np.array([[1.0], [1.0], [0.0], [1.0], [1.0]])
+        for bad in ([1, 1, -1, 1, 1], [1, 1, np.nan, 1, 1], [1, 1, np.inf, 1, 1],
+                    [1, 1, 1, 1], [[1, 1, 1, 1, 1]]):
+            with pytest.raises(ValueError, match="weights"):
+                fit_logistic(y, x, weights=np.array(bad, dtype=float))
+
+    def test_observation_count_is_the_weight_sum(self):
+        y = np.array([0.0, 1.0, 1.0, 0.0])
+        x = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="more observations"):
+            fit_logistic(y, x, weights=np.full(4, 0.5))
+
+
 class TestRelativeRisk:
     def test_zero_effect(self):
         for p in (0.0, 0.1, 0.5, 0.9):
@@ -190,6 +309,24 @@ class TestRelativeRisk:
     def test_sign_follows_beta(self, beta, p):
         assert relative_risk(beta, p) > 0
         assert relative_risk(-beta, p) < 0
+
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+    def test_finite_inputs_give_bounded_value_or_overflow(self, beta, p):
+        # exp(beta) overflows past log(max float) ~ 709.78; nothing else raises
+        if beta > math.log(sys.float_info.max):
+            with pytest.raises(OverflowError):
+                relative_risk(beta, p)
+            return
+        rr = relative_risk(beta, p)
+        assert math.isfinite(rr)
+        assert rr >= -1.0
+        if p > 0.0:
+            assert rr <= (1.0 / p - 1.0) * (1.0 + 1e-12) + 1e-12
+
+    def test_overflow_past_exp_range(self):
+        with pytest.raises(OverflowError):
+            relative_risk(800.0, 0.0)
 
 
 class TestConfidenceInterval:

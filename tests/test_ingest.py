@@ -342,6 +342,25 @@ class TestStagedAnalysis:
         assert res_a.error is None
         assert res_b.error is not None
 
+    def test_all_zero_confounder_is_named_in_the_stage_error(self):
+        rng = np.random.default_rng(6)
+        n = 300
+        table = load_survey(survey_text(
+            ["Y", "X", "DEAD"],
+            [rng.integers(0, 2, n), rng.integers(0, 4, n), np.zeros(n, dtype=int)]))
+        study = StudySpec(dependent="Y", independent="X", stages=(("A", ("DEAD",)),))
+        (result,) = staged_analysis(apply_mappings(table, []), study)
+        assert result.error == "column 'DEAD' is all zero"
+
+    def test_relative_risk_overflow_is_a_stage_error(self):
+        table, _ = _metamodel_survey(n=5000, seed=56)
+        study = StudySpec(dependent="R0", independent="R1",
+                          stages=(("A", ()), ("B", ("R2",))))
+        # a per-unit coefficient near 1 rescaled by 1e4 is past exp's range
+        results = staged_analysis(apply_mappings(table, []), study, unit_change=1e4)
+        assert [r.error is not None for r in results] == [True, True]
+        assert all("math range error" in r.error for r in results)
+
     def test_unit_change_rescales_linearly(self):
         table, _ = _metamodel_survey(n=5000, seed=55)
         mapped = apply_mappings(table, [])
