@@ -56,6 +56,12 @@ __all__ = [
 # two-sided 95% normal quantile, used for the reported intervals
 _Z95 = 1.959963984540054
 
+# bits in a nonnegative int64 row code
+_CODE_BITS = 63
+
+# population_limit enumerates all 2^(k+1) cells
+_LIMIT_MAX_K = 16
+
 
 class EnsembleError(RuntimeError):
     """Every replication of an ensemble failed to produce a usable fit."""
@@ -100,15 +106,18 @@ def _pattern_table(responses: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     """Distinct rows of a 0/1 response table as (y, regressors, counts).
 
     The regressors are binary, so these counts carry the whole likelihood of
-    a fit of column 0 on the other columns: at most 2^(k+1) rows stand in
-    for N.  Only rows that occur are kept.
+    a fit of column 0 on the other columns: at most min(N, 2^(k+1)) rows
+    stand in for N.  Each row is encoded as an int64 bit code and the N
+    codes are sorted, so time and memory grow with N, not with 2^(k+1).  A
+    row too wide for one code stands for itself with count 1.
     """
-    width = responses.shape[1]
-    codes = responses @ (1 << np.arange(width))
-    counts = np.bincount(codes, minlength=1 << width)
-    occurring = np.flatnonzero(counts)
-    bits = _cell_bits(occurring, width)
-    return bits[:, 0], bits[:, 1:], counts[occurring].astype(np.float64)
+    n, width = responses.shape
+    if width > _CODE_BITS:
+        rows = responses.astype(np.float64)
+        return rows[:, 0], rows[:, 1:], np.ones(n)
+    codes, counts = np.unique(responses @ (1 << np.arange(width)), return_counts=True)
+    bits = _cell_bits(codes, width)
+    return bits[:, 0], bits[:, 1:], counts.astype(np.float64)
 
 
 def population_limit(p: float, k: int) -> float:
@@ -119,12 +128,13 @@ def population_limit(p: float, k: int) -> float:
     under a fair latent coin, scaled so the mean cell weight is 1 (the
     coefficients do not depend on the scale).  Returns the mean of the k
     coefficients, the reduction run_ensemble applies with no causal
-    increment.  Deterministic and independent of N.
+    increment.  Deterministic and independent of N.  The cell table grows as
+    2^(k+1), so k is capped at 16 (about 18 MB per copy of the table).
     """
     if not 0.5 < p < 1.0:
         raise ValueError(f"p must be in (0.5, 1), got {p}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    if not 1 <= k <= _LIMIT_MAX_K:
+        raise ValueError(f"k must be in [1, {_LIMIT_MAX_K}], got {k}")
     width = k + 1
     cells = _cell_bits(np.arange(1 << width), width)
     ones = cells.sum(axis=1)

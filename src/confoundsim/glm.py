@@ -149,21 +149,15 @@ class FitResult:
             raise ValueError("coefficients and std_errors must have equal length")
 
 
-def _weigh(f: np.ndarray | None, a: np.ndarray) -> np.ndarray:
-    # frequency weights scale each row's term before the usual reduction, so
-    # f = None and f = 1 give the same bits
-    return a if f is None else f * a
-
-
-def _log_likelihood(fy: np.ndarray, eta: np.ndarray, f: np.ndarray | None) -> float:
+def _log_likelihood(fy: np.ndarray, eta: np.ndarray, f: np.ndarray) -> float:
     # sum f * (y*eta - log(1 + exp(eta))) with fy = f * y, stable via logaddexp
-    return float(fy @ eta - _weigh(f, np.logaddexp(0.0, eta)).sum())
+    return float(fy @ eta - (f * np.logaddexp(0.0, eta)).sum())
 
 
-def _check_rank(x: np.ndarray, f: np.ndarray | None) -> None:
+def _check_rank(x: np.ndarray, f: np.ndarray) -> None:
     # rank-revealing check on the Gram matrix; cheap (m x m) and it keeps
     # silently pseudo-inverted collinear confounders out of the results
-    gram = x.T @ (x if f is None else f[:, None] * x)
+    gram = x.T @ (f[:, None] * x)
     eigvals = np.linalg.eigvalsh(gram)
     if eigvals[0] <= eigvals[-1] * x.shape[1] * np.finfo(np.float64).eps:
         raise SingularDesignError("design matrix is rank deficient")
@@ -191,8 +185,11 @@ def fit_logistic(y, X, tol: float = 1e-8, max_iter: int = 100,
         raise ValueError(f"y has {yv.shape[0]} rows, design has {n}")
     if not np.isin(yv, (0.0, 1.0)).all():
         raise ValueError("y entries must be 0 or 1")
-    f = None
-    if weights is not None:
+    # every term is multiplied by its weight before the usual reduction; a
+    # unit weight changes no bits, so unweighted fits are the weights=1 case
+    if weights is None:
+        f = np.ones(n)
+    else:
         f = np.ascontiguousarray(np.asarray(weights, dtype=np.float64))
         if f.shape != (n,):
             raise ValueError(f"weights must have shape ({n},), got {f.shape}")
@@ -201,12 +198,12 @@ def fit_logistic(y, X, tol: float = 1e-8, max_iter: int = 100,
         if not f.all():
             occurs = f > 0.0
             x, yv, f = x[occurs], yv[occurs], f[occurs]
-        n = f.sum()
-    if n <= m:
-        raise ValueError(f"need more observations ({n:g}) than regressors ({m})")
+    n_obs = f.sum()
+    if n_obs <= m:
+        raise ValueError(f"need more observations ({n_obs:g}) than regressors ({m})")
     _check_rank(x, f)
 
-    fy = _weigh(f, yv)
+    fy = f * yv
     beta = np.zeros(m)
     eta = np.zeros(x.shape[0])
     ll = _log_likelihood(fy, eta, f)
@@ -216,8 +213,8 @@ def fit_logistic(y, X, tol: float = 1e-8, max_iter: int = 100,
 
     for iterations in range(1, max_iter + 1):
         mu = inverse_logit(eta)
-        w = _weigh(f, mu * (1.0 - mu))
-        grad = x.T @ _weigh(f, yv - mu)
+        w = f * (mu * (1.0 - mu))
+        grad = x.T @ (f * (yv - mu))
         hess = x.T @ (w[:, None] * x)
         try:
             delta = np.linalg.solve(hess, grad)
@@ -245,7 +242,7 @@ def fit_logistic(y, X, tol: float = 1e-8, max_iter: int = 100,
             break
 
     mu = inverse_logit(eta)
-    w = _weigh(f, mu * (1.0 - mu))
+    w = f * (mu * (1.0 - mu))
     hess = x.T @ (w[:, None] * x)
     try:
         covariance = np.linalg.inv(hess)

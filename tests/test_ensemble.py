@@ -10,7 +10,9 @@ from confoundsim import ensemble
 from confoundsim.ensemble import (EnsembleError, GridSpec, GRID_FIELDS,
                                   empirical_beta_formula,
                                   empirical_sigma_formula, format_grid_csv,
-                                  format_grid_json, run_ensemble, scan_grid)
+                                  format_grid_json, population_limit,
+                                  run_ensemble, scan_grid)
+from confoundsim.glm import fit_logistic
 from confoundsim.metamodel import ModelParams, derive_seed, draw_population
 
 
@@ -43,6 +45,15 @@ class TestFormulas:
             empirical_beta_formula(0.7, 0)
         with pytest.raises(ValueError):
             empirical_sigma_formula(0.7, 2, 0)
+
+    def test_population_limit_range(self):
+        for bad_p in (0.5, 1.0):
+            with pytest.raises(ValueError, match="p must be"):
+                population_limit(bad_p, 2)
+        # the limit enumerates 2^(k+1) cells, so k is capped
+        for bad_k in (0, 17):
+            with pytest.raises(ValueError, match=r"k must be in \[1, 16\]"):
+                population_limit(0.7, bad_k)
 
 
 class TestRunEnsemble:
@@ -92,6 +103,22 @@ class TestRunEnsemble:
             digest = summary.per_replication[i]
             assert math.isnan(digest.beta1) and not digest.converged
         assert math.isfinite(summary.mean_beta1)
+
+    def test_wide_replications_match_raw_row_fits(self):
+        # k = 40: the 2^(k+1) cells far outnumber the N rows; k = 70: a row
+        # is too wide for one int64 code.  Both fit what the N rows give.
+        for k, n in ((40, 200), (70, 400)):
+            base = params(p=0.6, k=k, n=n, seed=21)
+            summary = run_ensemble(base, 2, keep_replications=True)
+            for digest in summary.per_replication:
+                rows = draw_population(
+                    replace(base, seed=derive_seed(base.seed, digest.index)),
+                    k + 1).responses.astype(float)
+                raw = fit_logistic(rows[:, 0], rows[:, 1:])
+                assert raw.converged and not raw.separation_detected
+                assert digest.converged and not digest.separation_detected
+                assert digest.beta1 == pytest.approx(raw.coefficients.mean(),
+                                                     rel=0.0, abs=1e-8)
 
     def test_replication_digests_kept_on_request(self):
         summary = run_ensemble(params(seed=4, n=500), 6, keep_replications=True)
