@@ -5,8 +5,9 @@ a correlation-by-confounders grid, `fit` runs a single logistic regression
 on a matrix file, and `ingest` runs the staged survey analysis.  Every
 output embeds the tool version and the resolved configuration (including
 the master seed), so any file can be regenerated bit-exactly from its own
-header.  Execution details such as --threads and --out are not part of the
-embedded config.
+header.  Execution details such as --out are not part of the embedded
+config.  `scan --threads` is still accepted and checked, but every scan runs
+serially and its output does not depend on it.
 
 Exit codes: 0 success (including partial results carrying per-row flags),
 1 I/O failure, 2 usage or parse error, 3 numerical failure.
@@ -93,6 +94,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    if args.threads < 1:
+        raise ValueError("threads must be >= 1")
     spec = GridSpec(
         correlations=_parse_float_list(args.r_list),
         confounder_counts=_parse_int_list(args.n_list),
@@ -103,8 +106,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
         ci_n_respondents=args.ci_N,
         rr_baseline=args.rr_baseline,
     )
-    cells = scan_grid(spec, threads=args.threads)
+    cells = scan_grid(spec)
     if all(cell.error is not None for cell in cells):
+        for cell in cells:
+            print(f"error: cell r={cell.r!r} n={cell.n_confounders}: {cell.error}",
+                  file=sys.stderr)
         print("error: every grid cell failed", file=sys.stderr)
         return EXIT_NUMERICAL
 
@@ -299,7 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="baseline prevalence for relative-risk conversion")
     scan.add_argument("--seed", type=int, required=True, help="master seed")
     scan.add_argument("--threads", type=int, default=1,
-                      help="worker threads (output is independent of this)")
+                      help="accepted for compatibility, must be >= 1; it changes "
+                           "neither the output nor how the scan runs (serially)")
     scan.add_argument("--format", choices=("csv", "json"), default="csv")
     scan.add_argument("--out", default="-", help="output path, '-' for stdout")
     scan.set_defaults(func=cmd_scan)

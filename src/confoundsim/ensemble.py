@@ -26,16 +26,16 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
-from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .glm import (NotConvergedError, SingularDesignError, fit_logistic,
                   relative_risk)
-from .metamodel import ModelParams, derive_seed, draw_population
+from .metamodel import ModelParams, _check_seed, derive_seed, draw_population
 
 __all__ = [
     "EnsembleError",
@@ -205,14 +205,12 @@ def _fit_one_replication(params: ModelParams, rep_index: int) -> ReplicationDige
 
 
 def run_ensemble(params: ModelParams, replications: int, *,
-                 executor: Executor | None = None,
                  keep_replications: bool = False) -> EnsembleSummary:
     """Generate and fit `replications` independent populations.
 
-    Replication streams are keyed by (params.seed, replication index), and
-    results are reduced in index order, so output is identical whether the
-    work runs serially or on the supplied executor.  Non-converged or
-    separated fits are excluded and counted, never retried.
+    Replication streams are keyed by (params.seed, replication index) and
+    results are reduced in index order.  Non-converged or separated fits are
+    excluded and counted, never retried.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
@@ -220,20 +218,18 @@ def run_ensemble(params: ModelParams, replications: int, *,
         raise ValueError(
             f"n_respondents ({params.n_respondents}) must exceed the regressor "
             f"count k = {params.k}: a fit needs more observations than regressors")
-    indices = range(replications)
-    if executor is None:
-        digests = [_fit_one_replication(params, i) for i in indices]
-    else:
-        digests = list(executor.map(lambda i: _fit_one_replication(params, i), indices))
+    digests = [_fit_one_replication(params, i) for i in range(replications)]
 
     betas = np.array([d.beta1 for d in digests])
     sigmas = np.array([d.sigma1 for d in digests])
     kept = ~np.isnan(betas)
     n_kept = int(kept.sum())
     if n_kept == 0:
+        separated = sum(d.separation_detected for d in digests)
         raise EnsembleError(
             f"all {replications} replications failed to converge "
-            f"(p={params.p}, k={params.k}, N={params.n_respondents})")
+            f"({separated} flagged as separated; "
+            f"p={params.p}, k={params.k}, N={params.n_respondents})")
     mc_error = (float(np.std(betas[kept], ddof=1)) / math.sqrt(n_kept)
                 if n_kept >= 2 else math.inf)
     return EnsembleSummary(
@@ -245,6 +241,11 @@ def run_ensemble(params: ModelParams, replications: int, *,
         excluded=replications - n_kept,
         per_replication=tuple(digests) if keep_replications else None,
     )
+
+
+def _agreement_p(r: float) -> float:
+    # agreement probability whose pairwise correlation (2p - 1)^2 is r
+    return 0.5 * (1.0 + math.sqrt(r))
 
 
 @dataclass(frozen=True)
@@ -273,8 +274,11 @@ class GridSpec:
                            tuple(int(n) for n in self.confounder_counts))
         if not self.correlations:
             raise ValueError("correlations must be non-empty")
-        if any(not 0.0 < r < 1.0 for r in self.correlations):
-            raise ValueError("every correlation must be in (0, 1)")
+        for r in self.correlations:
+            # r below about 1e-32 rounds p to 0.5, r within a few 1e-16 of 1 to 1
+            if not (0.0 < r < 1.0 and 0.5 < _agreement_p(r) < 1.0):
+                raise ValueError(f"every correlation must be in (0, 1) with "
+                                 f"p = (1 + sqrt(r)) / 2 inside (0.5, 1), got {r!r}")
         if not self.confounder_counts:
             raise ValueError("confounder_counts must be non-empty")
         if any(n < 1 for n in self.confounder_counts):
@@ -287,6 +291,9 @@ class GridSpec:
                 f"observations than regressors")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        _check_seed(self.seed)
+        if not math.isfinite(self.causal_increment):
+            raise ValueError("causal_increment must be finite")
         if self.ci_n_respondents is not None and self.ci_n_respondents < 1:
             raise ValueError("ci_n_respondents must be >= 1")
         if not 0.0 <= self.rr_baseline < 1.0:
@@ -317,30 +324,18 @@ class GridCell:
     error: str | None = None
 
 
-def scan_grid(spec: GridSpec, threads: int = 1) -> list[GridCell]:
+def scan_grid(spec: GridSpec) -> list[GridCell]:
     """Run every (r, n) cell of the grid; failed cells are kept, flagged.
 
-    Deterministic for a fixed spec seed regardless of `threads`.
+    Deterministic for a fixed spec seed.
     """
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        cells = []
-        index = 0
-        for r in spec.correlations:
-            for n_conf in spec.confounder_counts:
-                cells.append(_run_cell(spec, r, n_conf, index, executor))
-                index += 1
-        return cells
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    grid = itertools.product(spec.correlations, spec.confounder_counts)
+    return [_run_cell(spec, r, n_conf, index)
+            for index, (r, n_conf) in enumerate(grid)]
 
 
-def _run_cell(spec: GridSpec, r: float, n_conf: int, index: int,
-              executor: Executor | None) -> GridCell:
-    p = 0.5 * (1.0 + math.sqrt(r))
+def _run_cell(spec: GridSpec, r: float, n_conf: int, index: int) -> GridCell:
+    p = _agreement_p(r)
     k = n_conf + 1
     predicted_beta = empirical_beta_formula(p, k)
     predicted_sigma = empirical_sigma_formula(p, k, spec.n_respondents)
@@ -348,7 +343,7 @@ def _run_cell(spec: GridSpec, r: float, n_conf: int, index: int,
                          seed=derive_seed(spec.seed, index),
                          causal_increment=spec.causal_increment)
     try:
-        summary = run_ensemble(params, spec.replications, executor=executor)
+        summary = run_ensemble(params, spec.replications)
     except EnsembleError as exc:
         nan = math.nan
         return GridCell(r, n_conf, spec.n_respondents, spec.replications,

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .glm import inverse_logit, logit
+
 __all__ = [
     "ModelParams",
     "ResponseMatrix",
@@ -33,6 +35,12 @@ __all__ = [
 ]
 
 _SEED_MAX = 2**64
+
+
+def _check_seed(seed: int) -> None:
+    # the one seed rule for every configuration that takes a master seed
+    if not isinstance(seed, int) or not 0 <= seed < _SEED_MAX:
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
 
 
 class UndefinedCorrelationError(ValueError):
@@ -90,8 +98,7 @@ class ModelParams:
             raise ValueError(f"k must be an integer >= 1, got {self.k}")
         if not isinstance(self.n_respondents, int) or self.n_respondents < 1:
             raise ValueError(f"n_respondents must be >= 1, got {self.n_respondents}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < _SEED_MAX:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        _check_seed(self.seed)
         if not np.isfinite(self.causal_increment):
             raise ValueError("causal_increment must be finite")
 
@@ -155,20 +162,6 @@ def stream_generator(seed: int, *indices: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, *indices))))
 
 
-def _logit(p: np.ndarray) -> np.ndarray:
-    return np.log(p / (1.0 - p))
-
-
-def _inverse_logit(x: np.ndarray) -> np.ndarray:
-    # stable two-branch sigmoid; inputs here are mild so no clamp needed
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def draw_population(params: ModelParams, column_count: int) -> ResponseMatrix:
     """Draw one population of column_count = k + 1 binary response columns.
 
@@ -196,7 +189,7 @@ def draw_population(params: ModelParams, column_count: int) -> ResponseMatrix:
     responses = (uniforms < p_i[:, None]).view(np.int8)
     if params.causal_increment != 0.0:
         shift = params.causal_increment * responses[:, 1]
-        responses[:, 0] = uniforms[:, 0] < _inverse_logit(_logit(p_i) + shift)
+        responses[:, 0] = uniforms[:, 0] < inverse_logit(logit(p_i) + shift)
 
     return ResponseMatrix(latent=latent, responses=responses, params=params)
 
@@ -231,7 +224,5 @@ def write_population_csv(m: ResponseMatrix, fh: io.TextIOBase) -> None:
     Not a stability-guaranteed format.
     """
     header = "Q," + ",".join(f"R{j}" for j in range(m.n_columns))
-    fh.write(header + "\n")
-    table = np.column_stack([m.latent, m.responses])
-    for row in table:
-        fh.write(",".join(str(int(v)) for v in row) + "\n")
+    np.savetxt(fh, np.column_stack([m.latent, m.responses]), fmt="%d",
+               delimiter=",", header=header, comments="")

@@ -13,7 +13,6 @@ the accuracy the documentation states for it.
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -53,13 +52,12 @@ def report(num, name, ok, detail=""):
 def surface_grid():
     """One shared 16-cell run of the coefficient/σ surface protocol."""
     grid = {}
-    with ThreadPoolExecutor(8) as pool:
-        for i, p in enumerate(SURFACE_P):
-            for j, k in enumerate(SURFACE_K):
-                params = ModelParams(
-                    p=p, k=k, n_respondents=SURFACE_N,
-                    seed=derive_seed(MASTER_SEED, i * len(SURFACE_K) + j))
-                grid[(p, k)] = run_ensemble(params, SURFACE_REPS, executor=pool)
+    for i, p in enumerate(SURFACE_P):
+        for j, k in enumerate(SURFACE_K):
+            params = ModelParams(
+                p=p, k=k, n_respondents=SURFACE_N,
+                seed=derive_seed(MASTER_SEED, i * len(SURFACE_K) + j))
+            grid[(p, k)] = run_ensemble(params, SURFACE_REPS)
     return grid
 
 
@@ -152,9 +150,8 @@ def test_criterion_3_sigma_surface(surface_grid):
 def _causal_pair(r, seed_a, seed_b):
     base = dict(correlations=(r,), confounder_counts=(1,),
                 n_respondents=50_000, replications=100)
-    null = scan_grid(GridSpec(seed=seed_a, **base), threads=8)[0]
-    causal = scan_grid(GridSpec(seed=seed_b, causal_increment=0.10, **base),
-                       threads=8)[0]
+    null = scan_grid(GridSpec(seed=seed_a, **base))[0]
+    causal = scan_grid(GridSpec(seed=seed_b, causal_increment=0.10, **base))[0]
     return null, causal
 
 
@@ -223,7 +220,7 @@ def test_criterion_7_null_effect_honesty():
                     n_respondents=10_000, replications=200,
                     seed=derive_seed(MASTER_SEED, 7),
                     ci_n_respondents=50_000)
-    cells = scan_grid(spec, threads=8)
+    cells = scan_grid(spec)
     all_positive = all(c.mean_beta1 > 0 for c in cells)
     strong = [c for c in cells if c.r >= 0.05 and c.n_confounders <= 2]
     all_significant = all(c.ci_low > 0 for c in strong)

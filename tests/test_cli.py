@@ -117,6 +117,26 @@ class TestScan:
                     "--reps", "5", "--seed", "1"]) == 2
         assert "must exceed the largest regressor count" in capsys.readouterr().err
 
+    def test_zero_threads_exits_2(self, tmp_path, capsys):
+        assert run(self.small_args(tmp_path / "g.csv", ["--threads", "0"])) == 2
+        assert "threads must be >= 1" in capsys.readouterr().err
+
+    def test_seed_outside_64_bits_exits_2_and_names_the_seed(self, tmp_path, capsys):
+        for seed in ("-1", str(2**64)):
+            argv = ["scan", "--r-list", "0.05", "--n-list", "1", "--N", "100",
+                    "--reps", "2", "--seed", seed, "--out", str(tmp_path / "g.csv")]
+            assert run(argv) == 2
+            assert "seed must be an unsigned 64-bit integer" in capsys.readouterr().err
+
+    def test_every_cell_failing_prints_each_reason(self, capsys):
+        # N = k + 1: every fit separates or is singular
+        assert run(["scan", "--r-list", "0.1", "--n-list", "8", "--N", "10",
+                    "--reps", "5", "--seed", "1"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("error: cell r=0.1 n=8: all 5 replications")
+        assert "(4 flagged as separated;" in err[0]
+        assert err[-1] == "error: every grid cell failed"
+
     def test_causal_scan_runs(self, tmp_path):
         out = tmp_path / "c.csv"
         assert run(["scan", "--r-list", "0.05", "--n-list", "1", "--N", "800",

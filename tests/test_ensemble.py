@@ -1,10 +1,10 @@
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confoundsim import ensemble
 from confoundsim.ensemble import (EnsembleError, GridSpec, GRID_FIELDS,
@@ -69,13 +69,10 @@ class TestRunEnsemble:
         assert summary.mean_sigma1 == pytest.approx(sigma_pred, rel=0.15)
         assert summary.excluded == 0
 
-    def test_deterministic_and_executor_invariant(self):
-        serial = run_ensemble(params(seed=9, n=1000), 12)
+    def test_deterministic(self):
+        first = run_ensemble(params(seed=9, n=1000), 12)
         again = run_ensemble(params(seed=9, n=1000), 12)
-        assert serial == again
-        with ThreadPoolExecutor(4) as pool:
-            threaded = run_ensemble(params(seed=9, n=1000), 12, executor=pool)
-        assert serial == threaded
+        assert first == again
 
     def test_non_converged_replications_excluded_and_counted(self):
         # near-degenerate agreement: most replications separate perfectly
@@ -84,7 +81,7 @@ class TestRunEnsemble:
         assert math.isfinite(summary.mean_beta1)
 
     def test_all_failures_raise(self):
-        with pytest.raises(EnsembleError):
+        with pytest.raises(EnsembleError, match=r"\(5 flagged as separated;"):
             run_ensemble(params(p=0.9999, k=1, n=40, seed=2), 5)
 
     def test_population_no_larger_than_k_is_rejected(self):
@@ -156,10 +153,6 @@ class TestScanGrid:
             assert cell.predicted_sigma1 == empirical_sigma_formula(p, k, 1500)
             assert cell.error is None
 
-    def test_thread_count_does_not_change_results(self):
-        spec = self.small_spec()
-        assert scan_grid(spec, threads=1) == scan_grid(spec, threads=3)
-
     def test_relative_risk_overflow_flags_only_its_cell(self, monkeypatch):
         real = ensemble.run_ensemble
 
@@ -180,7 +173,7 @@ class TestScanGrid:
         # nonzero mean with a CI that excludes zero, despite no true effect
         spec = GridSpec(correlations=(0.1,), confounder_counts=(1,),
                         n_respondents=10_000, replications=60, seed=8)
-        cell = scan_grid(spec, threads=4)[0]
+        cell = scan_grid(spec)[0]
         assert cell.mean_beta1 > 0
         assert cell.ci_low > 0
 
@@ -196,19 +189,19 @@ class TestScanGrid:
     def test_simulation_tracks_formula_midgrid(self):
         spec = GridSpec(correlations=(0.10,), confounder_counts=(1,),
                         n_respondents=10_000, replications=200, seed=21)
-        cell = scan_grid(spec, threads=8)[0]
+        cell = scan_grid(spec)[0]
         assert cell.mean_beta1 == pytest.approx(3 * 0.10 / 2, rel=0.15)
 
     def test_doubling_confounders_roughly_halves_beta(self):
         spec = GridSpec(correlations=(0.05,), confounder_counts=(4, 8),
                         n_respondents=10_000, replications=200, seed=11)
-        c4, c8 = scan_grid(spec, threads=8)
+        c4, c8 = scan_grid(spec)
         assert 0.4 <= c8.mean_beta1 / c4.mean_beta1 <= 0.6
 
     def test_statistical_monotonicity_in_r_and_k(self):
         spec = GridSpec(correlations=(0.02, 0.15), confounder_counts=(1, 8),
                         n_respondents=10_000, replications=200, seed=14)
-        cells = {(c.r, c.n_confounders): c for c in scan_grid(spec, threads=8)}
+        cells = {(c.r, c.n_confounders): c for c in scan_grid(spec)}
         lo_r, hi_r = cells[(0.02, 1)], cells[(0.15, 1)]
         assert (hi_r.mean_beta1 - lo_r.mean_beta1
                 > 3 * (hi_r.mc_error_beta1 + lo_r.mc_error_beta1))
@@ -292,3 +285,48 @@ class TestGridSpecValidation:
         with pytest.raises(ValueError):
             GridSpec(correlations=(0.1,), confounder_counts=(1,),
                      n_respondents=10, replications=0, seed=0)
+
+    def test_seed_follows_the_model_seed_rule(self):
+        base = dict(correlations=(0.1,), confounder_counts=(1,),
+                    n_respondents=10, replications=1)
+        for bad in (-1, 2**64, 1.0):
+            with pytest.raises(ValueError, match="seed must be an unsigned 64-bit"):
+                GridSpec(seed=bad, **base)
+        GridSpec(seed=2**64 - 1, **base)
+
+    def test_correlation_must_give_p_inside_the_model_range(self):
+        # sqrt(r) < 2^-53 rounds p to 0.5; r = 1 - 2^-53 rounds it to 1
+        for bad in (1e-40, 1.0 - 2.0**-53):
+            with pytest.raises(ValueError, match="p = \\(1 \\+ sqrt\\(r\\)\\) / 2"):
+                GridSpec(correlations=(bad,), confounder_counts=(1,),
+                         n_respondents=10, replications=1, seed=0)
+
+    def test_causal_increment_must_be_finite(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="causal_increment must be finite"):
+                GridSpec(correlations=(0.1,), confounder_counts=(1,),
+                         n_respondents=10, replications=1, seed=0,
+                         causal_increment=bad)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), max_size=3),
+           st.lists(st.integers(-2, 70), max_size=3),
+           st.integers(-5, 10**6), st.integers(-2, 10**4),
+           st.integers(-2**65, 2**65), st.floats(),
+           st.one_of(st.none(), st.integers(-2, 10**6)), st.floats())
+    def test_every_input_builds_a_valid_spec_or_raises_value_error(
+            self, correlations, counts, n, reps, seed, increment, ci_n, baseline):
+        try:
+            spec = GridSpec(correlations=correlations, confounder_counts=counts,
+                            n_respondents=n, replications=reps, seed=seed,
+                            causal_increment=increment, ci_n_respondents=ci_n,
+                            rr_baseline=baseline)
+        except ValueError:
+            return
+        # a spec that builds gives every cell a valid ensemble configuration
+        for index, r in enumerate(spec.correlations):
+            for n_conf in spec.confounder_counts:
+                ModelParams(p=0.5 * (1.0 + math.sqrt(r)), k=n_conf + 1,
+                            n_respondents=spec.n_respondents,
+                            seed=derive_seed(spec.seed, index),
+                            causal_increment=spec.causal_increment)
