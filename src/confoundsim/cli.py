@@ -237,7 +237,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     study = parse_study_json(_read_text(args.study))
-    table = load_survey(_read_text(args.data), delimiter=args.delimiter)
+    table = load_survey(_read_text(args.data), delimiter=args.delimiter,
+                        columns=study.columns())
 
     mapped = apply_mappings(table, specs)
     results = staged_analysis(mapped, study, unit_change=args.unit_change)

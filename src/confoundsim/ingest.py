@@ -18,10 +18,13 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.dtypes import StringDType
 
 from .glm import (DesignMatrix, confidence_interval, fit_logistic, one_hot,
                   relative_risk)
@@ -239,6 +242,11 @@ class StudySpec:
         if not (math.isfinite(self.unit_change) and self.unit_change > 0):
             raise ValueError("unit_change must be a positive finite number")
 
+    def columns(self) -> tuple[str, ...]:
+        """Every column the study reads: dependent, independent, confounders."""
+        return (self.dependent, self.independent,
+                *(col for _, cols in self.stages for col in cols))
+
     def stage_names(self) -> list[str]:
         return [name for name, _ in self.stages]
 
@@ -274,56 +282,119 @@ def parse_study_json(text: str) -> StudySpec:
         independent = data["independent"]
     except KeyError as exc:
         raise ValueError(f"study spec missing required key {exc}") from exc
+    for key, value in (("dependent", dependent), ("independent", independent)):
+        if not isinstance(value, str):
+            raise ValueError(f"{key} must be a column name string, got {value!r}")
     if not isinstance(stages_obj, dict) or not stages_obj:
         raise ValueError("stages must be a non-empty object of name -> column list")
+    for name, cols in stages_obj.items():
+        if not (isinstance(cols, list)
+                and all(isinstance(col, str) and col for col in cols)):
+            raise ValueError(
+                f"stage {name!r} must be a list of non-empty column names, got {cols!r}")
     stages = tuple(
         (name, tuple(cols)) for name, cols in stages_obj.items())
+    try:
+        unit_change = float(data.get("unit_change", 1.0))
+    except TypeError:
+        raise ValueError("unit_change must be a number") from None
     return StudySpec(dependent=dependent, independent=independent, stages=stages,
-                     unit_change=float(data.get("unit_change", 1.0)))
+                     unit_change=unit_change)
 
 
 @dataclass(frozen=True)
 class SurveyTable:
-    """Integer-coded survey table; blank cells are recorded as missing."""
+    """Integer-coded survey table; blank cells are recorded as missing.
+
+    `names` are the loaded columns, in header order; `header` is every
+    column the file has, loaded or not.
+    """
 
     names: tuple[str, ...]
     values: np.ndarray
     missing: np.ndarray
-
-    def column_index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise IngestError(f"no such column", column=name) from None
+    header: tuple[str, ...]
 
 
-def load_survey(text: str, delimiter: str = "\t") -> SurveyTable:
-    """Parse a delimited survey file: UTF-8, header row, integer cells."""
+_INT64 = np.iinfo(np.int64)
+_BLOCK_ROWS = 256
+
+
+def _raise_first_bad_cell(rows: list[tuple[str, ...]], names: tuple[str, ...],
+                          first_row: int) -> None:
+    """Raise an IngestError at the first cell, row by row, not a 64-bit integer."""
+    for i, cells in enumerate(rows, start=first_row):
+        for name, cell in zip(names, cells):
+            cell = cell.strip()
+            if not cell:
+                continue
+            try:
+                value = int(cell)
+            except ValueError:
+                raise IngestError(f"non-integer cell {cell!r}",
+                                  row=i, column=name) from None
+            if not _INT64.min <= value <= _INT64.max:
+                raise IngestError(f"cell {cell!r} is outside the 64-bit integer range",
+                                  row=i, column=name)
+
+
+def load_survey(text: str, delimiter: str = "\t",
+                columns: Iterable[str] | None = None) -> SurveyTable:
+    """Parse a delimited survey file: UTF-8, header row, integer cells.
+
+    Only `columns` (every column when None) are parsed and checked, so a
+    bad cell in a column that is not loaded is not an error.  The width of
+    every row is checked before any cell is parsed.  A NUL character
+    anywhere in the file is an error.
+    """
+    if not delimiter:
+        raise IngestError("the delimiter must be non-empty")
+    # numpy's strip drops trailing NULs, which Python's int() would reject
+    if "\0" in text:
+        raise IngestError("survey file contains a NUL character")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise IngestError("empty survey file")
-    names = tuple(h.strip() for h in lines[0].split(delimiter))
-    if len(set(names)) != len(names):
+    header = tuple(h.strip() for h in lines[0].split(delimiter))
+    present = set(header)
+    if len(present) != len(header):
         raise IngestError("duplicate column names in header")
-    n_cols = len(names)
-    values = np.zeros((len(lines) - 1, n_cols), dtype=np.int64)
-    missing = np.zeros((len(lines) - 1, n_cols), dtype=bool)
-    for i, line in enumerate(lines[1:]):
-        cells = line.split(delimiter)
-        if len(cells) != n_cols:
-            raise IngestError(
-                f"expected {n_cols} cells, found {len(cells)}", row=i + 1)
-        for j, cell in enumerate(cells):
-            cell = cell.strip()
-            if not cell:
-                missing[i, j] = True
-                continue
+    requested = header if columns is None else tuple(columns)
+    for name in requested:
+        if name not in present:
+            raise IngestError("column absent from the data", column=name)
+    wanted = set(requested)
+    index = [j for j, name in enumerate(header) if name in wanted]
+    names = tuple(header[j] for j in index)
+    # itemgetter returns a bare cell, not a tuple, for a single index
+    pick = (operator.itemgetter(*index) if len(index) > 1
+            else lambda cells: tuple(cells[j] for j in index))
+
+    body = lines[1:]
+    n_cols = len(header)
+    for i, line in enumerate(body, start=1):
+        width = line.count(delimiter) + 1
+        if width != n_cols:
+            raise IngestError(f"expected {n_cols} cells, found {width}", row=i)
+
+    values = np.zeros((len(body), len(names)), dtype=np.int64)
+    missing = np.zeros((len(body), len(names)), dtype=bool)
+    # split in blocks of rows, so no more than one block's cells are held
+    for start in range(0, len(body), _BLOCK_ROWS):
+        block = [pick(line.split(delimiter))
+                 for line in body[start:start + _BLOCK_ROWS]]
+        rows = slice(start, start + len(block))
+        for j, column in enumerate(zip(*block)):
+            cells = np.strings.strip(np.array(column, dtype=StringDType()))
+            blank = cells == ""
+            missing[rows, j] = blank
+            cells[blank] = "0"
             try:
-                values[i, j] = int(cell)
-            except ValueError:
-                raise IngestError(f"non-integer cell {cell!r}",
-                                  row=i + 1, column=names[j]) from None
-    return SurveyTable(names=names, values=values, missing=missing)
+                values[rows, j] = cells.astype(np.int64)
+            except (ValueError, OverflowError):
+                _raise_first_bad_cell(block, names, first_row=start + 1)
+                raise
+    return SurveyTable(names=names, values=values, missing=missing, header=header)
 
 
 @dataclass(frozen=True)
@@ -354,10 +425,14 @@ class MappedTable:
 
 
 def apply_mappings(table: SurveyTable, specs: list[ColumnSpec]) -> MappedTable:
-    """Recode every specified column; unspecified columns stay ordinal as-is."""
+    """Recode every loaded column a spec names; others stay ordinal as-is.
+
+    A spec must name a column of the file's header; specs for header
+    columns that were not loaded are skipped.
+    """
     by_name = {spec.name: spec for spec in specs}
     for name in by_name:
-        if name not in table.names:
+        if name not in table.header:
             raise IngestError("mapping spec names a column absent from the data",
                               column=name)
     values = table.values.copy()

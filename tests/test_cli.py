@@ -315,6 +315,69 @@ class TestIngest:
                     "--study", str(study_file)]) == 2
         assert "line 1" in capsys.readouterr().err
 
+    def _small_study(self, tmp_path, data_text, mappings="Y ORD\n",
+                     study=None):
+        data, maps, spec = (tmp_path / "d.tsv", tmp_path / "m.txt",
+                            tmp_path / "s.json")
+        data.write_text(data_text)
+        maps.write_text(mappings)
+        spec.write_text(study if study is not None else json.dumps(
+            {"dependent": "Y", "independent": "X", "stages": {"A": ["C"]}}))
+        return ["ingest", "--data", str(data), "--mappings", str(maps),
+                "--study", str(spec)]
+
+    def _rows(self, n=60, c_cell=lambda i: str(i % 3), extra=""):
+        return "Y\tX\tC\tJUNK\n" + "".join(
+            f"{i % 2}\t{i % 5}\t{c_cell(i)}\t{extra or i}\n" for i in range(n))
+
+    def test_cell_outside_int64_exits_2_naming_row_and_column(self, tmp_path, capsys):
+        argv = self._small_study(tmp_path, self._rows(
+            c_cell=lambda i: "99999999999999999999" if i == 7 else str(i % 3)))
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: cell '99999999999999999999' is outside the 64-bit integer "
+            "range (row 8, column C)\n")
+
+    def test_bad_cells_outside_the_study_columns_are_not_parsed(self, tmp_path):
+        argv = self._small_study(tmp_path, self._rows(extra="n/a"),
+                                 mappings="Y ORD\nJUNK CAT 1:0\n")
+        assert run(argv + ["--out", str(tmp_path / "o.csv")]) == 0
+
+    @pytest.mark.parametrize("stage", ['"CIG"', '[["CIG"]]'])
+    def test_malformed_stage_exits_2_naming_it(self, tmp_path, capsys, stage):
+        study = ('{"dependent": "Y", "independent": "X",'
+                 f' "stages": {{"A": ["C"], "B": {stage}}}}}')
+        assert run(self._small_study(tmp_path, self._rows(), study=study)) == 2
+        assert "stage 'B' must be a list of non-empty column names" in (
+            capsys.readouterr().err)
+
+    def test_non_string_dependent_exits_2(self, tmp_path, capsys):
+        study = '{"dependent": 1, "independent": "X", "stages": {"A": ["C"]}}'
+        assert run(self._small_study(tmp_path, self._rows(), study=study)) == 2
+        assert "dependent must be a column name string" in capsys.readouterr().err
+
+    def test_study_column_absent_from_header_exits_2_before_any_stage(
+            self, tmp_path, capsys):
+        study = json.dumps({"dependent": "Y", "independent": "X",
+                            "stages": {"A": ["C"], "B": ["NOPE"]}})
+        assert run(self._small_study(tmp_path, self._rows(), study=study)) == 2
+        assert capsys.readouterr().err == (
+            "error: column absent from the data (column NOPE)\n")
+
+    def test_mapping_line_for_a_column_absent_from_header_exits_2(
+            self, tmp_path, capsys):
+        argv = self._small_study(tmp_path, self._rows(),
+                                 mappings="Y ORD\nNOPE CAT 1:0\n")
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: mapping spec names a column absent from the data "
+            "(column NOPE)\n")
+
+    def test_empty_delimiter_exits_2(self, tmp_path, capsys):
+        argv = self._small_study(tmp_path, self._rows())
+        assert run(argv + ["--delimiter", ""]) == 2
+        assert "delimiter" in capsys.readouterr().err
+
     def test_every_stage_failing_exits_3(self, tmp_path, capsys):
         data = tmp_path / "d.tsv"
         data.write_text("Y\tX\tDEAD\n" + "".join(

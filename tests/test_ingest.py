@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from confoundsim.glm import DesignMatrix, fit_logistic
 from confoundsim.ingest import (CAT, ORD, ColumnSpec, IngestError,
@@ -141,6 +141,16 @@ class TestApplyMappings:
         with pytest.raises(IngestError, match="column B"):
             apply_mappings(table, [ColumnSpec("B", ORD, ())])
 
+    def test_spec_for_a_column_not_loaded_is_skipped(self):
+        table = load_survey("A\tB\n1\t2\n3\t4\n", columns=["A"])
+        mapped = apply_mappings(table, [ColumnSpec("A", ORD, parse_mapping_rule("3:0")),
+                                        ColumnSpec("B", CAT, ())])
+        assert mapped.names == ("A",)
+        assert mapped.column("A").tolist() == [1, 0]
+        assert mapped.kinds == {"A": ORD}
+        with pytest.raises(IngestError, match="absent from the data"):
+            apply_mappings(table, [ColumnSpec("Z", ORD, ())])
+
 
 class TestLoadSurvey:
     def test_missing_cells_tracked(self):
@@ -160,6 +170,102 @@ class TestLoadSurvey:
     def test_custom_delimiter(self):
         table = load_survey("A,B\n1,2\n", delimiter=",")
         assert table.values.tolist() == [[1, 2]]
+
+    def test_only_requested_columns_are_loaded_in_header_order(self):
+        table = load_survey("A\tB\tC\n1\t2\t3\n\t5\t6\n", columns=["C", "A", "C"])
+        assert table.names == ("A", "C")
+        assert table.header == ("A", "B", "C")
+        assert table.values.tolist() == [[1, 3], [0, 6]]
+        assert table.missing.tolist() == [[False, False], [True, False]]
+
+    def test_no_requested_columns_keeps_the_rows(self):
+        table = load_survey("A\tB\n1\t2\n3\t4\n", columns=[])
+        assert table.values.shape == (2, 0)
+
+    def test_ragged_row_reported_whether_or_not_its_columns_are_loaded(self):
+        text = "A\tB\tC\n1\t2\t3\n4\t5\t6\n7\t8\n"
+        for columns in (None, ["A"], ["C"], []):
+            with pytest.raises(IngestError, match=r"found 2 \(row 3\)"):
+                load_survey(text, columns=columns)
+
+    def test_first_bad_cell_in_loaded_columns_reported_row_by_row(self):
+        # row 3 holds a bad B; row 2 holds a bad C, which comes first
+        text = "A\tB\tC\n1\t2\t3\n4\t5\ty\n7\tx\t9\n"
+        with pytest.raises(IngestError, match=r"'y' \(row 2, column C\)"):
+            load_survey(text)
+        with pytest.raises(IngestError, match=r"'x' \(row 3, column B\)"):
+            load_survey(text, columns=["A", "B"])
+
+    def test_rows_past_the_first_block_land_in_place(self):
+        rng = np.random.default_rng(8)
+        cols = [rng.integers(-500, 500, 2000), rng.integers(0, 9, 2000)]
+        table = load_survey(survey_text(["A", "B"], cols), columns=["B"])
+        assert table.values[:, 0].tolist() == cols[1].tolist()
+
+    def test_bad_cell_past_the_first_block_keeps_its_row(self):
+        lines = ["A\tB"] + [f"{i}\t{i}" for i in range(1, 1000)]
+        lines[700] = "700\t7.5"
+        with pytest.raises(IngestError, match=r"'7.5' \(row 700, column B\)"):
+            load_survey("\n".join(lines) + "\n")
+
+    def test_non_integer_cell_in_a_column_not_loaded_is_not_an_error(self):
+        table = load_survey("A\tB\n1\tx\n2\t3.5\n", columns=["A"])
+        assert table.values.tolist() == [[1], [2]]
+
+    def test_cell_outside_int64_reports_position(self):
+        big = str(2**63)
+        with pytest.raises(IngestError,
+                           match=rf"'{big}' is outside the 64-bit integer range "
+                                 r"\(row 2, column B\)"):
+            load_survey(f"A\tB\n1\t2\n3\t{big}\n")
+
+    def test_int64_limits_parse(self):
+        lo, hi = -(2**63), 2**63 - 1
+        table = load_survey(f"A\tB\n{lo}\t{hi}\n")
+        assert table.values.tolist() == [[lo, hi]]
+
+    def test_requested_column_absent_from_header(self):
+        with pytest.raises(IngestError, match=r"absent from the data \(column Z\)"):
+            load_survey("A\tB\n1\t2\n", columns=["A", "Z"])
+
+    def test_empty_delimiter_rejected(self):
+        with pytest.raises(IngestError, match="delimiter"):
+            load_survey("A\tB\n1\t2\n", delimiter="")
+
+    def test_nul_character_rejected(self):
+        with pytest.raises(IngestError, match="NUL"):
+            load_survey("A\tB\n1\t2\x00\n", columns=["A"])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_pruned_load_matches_full_load_and_per_cell_reference(self, data):
+        delimiter = data.draw(st.sampled_from(["\t", ",", ";"]))
+        n_cols = data.draw(st.integers(1, 5))
+        n_rows = data.draw(st.integers(0, 12))
+        pad = st.text(alphabet=" \xa0\u3000", max_size=2)
+        number = st.builds(
+            lambda v, fmt: fmt.format(v), st.integers(-(2**63), 2**63 - 1),
+            st.sampled_from(["{}", "{:+d}", "{:_d}"]))
+        cell = st.builds(lambda a, v, b: a + v + b, pad,
+                         st.one_of(st.just(""), number), pad)
+        names = [f"C{j}" for j in range(n_cols)]
+        rows = [[data.draw(cell) for _ in names] for _ in range(n_rows)]
+        text = "\n".join(delimiter.join(r) for r in [names, *rows]) + "\n"
+        columns = data.draw(st.lists(st.sampled_from(names), unique=True))
+
+        pruned = load_survey(text, delimiter=delimiter, columns=columns)
+        full = load_survey(text, delimiter=delimiter)
+        keep = [j for j, name in enumerate(names) if name in columns]
+        assert pruned.names == tuple(names[j] for j in keep)
+        assert pruned.header == full.header == tuple(names)
+        assert np.array_equal(pruned.values, full.values[:, keep])
+        assert np.array_equal(pruned.missing, full.missing[:, keep])
+
+        # per-cell reference: the same blank-line rule, Python's strip and int
+        kept_rows = [r for r in rows if delimiter.join(r).strip()]
+        ref = [[c.strip() for c in (r[j] for j in keep)] for r in kept_rows]
+        assert pruned.values.tolist() == [[int(c) if c else 0 for c in r] for r in ref]
+        assert pruned.missing.tolist() == [[not c for c in r] for r in ref]
 
 
 class TestStudySpec:
@@ -205,6 +311,30 @@ class TestStudySpec:
     def test_json_missing_key(self):
         with pytest.raises(ValueError, match="missing"):
             parse_study_json('{"dependent": "Y", "stages": {"A": []}}')
+
+    @pytest.mark.parametrize("stage", ['"CIG"', '[["CIG"]]', '[""]', '[1]',
+                                       '{"C": 1}', 'null'])
+    def test_json_stage_not_a_list_of_names_rejected(self, stage):
+        with pytest.raises(ValueError, match="stage 'B' must be a list of non-empty"):
+            parse_study_json('{"dependent": "Y", "independent": "X",'
+                             f' "stages": {{"A": ["C1"], "B": {stage}}}}}')
+
+    @pytest.mark.parametrize("key", ["dependent", "independent"])
+    @pytest.mark.parametrize("value", ['5', '["Y"]', 'null'])
+    def test_json_variable_not_a_string_rejected(self, key, value):
+        spec = {"dependent": '"Y"', "independent": '"X"', key: value}
+        with pytest.raises(ValueError, match=f"{key} must be a column name string"):
+            parse_study_json(f'{{"dependent": {spec["dependent"]},'
+                             f' "independent": {spec["independent"]},'
+                             ' "stages": {"A": ["C1"]}}')
+
+    def test_json_unit_change_not_a_number_rejected(self):
+        with pytest.raises(ValueError, match="unit_change must be a number"):
+            parse_study_json('{"dependent": "Y", "independent": "X",'
+                             ' "unit_change": [52], "stages": {"A": ["C1"]}}')
+
+    def test_columns_lists_every_column_the_study_reads(self):
+        assert self._spec().columns() == ("Y", "X", "C1", "C2", "C3")
 
 
 def _metamodel_survey(p=0.75, k=2, n=40_000, seed=101, beta_prime=0.0):
