@@ -19,13 +19,14 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
-from .ensemble import (_Z95, EnsembleError, GridSpec, _csv_repr, _json_value,
-                       format_grid_csv, format_grid_json, scan_grid)
+from .ensemble import _Z95, EnsembleError, GridSpec, scan_grid
 from .glm import (DesignMatrix, SingularDesignError, fit_logistic,
                   relative_risk)
 from .ingest import (IngestError, MappingParseError, apply_mappings,
@@ -39,13 +40,50 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
-def _config_comments(config: dict) -> tuple[str, ...]:
+def _header(config: dict) -> str:
     blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return (f"confoundsim {__version__}", f"config: {blob}")
+    return f"# confoundsim {__version__}\n# config: {blob}\n"
 
 
-def _metadata(config: dict) -> dict:
-    return {"version": __version__, "config": config}
+def _json_null(value):
+    # non-finite floats become null, at any depth of dicts and lists
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _json_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_json_null(v) for v in value]
+    return value
+
+
+def _json_document(config: dict, key: str, body) -> str:
+    payload = {"metadata": {"version": __version__, "config": config}, key: body}
+    return json.dumps(_json_null(payload), indent=2, allow_nan=False) + "\n"
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return "" if math.isnan(value) else repr(value)
+    return str(value)
+
+
+def format_rows(rows: list[dict], config: dict, fmt: str) -> str:
+    """Render result rows as JSON, or as CSV under the '#' config header.
+
+    Every row has the same keys in the same order; they are the CSV columns
+    and the JSON fields.  Floats are written as repr, NaN blank in CSV, and
+    non-finite floats are null in JSON.
+    """
+    if fmt == "json":
+        return _json_document(config, "results", rows)
+    buf = io.StringIO()
+    buf.write(_header(config))
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(rows[0].keys())
+    writer.writerows([_csv_cell(v) for v in row.values()] for row in rows)
+    return buf.getvalue()
 
 
 def _write_output(path: str | None, text: str) -> None:
@@ -86,8 +124,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = {"command": "simulate", "p": args.p, "k": args.k, "n": args.n,
               "beta_prime": args.beta_prime, "seed": args.seed}
     buf = io.StringIO()
-    for comment in _config_comments(config):
-        buf.write(f"# {comment}\n")
+    buf.write(_header(config))
     write_population_csv(matrix, buf)
     _write_output(args.out, buf.getvalue())
     return EXIT_OK
@@ -119,13 +156,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
               "reps": spec.replications, "beta_prime": spec.causal_increment,
               "ci_N": spec.ci_n_respondents, "rr_baseline": spec.rr_baseline,
               "seed": spec.seed, "format": args.format}
-    extra = ("predicted_beta1", "predicted_sigma1", "mc_error_beta1", "error")
-    if args.format == "json":
-        text = format_grid_json(cells, extra_fields=extra, metadata=_metadata(config))
-    else:
-        text = format_grid_csv(cells, extra_fields=extra,
-                               comments=_config_comments(config))
-    _write_output(args.out, text)
+    rows = [{("N" if name == "n_respondents" else name): value
+             for name, value in asdict(cell).items()} for cell in cells]
+    _write_output(args.out, format_rows(rows, config, args.format))
     return EXIT_OK
 
 
@@ -136,6 +169,11 @@ def _read_matrix_csv(path: str) -> tuple[list[str], np.ndarray]:
     if not rows:
         raise ValueError(f"{path} contains no data")
     header = [h.strip() for h in rows[0]]
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise ValueError(f"{path} has duplicate column name {name!r} in its header")
+    if len(rows) == 1:
+        raise ValueError(f"{path} has a header but no data rows")
     try:
         data = np.array([[float(c) for c in row] for row in rows[1:]])
     except ValueError:
@@ -203,15 +241,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     print("\n".join(lines))
 
     if args.out:
-        _write_output(args.out, json.dumps(
-            _json_value({"metadata": _metadata(config), "fit": report}),
-            indent=2, allow_nan=False) + "\n")
+        _write_output(args.out, _json_document(config, "fit", report))
     return EXIT_OK
-
-
-_STAGE_FIELDS = ("stage", "r", "n_confounders", "N", "replications",
-                 "mean_beta1", "mean_sigma1", "relative_risk", "ci_low",
-                 "ci_high", "excluded", "baseline_prevalence", "error")
 
 
 def _stage_row(result) -> dict:
@@ -253,20 +284,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
               if args.unit_change is not None else study.unit_change,
               "format": args.format}
     rows = [_stage_row(r) for r in results]
-    if args.format == "json":
-        payload = {"metadata": _metadata(config),
-                   "results": _json_value(rows)}
-        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    else:
-        buf = io.StringIO()
-        for comment in _config_comments(config):
-            buf.write(f"# {comment}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_STAGE_FIELDS)
-        for row in rows:
-            writer.writerow([_csv_repr(row[f]) for f in _STAGE_FIELDS])
-        text = buf.getvalue()
-    _write_output(args.out, text)
+    _write_output(args.out, format_rows(rows, config, args.format))
     return EXIT_OK
 
 

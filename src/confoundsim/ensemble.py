@@ -17,24 +17,21 @@ p in {0.55, 0.6, 0.7, 0.8} x k in {2, 3, 5, 9} it is more than 15% off at
 three cells: (0.55, 9) with +19.1%, (0.6, 9) with +16.4% and (0.8, 2) with
 -16.1%.
 
-Grid scans sweep pairwise correlation r against confounder count n and emit
-plot-ready rows (relative risk with 95% intervals), mirroring how real
-survey analyses report adjusted associations.
+Grid scans sweep pairwise correlation r against confounder count n and
+return one plot-ready cell per pair (relative risk with 95% intervals),
+mirroring how real survey analyses report adjusted associations.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
-import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .glm import (NotConvergedError, SingularDesignError, fit_logistic,
-                  relative_risk)
+                  inverse_logit, relative_risk)
 from .metamodel import ModelParams, _check_seed, derive_seed, draw_population
 
 __all__ = [
@@ -48,9 +45,6 @@ __all__ = [
     "empirical_sigma_formula",
     "population_limit",
     "scan_grid",
-    "GRID_FIELDS",
-    "format_grid_csv",
-    "format_grid_json",
 ]
 
 # two-sided 95% normal quantile, used for the reported intervals
@@ -58,9 +52,6 @@ _Z95 = 1.959963984540054
 
 # bits in a nonnegative int64 row code
 _CODE_BITS = 63
-
-# population_limit enumerates all 2^(k+1) cells
-_LIMIT_MAX_K = 16
 
 
 class EnsembleError(RuntimeError):
@@ -97,11 +88,6 @@ def _check_formula_args(p: float, k: int) -> None:
         raise ValueError(f"k must be >= 1, got {k}")
 
 
-def _cell_bits(codes: np.ndarray, width: int) -> np.ndarray:
-    # bit j of a cell code is the 0/1 value of response column j
-    return ((codes[:, None] >> np.arange(width)) & 1).astype(np.float64)
-
-
 def _pattern_table(responses: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct rows of a 0/1 response table as (y, regressors, counts).
 
@@ -116,40 +102,56 @@ def _pattern_table(responses: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
         rows = responses.astype(np.float64)
         return rows[:, 0], rows[:, 1:], np.ones(n)
     codes, counts = np.unique(responses @ (1 << np.arange(width)), return_counts=True)
-    bits = _cell_bits(codes, width)
+    # bit j of a code is the 0/1 value of response column j
+    bits = ((codes[:, None] >> np.arange(width)) & 1).astype(np.float64)
     return bits[:, 0], bits[:, 1:], counts.astype(np.float64)
 
 
 def population_limit(p: float, k: int) -> float:
     """Exact infinite-N limit of the ensemble's averaged coefficient.
 
-    Fits the dependent column on the k regressor columns, with no intercept,
-    over all 2^(k+1) response cells weighted by their expected probabilities
-    under a fair latent coin, scaled so the mean cell weight is 1 (the
-    coefficients do not depend on the scale).  Returns the mean of the k
-    coefficients, the reduction run_ensemble applies with no causal
-    increment.  Deterministic and independent of N.  The cell table grows as
-    2^(k+1), so k is capped at 16 (about 18 MB per copy of the table).
+    The limit solves the no-intercept score equations of the dependent column
+    on the k regressor columns, with every response cell weighted by its
+    expected probability under a fair latent coin.  With no causal increment
+    the regressors are exchangeable, so the unique solution gives every
+    regressor the same coefficient beta, and the fit sees a response only
+    through y and s, the number of regressors equal to 1.  beta is therefore
+    the no-intercept fit of y on s over the 2(k+1) cells (y, s), cell (y, s)
+    weighted by C(k, s) [p^(y+s) (1-p)^(k+1-y-s) + the same with p and 1 - p
+    swapped], scaled so the mean cell weight is 1 (beta does not depend on
+    the scale).  This is the mean coefficient run_ensemble reports with no
+    causal increment.  Deterministic, independent of N, and linear in k.
     """
     if not 0.5 < p < 1.0:
         raise ValueError(f"p must be in (0.5, 1), got {p}")
-    if not 1 <= k <= _LIMIT_MAX_K:
-        raise ValueError(f"k must be in [1, {_LIMIT_MAX_K}], got {k}")
-    width = k + 1
-    cells = _cell_bits(np.arange(1 << width), width)
-    ones = cells.sum(axis=1)
-    # each column agrees with the latent trait with probability p
-    prob = 0.5 * (p**ones * (1.0 - p) ** (width - ones)
-                  + (1.0 - p) ** ones * p ** (width - ones))
-    fit = fit_logistic(cells[:, 0], cells[:, 1:], weights=prob * (1 << width))
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    s = np.tile(np.arange(k + 1, dtype=np.float64), 2)
+    y = np.repeat([0.0, 1.0], k + 1)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, k + 1)))))
+    log_choose = np.tile(log_fact[k] - log_fact - log_fact[::-1], 2)
+    # each column, the dependent one included, agrees with the latent trait
+    # with probability p; weights are kept in logs until scaled, so none
+    # under- or overflows at large k
+    ones, log_p, log_q = y + s, math.log(p), math.log1p(-p)
+    log_weight = log_choose + np.logaddexp(
+        ones * log_p + (k + 1 - ones) * log_q, ones * log_q + (k + 1 - ones) * log_p)
+    weights = np.exp(log_weight - log_weight.max())
+    weights *= weights.size / weights.sum()
+    fit = fit_logistic(y, s[:, None], weights=weights)
     if not fit.converged:
         raise NotConvergedError(f"population limit did not converge at p={p}, k={k}")
-    return float(fit.coefficients.mean())
+    # fit_logistic halves a last step whose gain is below the rounding of the
+    # log-likelihood and can stop up to ~1e-7 short; one Newton step from its
+    # answer reaches the optimum to rounding
+    beta = float(fit.coefficients[0])
+    mu = inverse_logit(beta * s)
+    return beta + float(weights @ (s * (y - mu)) / (weights @ (s * s * mu * (1.0 - mu))))
 
 
 @dataclass(frozen=True)
 class ReplicationDigest:
-    """Per-replication record kept when a caller asks for them."""
+    """The fit of one replication; NaN statistics mark an unusable fit."""
 
     index: int
     beta1: float
@@ -173,7 +175,6 @@ class EnsembleSummary:
     mean_sigma1: float
     mc_error_beta1: float
     excluded: int
-    per_replication: tuple[ReplicationDigest, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.replications < 1:
@@ -204,8 +205,7 @@ def _fit_one_replication(params: ModelParams, rep_index: int) -> ReplicationDige
                              fit.converged, fit.separation_detected)
 
 
-def run_ensemble(params: ModelParams, replications: int, *,
-                 keep_replications: bool = False) -> EnsembleSummary:
+def run_ensemble(params: ModelParams, replications: int) -> EnsembleSummary:
     """Generate and fit `replications` independent populations.
 
     Replication streams are keyed by (params.seed, replication index) and
@@ -239,7 +239,6 @@ def run_ensemble(params: ModelParams, replications: int, *,
         mean_sigma1=float(np.mean(sigmas[kept])),
         mc_error_beta1=mc_error,
         excluded=replications - n_kept,
-        per_replication=tuple(digests) if keep_replications else None,
     )
 
 
@@ -367,58 +366,3 @@ def _run_cell(spec: GridSpec, r: float, n_conf: int, index: int) -> GridCell:
                     summary.mean_beta1, summary.mean_sigma1, rr, ci_low, ci_high,
                     summary.excluded, predicted_beta, predicted_sigma,
                     summary.mc_error_beta1, error=error)
-
-
-# canonical column order shared by the CSV and JSON emitters
-GRID_FIELDS = ("r", "n_confounders", "N", "replications", "mean_beta1",
-               "mean_sigma1", "relative_risk", "ci_low", "ci_high", "excluded")
-_FIELD_ATTRS = {"N": "n_respondents"}
-
-
-def _cell_value(cell: GridCell, field: str):
-    return getattr(cell, _FIELD_ATTRS.get(field, field))
-
-
-def _csv_repr(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return "" if math.isnan(value) else repr(value)
-    return str(value)
-
-
-def _json_value(value):
-    # non-finite floats become null, at any depth of dicts and lists
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {k: _json_value(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_json_value(v) for v in value]
-    return value
-
-
-def format_grid_csv(cells: list[GridCell], extra_fields: tuple[str, ...] = (),
-                    comments: tuple[str, ...] = ()) -> str:
-    """Render cells as CSV; leading '#' lines carry caller metadata."""
-    fields = GRID_FIELDS + extra_fields
-    buf = io.StringIO()
-    for comment in comments:
-        buf.write(f"# {comment}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fields)
-    for cell in cells:
-        writer.writerow([_csv_repr(_cell_value(cell, f)) for f in fields])
-    return buf.getvalue()
-
-
-def format_grid_json(cells: list[GridCell], extra_fields: tuple[str, ...] = (),
-                     metadata: dict | None = None) -> str:
-    """Render cells as JSON with the same field set as the CSV emitter."""
-    fields = GRID_FIELDS + extra_fields
-    rows = [{f: _json_value(_cell_value(c, f)) for f in fields} for c in cells]
-    payload: dict = {}
-    if metadata:
-        payload["metadata"] = metadata
-    payload["results"] = rows
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"

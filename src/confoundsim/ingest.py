@@ -345,14 +345,16 @@ def load_survey(text: str, delimiter: str = "\t",
     Only `columns` (every column when None) are parsed and checked, so a
     bad cell in a column that is not loaded is not an error.  The width of
     every row is checked before any cell is parsed.  A NUL character
-    anywhere in the file is an error.
+    anywhere in the file is an error.  A line is skipped only when it is
+    whitespace holding no delimiter; any other line is a row, and its blank
+    cells are missing.
     """
     if not delimiter:
         raise IngestError("the delimiter must be non-empty")
     # numpy's strip drops trailing NULs, which Python's int() would reject
     if "\0" in text:
         raise IngestError("survey file contains a NUL character")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in text.splitlines() if ln.strip() or delimiter in ln]
     if not lines:
         raise IngestError("empty survey file")
     header = tuple(h.strip() for h in lines[0].split(delimiter))

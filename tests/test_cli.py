@@ -1,9 +1,12 @@
+import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from confoundsim import __version__
 from confoundsim.cli import main
 from confoundsim.glm import DesignMatrix, fit_logistic
 from confoundsim.ingest import parse_mapping_file
@@ -14,6 +17,28 @@ from conftest import DATA_DIR, dataset_from_2x2, log_odds_ratio
 
 def run(argv):
     return main(argv)
+
+
+def assert_same_rows(csv_text, json_text):
+    """The CSV columns are the JSON keys, and every value is written alike.
+
+    A CSV cell is the repr of its JSON value, blank where the value is null.
+    """
+    header, *rows = csv.reader(ln for ln in csv_text.splitlines()
+                               if not ln.startswith("#"))
+    results = json.loads(json_text)["results"]
+    assert len(rows) == len(results)
+    for row, record in zip(rows, results):
+        assert list(record) == header
+        assert row == ["" if v is None else v if isinstance(v, str) else repr(v)
+                       for v in record.values()]
+
+
+def test_pyproject_version_is_the_package_version():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == __version__
 
 
 class TestSimulate:
@@ -93,24 +118,54 @@ class TestScan:
         assert run(argv) == 0
         assert first.read_bytes() == second.read_bytes()
 
+    def test_csv_has_config_header_and_every_cell_column(self, tmp_path):
+        out = tmp_path / "g.csv"
+        assert run(["scan", "--r-list", "0.05", "--n-list", "1,2", "--N", "800",
+                    "--reps", "5", "--seed", "77", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == f"# confoundsim {__version__}"
+        assert json.loads(lines[1].split("# config: ", 1)[1])["seed"] == 77
+        assert lines[2] == ("r,n_confounders,N,replications,mean_beta1,mean_sigma1,"
+                            "relative_risk,ci_low,ci_high,excluded,predicted_beta1,"
+                            "predicted_sigma1,mc_error_beta1,error")
+        assert len(lines) == 5
+
     def test_single_replication_keeps_mc_error_column(self, tmp_path):
-        out = tmp_path / "tiny.csv"
-        assert run(["scan", "--r-list", "0.05", "--n-list", "1", "--N", "500",
-                    "--reps", "1", "--seed", "4", "--out", str(out)]) == 0
+        out, out_json = tmp_path / "tiny.csv", tmp_path / "tiny.json"
+        argv = ["scan", "--r-list", "0.05", "--n-list", "1", "--N", "500",
+                "--reps", "1", "--seed", "4"]
+        assert run(argv + ["--out", str(out)]) == 0
         header, row = [ln for ln in out.read_text().splitlines()
                        if not ln.startswith("#")]
         fields = dict(zip(header.split(","), row.split(",")))
         assert fields["mc_error_beta1"] == "inf"
+        # JSON has no infinity: the same value is null there
+        assert run(argv + ["--format", "json", "--out", str(out_json)]) == 0
+        assert json.loads(out_json.read_text())["results"][0]["mc_error_beta1"] is None
 
     def test_json_and_csv_carry_identical_fields(self, tmp_path):
         csv_out, json_out = tmp_path / "g.csv", tmp_path / "g.json"
         run(self.small_args(csv_out))
         run(self.small_args(json_out, ["--format", "json"]))
-        header = next(ln for ln in csv_out.read_text().splitlines()
-                      if not ln.startswith("#"))
-        payload = json.loads(json_out.read_text())
-        assert list(payload["results"][0].keys()) == header.split(",")
-        assert payload["metadata"]["config"]["seed"] == 99
+        assert_same_rows(csv_out.read_text(), json_out.read_text())
+        config = json.loads(csv_out.read_text().splitlines()[1].split("config: ", 1)[1])
+        assert json.loads(json_out.read_text())["metadata"] == {
+            "version": __version__, "config": {**config, "format": "json"}}
+
+    def test_failed_cell_has_blank_statistics_and_its_error(self, tmp_path):
+        csv_out, json_out = tmp_path / "g.csv", tmp_path / "g.json"
+        argv = ["scan", "--r-list", "0.98,0.05", "--n-list", "1", "--N", "30",
+                "--reps", "3", "--seed", "5"]
+        assert run(argv + ["--out", str(csv_out)]) == 0
+        assert run(argv + ["--format", "json", "--out", str(json_out)]) == 0
+        assert_same_rows(csv_out.read_text(), json_out.read_text())
+        bad, good = json.loads(json_out.read_text())["results"]
+        stats = ("mean_beta1", "mean_sigma1", "relative_risk", "ci_low",
+                 "ci_high", "mc_error_beta1")
+        assert all(bad[f] is None for f in stats)
+        assert "failed to converge" in bad["error"]
+        assert all(math.isfinite(good[f]) for f in stats)
+        assert good["error"] is None
 
     def test_population_no_larger_than_k_exits_2(self, capsys):
         assert run(["scan", "--r-list", "0.1", "--n-list", "8", "--N", "9",
@@ -217,6 +272,19 @@ class TestFit:
         self._write_matrix(data, ["Y"], [np.array([0, 1, 0, 1])])
         assert run(["fit", str(data), "--dependent", "Z"]) == 2
 
+    def test_duplicate_column_name_exits_2_naming_it(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        x = np.array([0, 1, 1, 0, 1, 0])
+        self._write_matrix(data, ["Y", "X", "X"], [x[::-1], x, 1 - x])
+        assert run(["fit", str(data), "--dependent", "Y", "--regressors", "X"]) == 2
+        assert "duplicate column name 'X'" in capsys.readouterr().err
+
+    def test_header_only_file_exits_2_saying_it_has_no_rows(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("Y,X\n")
+        assert run(["fit", str(data), "--dependent", "Y", "--regressors", "X"]) == 2
+        assert "no data rows" in capsys.readouterr().err
+
 
 def synthetic_nsduh(tmp_path, n=1500, seed=42):
     """Small survey fixture shaped like the real public-use file.
@@ -299,6 +367,18 @@ class TestIngest:
         payload = json.loads(out.read_text())
         assert len(payload["results"]) == 4
         assert payload["metadata"]["config"]["unit_change"] == 52.18
+
+    def test_json_and_csv_carry_identical_fields(self, tmp_path):
+        data_file, study_file = synthetic_nsduh(tmp_path)
+        csv_out, json_out = tmp_path / "s.csv", tmp_path / "s.json"
+        argv = ["ingest", "--data", str(data_file),
+                "--mappings", str(DATA_DIR / "nsduh2023_mappings.txt"),
+                "--study", str(study_file)]
+        assert run(argv + ["--out", str(csv_out)]) == 0
+        assert run(argv + ["--format", "json", "--out", str(json_out)]) == 0
+        assert_same_rows(csv_out.read_text(), json_out.read_text())
+        first = json.loads(json_out.read_text())["results"][0]
+        assert first["r"] is None and first["error"] is None
 
     def test_missing_mapping_file_exits_2(self, tmp_path, capsys):
         data_file, study_file = synthetic_nsduh(tmp_path, n=50)

@@ -1,4 +1,3 @@
-import json
 import math
 from dataclasses import replace
 
@@ -7,10 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confoundsim import ensemble
-from confoundsim.ensemble import (EnsembleError, GridSpec, GRID_FIELDS,
+from confoundsim.ensemble import (EnsembleError, GridSpec,
                                   empirical_beta_formula,
-                                  empirical_sigma_formula, format_grid_csv,
-                                  format_grid_json, population_limit,
+                                  empirical_sigma_formula, population_limit,
                                   run_ensemble, scan_grid)
 from confoundsim.glm import fit_logistic
 from confoundsim.metamodel import ModelParams, derive_seed, draw_population
@@ -50,10 +48,11 @@ class TestFormulas:
         for bad_p in (0.5, 1.0):
             with pytest.raises(ValueError, match="p must be"):
                 population_limit(bad_p, 2)
-        # the limit enumerates 2^(k+1) cells, so k is capped
-        for bad_k in (0, 17):
-            with pytest.raises(ValueError, match=r"k must be in \[1, 16\]"):
-                population_limit(0.7, bad_k)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            population_limit(0.7, 0)
+        # no cap on k: far past the old 2^(k+1) enumeration, the limit is
+        # positive and below its value at k = 12
+        assert 0.0 < population_limit(0.7, 1000) < population_limit(0.7, 12)
 
 
 class TestRunEnsemble:
@@ -91,13 +90,13 @@ class TestRunEnsemble:
     def test_replication_with_an_empty_column_is_excluded(self):
         # at N = 6 a regressor column is all zero in about 1 draw in 32
         base = params(p=0.6, k=2, n=6, seed=12)
-        summary = run_ensemble(base, 60, keep_replications=True)
+        summary = run_ensemble(base, 60)
         empty = [i for i in range(60) if not draw_population(
             replace(base, seed=derive_seed(base.seed, i)), 3).responses[:, 1:]
             .any(axis=0).all()]
         assert empty
         for i in empty:
-            digest = summary.per_replication[i]
+            digest = ensemble._fit_one_replication(base, i)
             assert math.isnan(digest.beta1) and not digest.converged
         assert math.isfinite(summary.mean_beta1)
 
@@ -106,8 +105,7 @@ class TestRunEnsemble:
         # is too wide for one int64 code.  Both fit what the N rows give.
         for k, n in ((40, 200), (70, 400)):
             base = params(p=0.6, k=k, n=n, seed=21)
-            summary = run_ensemble(base, 2, keep_replications=True)
-            for digest in summary.per_replication:
+            for digest in (ensemble._fit_one_replication(base, i) for i in range(2)):
                 rows = draw_population(
                     replace(base, seed=derive_seed(base.seed, digest.index)),
                     k + 1).responses.astype(float)
@@ -116,12 +114,6 @@ class TestRunEnsemble:
                 assert digest.converged and not digest.separation_detected
                 assert digest.beta1 == pytest.approx(raw.coefficients.mean(),
                                                      rel=0.0, abs=1e-8)
-
-    def test_replication_digests_kept_on_request(self):
-        summary = run_ensemble(params(seed=4, n=500), 6, keep_replications=True)
-        assert summary.per_replication is not None
-        assert [d.index for d in summary.per_replication] == list(range(6))
-        assert run_ensemble(params(seed=4, n=500), 6).per_replication is None
 
     def test_single_replication_has_infinite_mc_error(self):
         summary = run_ensemble(params(seed=5, n=500), 1)
@@ -215,51 +207,6 @@ class TestScanGrid:
         bad, good = scan_grid(spec)
         assert bad.error is not None and math.isnan(bad.mean_beta1)
         assert good.error is None and math.isfinite(good.mean_beta1)
-
-
-class TestEmitters:
-    def cells(self):
-        spec = GridSpec(correlations=(0.05,), confounder_counts=(1, 2),
-                        n_respondents=800, replications=5, seed=77)
-        return scan_grid(spec)
-
-    def test_csv_schema(self):
-        text = format_grid_csv(self.cells(), comments=("hello",))
-        lines = text.strip().splitlines()
-        assert lines[0] == "# hello"
-        assert lines[1] == ("r,n_confounders,N,replications,mean_beta1,mean_sigma1,"
-                            "relative_risk,ci_low,ci_high,excluded")
-        assert len(lines) == 4
-
-    def test_json_matches_csv_fields(self):
-        cells = self.cells()
-        payload = json.loads(format_grid_json(cells, metadata={"seed": 77}))
-        assert payload["metadata"] == {"seed": 77}
-        assert list(payload["results"][0].keys()) == list(GRID_FIELDS)
-        header = format_grid_csv(cells).splitlines()[0]
-        assert header.split(",") == list(GRID_FIELDS)
-
-    def test_single_replication_mc_error_emitted_large(self):
-        spec = GridSpec(correlations=(0.05,), confounder_counts=(1,),
-                        n_respondents=800, replications=1, seed=3)
-        cells = scan_grid(spec)
-        text = format_grid_csv(cells, extra_fields=("mc_error_beta1",))
-        row = text.strip().splitlines()[-1]
-        assert row.endswith(",inf")
-        payload = json.loads(format_grid_json(cells, extra_fields=("mc_error_beta1",)))
-        assert payload["results"][0]["mc_error_beta1"] is None
-
-    def test_error_cells_render_blank_stats(self):
-        spec = GridSpec(correlations=(0.98,), confounder_counts=(1,),
-                        n_respondents=30, replications=3, seed=5)
-        cells = scan_grid(spec)
-        text = format_grid_csv(cells, extra_fields=("error",))
-        row = text.strip().splitlines()[-1]
-        assert ",,," in row  # blank statistics
-        assert "failed to converge" in row
-        payload = json.loads(format_grid_json(cells, extra_fields=("error",)))
-        assert payload["results"][0]["mean_beta1"] is None
-        assert "failed to converge" in payload["results"][0]["error"]
 
 
 class TestGridSpecValidation:

@@ -163,6 +163,14 @@ class TestLoadSurvey:
         with pytest.raises(IngestError, match=r"row 2.*column B"):
             load_survey("A\tB\n1\t2\n3\tx\n")
 
+    def test_all_blank_row_is_a_row_and_empty_lines_are_not(self):
+        table = load_survey("A\tB\n\n1\t2\n\t\n \n3\t4\n\n")
+        assert table.values.tolist() == [[1, 2], [0, 0], [3, 4]]
+        assert table.missing.tolist() == [[False, False], [True, True],
+                                          [False, False]]
+        with pytest.raises(IngestError, match=r"'x' \(row 3, column B\)"):
+            load_survey("A\tB\n1\t2\n\t\n3\tx\n")
+
     def test_ragged_row_rejected(self):
         with pytest.raises(IngestError, match="row 1"):
             load_survey("A\tB\n1\n")
@@ -261,8 +269,10 @@ class TestLoadSurvey:
         assert np.array_equal(pruned.values, full.values[:, keep])
         assert np.array_equal(pruned.missing, full.missing[:, keep])
 
-        # per-cell reference: the same blank-line rule, Python's strip and int
-        kept_rows = [r for r in rows if delimiter.join(r).strip()]
+        # per-cell reference: a line is skipped only when it is whitespace
+        # with no delimiter; Python's strip and int
+        kept_rows = [r for r in rows
+                     if (line := delimiter.join(r)).strip() or delimiter in line]
         ref = [[c.strip() for c in (r[j] for j in keep)] for r in kept_rows]
         assert pruned.values.tolist() == [[int(c) if c else 0 for c in r] for r in ref]
         assert pruned.missing.tolist() == [[not c for c in r] for r in ref]
@@ -387,6 +397,13 @@ class TestBuildDesign:
         assert info.n_used == 2
         assert info.n_dropped == 2
         assert y.tolist() == [1.0, 0.0]
+
+    def test_all_blank_respondent_dropped_and_counted(self):
+        text = "Y\tX\n1\t3\n\t\n0\t5\n"
+        mapped = apply_mappings(load_survey(text), [])
+        study = StudySpec(dependent="Y", independent="X", stages=(("A", ()),))
+        _, _, info = build_design(mapped, study, "A")
+        assert (info.n_used, info.n_dropped) == (2, 1)
 
     def test_cat_dependent_rejected(self):
         table = load_survey(survey_text(["Y", "X"], [np.array([0, 1]),
