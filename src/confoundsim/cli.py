@@ -130,6 +130,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _scan_row(cell) -> dict:
+    # the GridCell fields in declaration order, n_respondents written as N
+    return {("N" if name == "n_respondents" else name): value
+            for name, value in asdict(cell).items()}
+
+
 def cmd_scan(args: argparse.Namespace) -> int:
     if args.threads < 1:
         raise ValueError("threads must be >= 1")
@@ -156,8 +162,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
               "reps": spec.replications, "beta_prime": spec.causal_increment,
               "ci_N": spec.ci_n_respondents, "rr_baseline": spec.rr_baseline,
               "seed": spec.seed, "format": args.format}
-    rows = [{("N" if name == "n_respondents" else name): value
-             for name, value in asdict(cell).items()} for cell in cells]
+    rows = [_scan_row(cell) for cell in cells]
     _write_output(args.out, format_rows(rows, config, args.format))
     return EXIT_OK
 

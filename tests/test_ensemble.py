@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confoundsim import ensemble
+from confoundsim.cli import _scan_row, format_rows
 from confoundsim.ensemble import (EnsembleError, GridSpec,
                                   empirical_beta_formula,
                                   empirical_sigma_formula, population_limit,
@@ -207,6 +209,38 @@ class TestScanGrid:
         bad, good = scan_grid(spec)
         assert bad.error is not None and math.isnan(bad.mean_beta1)
         assert good.error is None and math.isfinite(good.mean_beta1)
+
+
+class TestEmitters:
+    def cells(self):
+        spec = GridSpec(correlations=(0.05,), confounder_counts=(1, 2),
+                        n_respondents=800, replications=5, seed=77)
+        return scan_grid(spec)
+
+    @staticmethod
+    def csv_lines(cells, config):
+        text = format_rows([_scan_row(c) for c in cells], config, "csv")
+        return [ln for ln in text.splitlines() if not ln.startswith("#")]
+
+    def test_json_matches_csv_fields(self):
+        cells = self.cells()
+        rows = [_scan_row(c) for c in cells]
+        payload = json.loads(format_rows(rows, {"seed": 77}, "json"))
+        assert payload["metadata"]["config"] == {"seed": 77}
+        header = self.csv_lines(cells, {"seed": 77})[0].split(",")
+        assert header[:10] == ["r", "n_confounders", "N", "replications",
+                               "mean_beta1", "mean_sigma1", "relative_risk",
+                               "ci_low", "ci_high", "excluded"]
+        assert all(list(row.keys()) == header for row in payload["results"])
+
+    def test_single_replication_mc_error_emitted_large(self):
+        spec = GridSpec(correlations=(0.05,), confounder_counts=(1,),
+                        n_respondents=800, replications=1, seed=3)
+        cells = scan_grid(spec)
+        header, row = self.csv_lines(cells, {})
+        assert dict(zip(header.split(","), row.split(",")))["mc_error_beta1"] == "inf"
+        payload = json.loads(format_rows([_scan_row(c) for c in cells], {}, "json"))
+        assert payload["results"][0]["mc_error_beta1"] is None
 
 
 class TestGridSpecValidation:
