@@ -26,8 +26,8 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .ensemble import _Z95, EnsembleError, GridSpec, scan_grid
-from .glm import (DesignMatrix, SingularDesignError, fit_logistic,
+from .ensemble import EnsembleError, GridSpec, scan_grid
+from .glm import (_Z95, DesignMatrix, SingularDesignError, fit_logistic,
                   relative_risk)
 from .ingest import (IngestError, MappingParseError, apply_mappings,
                      build_design, load_survey, parse_mapping_file,
@@ -216,7 +216,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
             term["ci_low"] = b - _Z95 * s
             term["ci_high"] = b + _Z95 * s
         if not (intercept and i == 0) and prevalence < 1.0:
-            term["relative_risk"] = relative_risk(b, prevalence)
+            try:
+                term["relative_risk"] = relative_risk(b, prevalence)
+            except OverflowError:
+                print(f"warning: term {name}: relative risk overflows at "
+                      f"coefficient {b!r}; left out", file=sys.stderr)
         terms.append(term)
 
     report = {

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .glm import (NotConvergedError, SingularDesignError, fit_logistic,
+from .glm import (_Z95, NotConvergedError, SingularDesignError, fit_logistic,
                   inverse_logit, relative_risk)
 from .metamodel import ModelParams, _check_seed, derive_seed, draw_population
 
@@ -46,9 +46,6 @@ __all__ = [
     "population_limit",
     "scan_grid",
 ]
-
-# two-sided 95% normal quantile, used for the reported intervals
-_Z95 = 1.959963984540054
 
 # bits in a nonnegative int64 row code
 _CODE_BITS = 63

@@ -35,6 +35,9 @@ _LOGIT_CLAMP = 36.0
 _SEPARATION_COEF = 30.0
 _PIN_EPS = 1e-10
 
+# two-sided 95% normal quantile, correctly rounded, for reported intervals
+_Z95 = 1.959963984540054
+
 
 class SingularDesignError(ValueError):
     """Design matrix is rank deficient (collinear or constant regressors)."""
@@ -174,8 +177,13 @@ def fit_logistic(y, X, tol: float = 1e-8, max_iter: int = 100,
     weight zero are ignored; the observation count is the sum of the
     weights.  Converges when the largest absolute coefficient update drops
     below tol.  Separated fits are flagged, not raised; a rank-deficient
-    design raises SingularDesignError.
+    design raises SingularDesignError.  max_iter must be at least 1 and
+    tol a positive finite number.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
     design = X if isinstance(X, DesignMatrix) else DesignMatrix(
         np.asarray(X, dtype=np.float64), intercept_included=False)
     x = design.values

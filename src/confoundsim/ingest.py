@@ -21,7 +21,7 @@ import math
 import operator
 import re
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.dtypes import StringDType
@@ -36,7 +36,6 @@ __all__ = [
     "ColumnSpec",
     "StudySpec",
     "SurveyTable",
-    "MappedTable",
     "StageResult",
     "parse_mapping_rule",
     "serialize_rules",
@@ -136,23 +135,19 @@ def serialize_rules(rules: tuple[MappingRule, ...]) -> str:
 class ColumnSpec:
     """Recoding instructions for one survey column.
 
-    CAT columns are relabeled to consecutive integers from 0 after recoding
-    (category 0 becomes the one-hot reference); n_categories, when given,
-    instead asserts the recoded values already lie in [0, n_categories).
+    CAT columns are always relabeled to consecutive integers from 0 after
+    recoding; category 0 becomes the one-hot reference.
     """
 
     name: str
     kind: str
     rules: tuple[MappingRule, ...] = ()
-    n_categories: int | None = None
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("column name must be non-empty")
         if self.kind not in (ORD, CAT):
             raise ValueError(f"kind must be ORD or CAT, got {self.kind!r}")
-        if self.n_categories is not None and self.n_categories < 2:
-            raise ValueError("n_categories must be >= 2")
 
     def overlapping_pairs(self) -> list[tuple[MappingRule, MappingRule]]:
         out = []
@@ -307,13 +302,29 @@ class SurveyTable:
     """Integer-coded survey table; blank cells are recorded as missing.
 
     `names` are the loaded columns, in header order; `header` is every
-    column the file has, loaded or not.
+    column the file has, loaded or not.  `kinds` maps a column to ORD or
+    CAT; a column it does not name is ORD, so a freshly loaded table is all
+    ORD.  apply_mappings fills it in, and always relabels a CAT column to
+    consecutive codes from 0.
     """
 
     names: tuple[str, ...]
     values: np.ndarray
     missing: np.ndarray
     header: tuple[str, ...]
+    kinds: dict[str, str] = field(default_factory=dict)
+
+    def column(self, name: str) -> np.ndarray:
+        return self.values[:, self._index(name)]
+
+    def column_missing(self, name: str) -> np.ndarray:
+        return self.missing[:, self._index(name)]
+
+    def _index(self, name: str) -> int:
+        try:
+            return self.names.index(name)
+        except ValueError:
+            raise IngestError("no such column", column=name) from None
 
 
 _INT64 = np.iinfo(np.int64)
@@ -360,7 +371,8 @@ def load_survey(text: str, delimiter: str = "\t",
     header = tuple(h.strip() for h in lines[0].split(delimiter))
     present = set(header)
     if len(present) != len(header):
-        raise IngestError("duplicate column names in header")
+        dup = next(name for i, name in enumerate(header) if name in header[:i])
+        raise IngestError("duplicate column name in header", column=dup)
     requested = header if columns is None else tuple(columns)
     for name in requested:
         if name not in present:
@@ -399,34 +411,7 @@ def load_survey(text: str, delimiter: str = "\t",
     return SurveyTable(names=names, values=values, missing=missing, header=header)
 
 
-@dataclass(frozen=True)
-class MappedTable:
-    """Recoded survey table plus per-column typing metadata.
-
-    CAT columns hold consecutive category codes from 0; `categories` maps
-    each CAT column to the recoded values behind those codes.
-    """
-
-    names: tuple[str, ...]
-    values: np.ndarray
-    missing: np.ndarray
-    kinds: dict[str, str]
-    categories: dict[str, tuple[int, ...]] = field(default_factory=dict)
-
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, self._index(name)]
-
-    def column_missing(self, name: str) -> np.ndarray:
-        return self.missing[:, self._index(name)]
-
-    def _index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise IngestError(f"no such column", column=name) from None
-
-
-def apply_mappings(table: SurveyTable, specs: list[ColumnSpec]) -> MappedTable:
+def apply_mappings(table: SurveyTable, specs: list[ColumnSpec]) -> SurveyTable:
     """Recode every loaded column a spec names; others stay ordinal as-is.
 
     A spec must name a column of the file's header; specs for header
@@ -439,47 +424,29 @@ def apply_mappings(table: SurveyTable, specs: list[ColumnSpec]) -> MappedTable:
                               column=name)
     values = table.values.copy()
     kinds: dict[str, str] = {}
-    categories: dict[str, tuple[int, ...]] = {}
     for j, name in enumerate(table.names):
         spec = by_name.get(name)
         if spec is None:
-            kinds[name] = ORD
             continue
         kinds[name] = spec.kind
         col = spec.apply(table.values[:, j])
-        present = ~table.missing[:, j]
         if spec.kind == CAT:
-            observed = np.unique(col[present])
-            if spec.n_categories is not None:
-                bad = present & ((col < 0) | (col >= spec.n_categories))
-                if bad.any():
-                    row = int(np.flatnonzero(bad)[0])
-                    raise IngestError(
-                        f"category value {int(col[row])} outside declared "
-                        f"range [0, {spec.n_categories})",
-                        row=row + 1, column=name)
-                categories[name] = tuple(range(spec.n_categories))
-            else:
-                # relabel to consecutive codes from 0 in value order
-                col[present] = np.searchsorted(observed, col[present])
-                categories[name] = tuple(int(v) for v in observed)
+            # relabel to consecutive codes from 0 in value order
+            present = ~table.missing[:, j]
+            col[present] = np.searchsorted(np.unique(col[present]), col[present])
         values[:, j] = col
-    return MappedTable(names=table.names, values=values, missing=table.missing,
-                       kinds=kinds, categories=categories)
+    return replace(table, values=values, kinds=kinds)
 
 
 @dataclass(frozen=True)
 class BuildInfo:
-    """Row accounting and layout for one staged design."""
+    """Row accounting for one staged design."""
 
-    stage: str
-    confounders: tuple[str, ...]
     n_used: int
     n_dropped: int
-    column_names: tuple[str, ...]
 
 
-def build_design(mapped: MappedTable, study: StudySpec,
+def build_design(table: SurveyTable, study: StudySpec,
                  stage: str) -> tuple[np.ndarray, DesignMatrix, BuildInfo]:
     """Assemble (y, X) for one cumulative stage.
 
@@ -490,28 +457,28 @@ def build_design(mapped: MappedTable, study: StudySpec,
     confounders = study.cumulative_confounders(stage)
     used = [study.dependent, study.independent, *confounders]
 
-    keep = np.ones(mapped.values.shape[0], dtype=bool)
+    keep = np.ones(table.values.shape[0], dtype=bool)
     for name in used:
-        keep &= ~mapped.column_missing(name)
+        keep &= ~table.column_missing(name)
     n_used = int(keep.sum())
     n_dropped = int((~keep).sum())
     if n_used == 0:
         raise IngestError("no rows remain after dropping missing values")
 
-    y = mapped.column(study.dependent)[keep].astype(np.float64)
+    y = table.column(study.dependent)[keep].astype(np.float64)
     if not np.isin(y, (0.0, 1.0)).all():
         raise IngestError("dependent column is not binary after recoding",
                           column=study.dependent)
     for name in (study.dependent, study.independent):
-        if mapped.kinds.get(name) == CAT:
+        if table.kinds.get(name) == CAT:
             raise IngestError("dependent and independent columns must be ORD",
                               column=name)
 
-    columns = [mapped.column(study.independent)[keep].astype(np.float64)]
+    columns = [table.column(study.independent)[keep].astype(np.float64)]
     names = [study.independent]
     for name in confounders:
-        col = mapped.column(name)[keep]
-        if mapped.kinds.get(name) == CAT:
+        col = table.column(name)[keep]
+        if table.kinds.get(name) == CAT:
             encoded, kept_codes = one_hot(col, reference=0)
             for code, vec in zip(kept_codes, encoded.T):
                 columns.append(vec)
@@ -520,9 +487,7 @@ def build_design(mapped: MappedTable, study: StudySpec,
             columns.append(col.astype(np.float64))
             names.append(name)
     design = DesignMatrix.build(columns, intercept=True, names=names)
-    info = BuildInfo(stage=stage, confounders=confounders, n_used=n_used,
-                     n_dropped=n_dropped, column_names=design.names)
-    return y, design, info
+    return y, design, BuildInfo(n_used=n_used, n_dropped=n_dropped)
 
 
 @dataclass(frozen=True)
@@ -542,7 +507,7 @@ class StageResult:
     error: str | None = None
 
 
-def staged_analysis(mapped: MappedTable, study: StudySpec,
+def staged_analysis(table: SurveyTable, study: StudySpec,
                     unit_change: float | None = None) -> list[StageResult]:
     """Fit every cumulative stage and report per-unit-change relative risks.
 
@@ -560,7 +525,7 @@ def staged_analysis(mapped: MappedTable, study: StudySpec,
     for stage_name, _ in study.stages:
         confounders = study.cumulative_confounders(stage_name)
         try:
-            y, design, info = build_design(mapped, study, stage_name)
+            y, design, info = build_design(table, study, stage_name)
             fit = fit_logistic(y, design)
             if fit.separation_detected:
                 raise IngestError(f"separation detected in stage {stage_name}")

@@ -1,11 +1,14 @@
 import csv
+import importlib
 import json
 import math
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import confoundsim
 from confoundsim import __version__
 from confoundsim.cli import main
 from confoundsim.glm import DesignMatrix, fit_logistic
@@ -39,6 +42,14 @@ def test_pyproject_version_is_the_package_version():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with open(pyproject, "rb") as fh:
         assert tomllib.load(fh)["project"]["version"] == __version__
+
+
+@pytest.mark.parametrize("module", ["confoundsim"] + [
+    f"confoundsim.{info.name}" for info in pkgutil.iter_modules(confoundsim.__path__)])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert [name for name in getattr(mod, "__all__", ())
+            if not hasattr(mod, name)] == []
 
 
 class TestSimulate:
@@ -279,6 +290,43 @@ class TestFit:
         assert run(["fit", str(data), "--dependent", "Y", "--regressors", "X"]) == 2
         assert "duplicate column name 'X'" in capsys.readouterr().err
 
+    def test_relative_risk_overflow_leaves_the_term_out_and_exits_0(
+            self, tmp_path, capsys):
+        # a well-determined slope on a 1e-3 scale reads as separated, and its
+        # relative risk exp(beta) is past the float range
+        data, out = tmp_path / "d.csv", tmp_path / "fit.json"
+        rng = np.random.default_rng(0)
+        x = rng.normal(0.0, 1e-3, 400)
+        y = (rng.random(400) < 1.0 / (1.0 + np.exp(-2000.0 * x))).astype(int)
+        self._write_matrix(data, ["Y", "X"], [y, x])
+        assert run(["fit", str(data), "--dependent", "Y", "--regressors", "X",
+                    "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "warning: term X: relative risk overflows" in captured.err
+        slope_line = next(ln for ln in captured.out.splitlines()
+                          if ln.startswith("X "))
+        assert len(slope_line.split()) == 3  # term, coef, std_err; no rel_risk
+        report = json.loads(out.read_text())["fit"]
+        assert report["separation_detected"] is True
+        slope = report["terms"][1]
+        assert slope["coefficient"] > 700 and "relative_risk" not in slope
+        assert math.isfinite(slope["std_error"])
+
+    @pytest.mark.parametrize("setting, message", [
+        (["--max-iter", "0"], "max_iter must be >= 1"),
+        (["--max-iter", "-3"], "max_iter must be >= 1"),
+        (["--tol", "-1"], "tol must be a positive finite number"),
+        (["--tol", "nan"], "tol must be a positive finite number"),
+    ])
+    def test_settings_under_which_no_fit_runs_exit_2(self, tmp_path, capsys,
+                                                      setting, message):
+        data = tmp_path / "d.csv"
+        x = np.array([0, 1, 1, 0, 1, 0, 1, 1])
+        self._write_matrix(data, ["Y", "X"], [x[::-1], x])
+        assert run(["fit", str(data), "--dependent", "Y", "--regressors", "X",
+                    *setting]) == 2
+        assert message in capsys.readouterr().err
+
     def test_header_only_file_exits_2_saying_it_has_no_rows(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         data.write_text("Y,X\n")
@@ -417,6 +465,13 @@ class TestIngest:
         assert capsys.readouterr().err == (
             "error: cell '99999999999999999999' is outside the 64-bit integer "
             "range (row 8, column C)\n")
+
+    def test_repeated_header_column_exits_2_naming_it(self, tmp_path, capsys):
+        argv = self._small_study(tmp_path, "Y\tX\tC\tX\n" + "".join(
+            f"{i % 2}\t{i % 5}\t{i % 3}\t{i}\n" for i in range(60)))
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: duplicate column name in header (column X)\n")
 
     def test_bad_cells_outside_the_study_columns_are_not_parsed(self, tmp_path):
         argv = self._small_study(tmp_path, self._rows(extra="n/a"),

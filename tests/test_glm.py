@@ -172,6 +172,19 @@ class TestFitLogistic:
         with pytest.raises(ValueError):
             fit_logistic(np.zeros(2), np.ones((2, 3)))  # n <= m
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"max_iter": 0}, "max_iter must be >= 1"),
+        ({"max_iter": -3}, "max_iter must be >= 1"),
+        ({"tol": -1.0}, "tol must be a positive finite number"),
+        ({"tol": 0.0}, "tol must be a positive finite number"),
+        ({"tol": math.nan}, "tol must be a positive finite number"),
+        ({"tol": math.inf}, "tol must be a positive finite number"),
+    ])
+    def test_settings_under_which_no_fit_runs_rejected(self, setting, message):
+        y = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match=message):
+            fit_logistic(y, np.ones((5, 1)), **setting)
+
 
 def _pattern_counts(y, x):
     """Distinct (y, x) rows of 0/1 arrays and how often each occurs."""

@@ -128,13 +128,6 @@ class TestApplyMappings:
         spec = ColumnSpec("NEWRACE2", CAT, parse_mapping_rule("3-4:3, 5:4, 6:5, 7:6"))
         mapped = apply_mappings(table, [spec])
         assert mapped.column("NEWRACE2").tolist() == [0, 1, 2, 2, 3, 4, 5]
-        assert mapped.categories["NEWRACE2"] == (1, 2, 3, 4, 5, 6)
-
-    def test_declared_categories_enforced(self):
-        table = load_survey(survey_text(["C"], [np.array([0, 1, 4])]))
-        spec = ColumnSpec("C", CAT, (), n_categories=3)
-        with pytest.raises(IngestError, match="row 3"):
-            apply_mappings(table, [spec])
 
     def test_missing_spec_column_rejected(self):
         table = load_survey(survey_text(["A"], [np.array([1, 2])]))
@@ -170,6 +163,11 @@ class TestLoadSurvey:
                                           [False, False]]
         with pytest.raises(IngestError, match=r"'x' \(row 3, column B\)"):
             load_survey("A\tB\n1\t2\n\t\n3\tx\n")
+
+    def test_repeated_header_name_is_named(self):
+        with pytest.raises(IngestError, match=r"duplicate column name in header "
+                                              r"\(column A\)"):
+            load_survey("A\tB\tA\n1\t2\t3\n")
 
     def test_ragged_row_rejected(self):
         with pytest.raises(IngestError, match="row 1"):
@@ -368,6 +366,16 @@ class TestBuildDesign:
             _, design, _ = build_design(mapped, study, stage)
             widths.append(design.n_cols)
         assert widths == [2, 3, 5]
+
+    def test_table_with_no_mappings_applied_is_all_ordinal(self):
+        table = load_survey("Y\tX\tC\n" + "".join(
+            f"{i % 2}\t{i % 5}\t{1 + i % 3}\n" for i in range(40)))
+        study = StudySpec(dependent="Y", independent="X", stages=(("A", ("C",)),))
+        y, design, info = build_design(table, study, "A")
+        assert design.names == ("intercept", "X", "C")
+        assert design.values[:3, 2].tolist() == [1.0, 2.0, 3.0]
+        assert (info.n_used, info.n_dropped) == (40, 0)
+        assert y.tolist() == [i % 2 for i in range(40)]
 
     def test_cat_confounder_expands(self):
         rng = np.random.default_rng(2)
