@@ -31,8 +31,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .glm import (_Z95, NotConvergedError, SingularDesignError, fit_logistic,
-                  inverse_logit, relative_risk)
-from .metamodel import ModelParams, _check_seed, derive_seed, draw_population
+                  inverse_logit, logit, relative_risk)
+from .metamodel import (ModelParams, _check_seed, derive_seed, draw_population,
+                        stream_generator)
 
 __all__ = [
     "EnsembleError",
@@ -49,6 +50,9 @@ __all__ = [
 
 # bits in a nonnegative int64 row code
 _CODE_BITS = 63
+
+# (bits, p_plus, p_minus) of every response pattern; see _cell_table
+_CellTable = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class EnsembleError(RuntimeError):
@@ -138,12 +142,7 @@ def population_limit(p: float, k: int) -> float:
     fit = fit_logistic(y, s[:, None], weights=weights)
     if not fit.converged:
         raise NotConvergedError(f"population limit did not converge at p={p}, k={k}")
-    # fit_logistic halves a last step whose gain is below the rounding of the
-    # log-likelihood and can stop up to ~1e-7 short; one Newton step from its
-    # answer reaches the optimum to rounding
-    beta = float(fit.coefficients[0])
-    mu = inverse_logit(beta * s)
-    return beta + float(weights @ (s * (y - mu)) / (weights @ (s * s * mu * (1.0 - mu))))
+    return float(fit.coefficients[0])
 
 
 @dataclass(frozen=True)
@@ -180,10 +179,60 @@ class EnsembleSummary:
             raise ValueError("mc_error_beta1 must be nonnegative")
 
 
-def _fit_one_replication(params: ModelParams, rep_index: int) -> ReplicationDigest:
-    rep_params = replace(params, seed=derive_seed(params.seed, rep_index))
-    population = draw_population(rep_params, params.k + 1)
-    y, regressors, counts = _pattern_table(population.responses)
+def _cell_table(params: ModelParams) -> _CellTable | None:
+    """Every 0/1 pattern of the k + 1 columns and its probability given Q.
+
+    Returns (bits, p_plus, p_minus): bits[c, j] is column j's value in cell c,
+    ordered as the row codes of _pattern_table, and p_plus / p_minus are the
+    cell's probabilities given latent trait +1 / -1 under the model
+    draw_population samples: every regressor is 1 with probability p_Q, the
+    dependent column with inverse_logit(logit(p_Q) + causal_increment * x1).
+    None when the 2^(k+1) cells outnumber the N rows: the table would then
+    be bigger than the rows, so a replication draws the rows instead.
+    """
+    width = params.k + 1
+    if 2**width > params.n_respondents:
+        return None
+    bits = (np.arange(2**width)[:, None] >> np.arange(width)) & 1
+    probabilities = []
+    for agree in (params.p, 1.0 - params.p):
+        p_y = inverse_logit(logit(agree) + params.causal_increment * bits[:, 1])
+        prob = np.where(bits[:, 0] == 1, p_y, 1.0 - p_y)
+        prob *= np.where(bits[:, 1:] == 1, agree, 1.0 - agree).prod(axis=1)
+        probabilities.append(prob)
+    return bits.astype(np.float64), *probabilities
+
+
+def _draw_cell_counts(params: ModelParams, rep_index: int,
+                      cells: _CellTable) -> np.ndarray:
+    """How many of replication rep_index's N respondents fall in each cell.
+
+    A binomial latent split of the N respondents, then one multinomial over
+    the cells per latent class, on the replication's own stream.
+    """
+    _, p_plus, p_minus = cells
+    n = params.n_respondents
+    rng = stream_generator(derive_seed(params.seed, rep_index))
+    plus = rng.binomial(n, 0.5)
+    return rng.multinomial(plus, p_plus) + rng.multinomial(n - plus, p_minus)
+
+
+def _fit_one_replication(params: ModelParams, rep_index: int,
+                         cells: _CellTable | None = None) -> ReplicationDigest:
+    """Draw and fit replication rep_index of an ensemble.
+
+    With the ensemble's _cell_table, the replication's pattern counts are
+    drawn directly; with None, its N rows are drawn and counted.
+    """
+    if cells is None:
+        rep_params = replace(params, seed=derive_seed(params.seed, rep_index))
+        population = draw_population(rep_params, params.k + 1)
+        y, regressors, counts = _pattern_table(population.responses)
+    else:
+        drawn = _draw_cell_counts(params, rep_index, cells)
+        occurs = drawn > 0
+        bits = cells[0][occurs]
+        y, regressors, counts = bits[:, 0], bits[:, 1:], drawn[occurs]
     try:
         # the survey regressions this models fit raw response columns with no
         # constant term; the scaling laws above describe exactly those fits
@@ -207,7 +256,10 @@ def run_ensemble(params: ModelParams, replications: int) -> EnsembleSummary:
 
     Replication streams are keyed by (params.seed, replication index) and
     results are reduced in index order.  Non-converged or separated fits are
-    excluded and counted, never retried.
+    excluded and counted, never retried.  Where the 2^(k+1) response
+    patterns are no more than the N rows, each replication draws its
+    pattern counts directly from one cell table built here; otherwise it
+    draws the N rows.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
@@ -215,7 +267,8 @@ def run_ensemble(params: ModelParams, replications: int) -> EnsembleSummary:
         raise ValueError(
             f"n_respondents ({params.n_respondents}) must exceed the regressor "
             f"count k = {params.k}: a fit needs more observations than regressors")
-    digests = [_fit_one_replication(params, i) for i in range(replications)]
+    cells = _cell_table(params)
+    digests = [_fit_one_replication(params, i, cells) for i in range(replications)]
 
     betas = np.array([d.beta1 for d in digests])
     sigmas = np.array([d.sigma1 for d in digests])

@@ -152,9 +152,15 @@ class FitResult:
             raise ValueError("coefficients and std_errors must have equal length")
 
 
-def _log_likelihood(fy: np.ndarray, eta: np.ndarray, f: np.ndarray) -> float:
-    # sum f * (y*eta - log(1 + exp(eta))) with fy = f * y, stable via logaddexp
-    return float(fy @ eta - (f * np.logaddexp(0.0, eta)).sum())
+def _log_likelihood(fy: np.ndarray, eta: np.ndarray, f: np.ndarray) -> tuple[float, float]:
+    """sum f * (y*eta - log(1 + exp(eta))) with fy = f * y, and its rounding.
+
+    The rounding bound is n * eps times the sum of the magnitudes added, the
+    worst case for a sum of n terms; the value is stable via logaddexp.
+    """
+    softplus = (f * np.logaddexp(0.0, eta)).sum()
+    rounding = eta.size * np.finfo(np.float64).eps * float(fy @ np.abs(eta) + softplus)
+    return float(fy @ eta - softplus), rounding
 
 
 def _check_rank(x: np.ndarray, f: np.ndarray) -> None:
@@ -214,7 +220,7 @@ def fit_logistic(y, X, tol: float = 1e-8, max_iter: int = 100,
     fy = f * yv
     beta = np.zeros(m)
     eta = np.zeros(x.shape[0])
-    ll = _log_likelihood(fy, eta, f)
+    ll, rounding = _log_likelihood(fy, eta, f)
     converged = False
     separated = False
     iterations = 0
@@ -229,18 +235,21 @@ def fit_logistic(y, X, tol: float = 1e-8, max_iter: int = 100,
         except np.linalg.LinAlgError as exc:
             raise SingularDesignError("weighted normal equations are singular") from exc
 
-        # Newton step with halving whenever the log-likelihood would drop
+        # Newton step with halving whenever the log-likelihood would drop; a
+        # drop within the rounding of the current sum is no drop, so near the
+        # optimum, where a step's gain is below that rounding, the full step
+        # is taken
         step = 1.0
         while True:
             candidate = beta + step * delta
             eta_cand = x @ candidate
-            ll_cand = _log_likelihood(fy, eta_cand, f)
-            if ll_cand >= ll or step <= 2.0**-30:
+            ll_cand, rounding_cand = _log_likelihood(fy, eta_cand, f)
+            if ll_cand >= ll - rounding or step <= 2.0**-30:
                 break
             step *= 0.5
 
         update = float(np.max(np.abs(candidate - beta)))
-        beta, eta, ll = candidate, eta_cand, ll_cand
+        beta, eta, ll, rounding = candidate, eta_cand, ll_cand, rounding_cand
 
         if np.any(np.abs(beta) > _SEPARATION_COEF) or _probabilities_pinned(yv, eta):
             separated = True

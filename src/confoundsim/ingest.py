@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.dtypes import StringDType
 
-from .glm import (DesignMatrix, confidence_interval, fit_logistic, one_hot,
+from .glm import (_Z95, DesignMatrix, fit_logistic, one_hot,
                   relative_risk)
 
 __all__ = [
@@ -531,7 +531,6 @@ def staged_analysis(table: SurveyTable, study: StudySpec,
                 raise IngestError(f"separation detected in stage {stage_name}")
             if not fit.converged:
                 raise IngestError(f"fit did not converge in stage {stage_name}")
-            lo, hi = confidence_interval(fit, 1, 0.95)
             prevalence = float(y.mean())
             beta = float(fit.coefficients[1]) * scale
             sigma = float(fit.std_errors[1]) * scale
@@ -543,8 +542,8 @@ def staged_analysis(table: SurveyTable, study: StudySpec,
                 beta1=beta,
                 sigma1=sigma,
                 relative_risk=relative_risk(beta, prevalence),
-                ci_low=relative_risk(lo * scale, prevalence),
-                ci_high=relative_risk(hi * scale, prevalence),
+                ci_low=relative_risk(beta - _Z95 * sigma, prevalence),
+                ci_high=relative_risk(beta + _Z95 * sigma, prevalence),
                 baseline_prevalence=prevalence,
             ))
         except (IngestError, ValueError, OverflowError,

@@ -129,6 +129,51 @@ class TestRunEnsemble:
         assert 0.2 < shift < 0.4
 
 
+def _model_cell_probability(p, increment, y, x):
+    """P(y, x) under the metamodel, from its statement, one cell at a time."""
+    total = 0.0
+    for agree in (p, 1.0 - p):
+        p_y = 1.0 / (1.0 + math.exp(-(math.log(agree / (1.0 - agree)) + increment * x[0])))
+        prob = p_y if y else 1.0 - p_y
+        for xj in x:
+            prob *= agree if xj else 1.0 - agree
+        total += 0.5 * prob
+    return total
+
+
+class TestCellTable:
+    def test_table_only_where_the_cells_are_no_more_than_the_rows(self):
+        assert ensemble._cell_table(params(k=2, n=7)) is None
+        bits, plus, minus = ensemble._cell_table(params(k=2, n=8))
+        # cell c holds the row whose code is c, bit j being column j
+        assert (bits @ (1 << np.arange(3)) == np.arange(8)).all()
+        assert plus.sum() == pytest.approx(1.0, abs=1e-15)
+        assert minus.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_expected_table_fits_to_the_population_limit(self):
+        # no Monte Carlo: the expected table, weights P+ + P- scaled to a mean
+        # of 1 over the 2^(k+1) cells, gives every coefficient the limit
+        for p in (0.55, 0.6, 0.7, 0.8, 0.9):
+            for k in range(1, 10):
+                bits, plus, minus = ensemble._cell_table(params(p=p, k=k, n=2**(k + 1)))
+                fit = fit_logistic(bits[:, 0], bits[:, 1:], weights=(plus + minus) * 2**k)
+                assert fit.converged and not fit.separation_detected
+                assert np.allclose(fit.coefficients, population_limit(p, k),
+                                   rtol=0.0, atol=1e-8), (p, k)
+
+    @pytest.mark.parametrize("increment", [0.0, 0.4])
+    def test_pooled_cell_counts_follow_the_model(self, increment):
+        base = params(p=0.7, k=3, n=1000, seed=31, beta_prime=increment)
+        cells = ensemble._cell_table(base)
+        pooled = sum(ensemble._draw_cell_counts(base, i, cells) for i in range(200))
+        total = 200 * 1000
+        assert pooled.sum() == total
+        for row, count in zip(cells[0].astype(int), pooled):
+            prob = _model_cell_probability(0.7, increment, row[0], row[1:])
+            sd = math.sqrt(total * prob * (1.0 - prob))
+            assert abs(count - total * prob) <= 5 * sd, (row, count, total * prob, sd)
+
+
 class TestScanGrid:
     def small_spec(self, **kw):
         base = dict(correlations=(0.02, 0.1), confounder_counts=(1, 2),
@@ -189,8 +234,16 @@ class TestScanGrid:
     def test_doubling_confounders_roughly_halves_beta(self):
         spec = GridSpec(correlations=(0.05,), confounder_counts=(4, 8),
                         n_respondents=10_000, replications=200, seed=11)
-        c4, c8 = scan_grid(spec)
-        assert 0.4 <= c8.mean_beta1 / c4.mean_beta1 <= 0.6
+        # the exact ratio beta(k=9) / beta(k=5) is 0.596, and the simulated
+        # ratio's Monte Carlo sd is about 0.014, so a bound on the simulated
+        # ratio would fail a correct engine about 4 times in 10; each cell is
+        # held to its exact limit instead, and the ratio is checked exactly
+        p = 0.5 * (1.0 + math.sqrt(0.05))
+        for cell in scan_grid(spec):
+            limit = population_limit(p, cell.n_confounders + 1)
+            assert abs(cell.mean_beta1 - limit) <= 3 * cell.mc_error_beta1, (
+                cell.n_confounders, (cell.mean_beta1 - limit) / cell.mc_error_beta1)
+        assert 0.4 <= population_limit(p, 9) / population_limit(p, 5) <= 0.6
 
     def test_statistical_monotonicity_in_r_and_k(self):
         spec = GridSpec(correlations=(0.02, 0.15), confounder_counts=(1, 8),

@@ -137,6 +137,22 @@ class TestFitLogistic:
         score = dm.values.T @ residual
         assert np.max(np.abs(score)) < 1e-6
 
+    def test_last_step_below_the_rounding_is_taken_in_full(self):
+        # on this design the last Newton step gains less than the rounding
+        # of the log-likelihood sum; halving it away stopped the fit 2.4e-8
+        # short of the optimum while it reported convergence
+        rng = np.random.default_rng(26)
+        latent = rng.integers(0, 2, 2000)
+        agree = np.where(latent == 1, 0.8, 0.2)[:, None]
+        rows = (rng.random((2000, 4)) < agree).astype(float)
+        y, x = rows[:, 0], rows[:, 1:]
+        fit = fit_logistic(y, x)
+        assert fit.converged
+        mu = inverse_logit(x @ fit.coefficients)
+        hess = x.T @ ((mu * (1.0 - mu))[:, None] * x)
+        newton_step = np.linalg.solve(hess, x.T @ (y - mu))
+        assert np.max(np.abs(newton_step)) < 1e-12
+
     def test_log_likelihood_non_decreasing_over_iterations(self):
         rng = np.random.default_rng(7)
         n = 300
@@ -210,10 +226,8 @@ def _newton_polish(beta, y, x):
 
 
 # a Newton step whose log-likelihood gain is below the rounding of the sum is
-# halved away, so either fit can stop one step short of the optimum; the two
-# then differ by that last step (at most 6.9e-8 on coefficients and 9.3e-9 on
-# standard errors over 6,000 random designs)
-_STOPPING_RESOLUTION = 2e-7
+# taken in full, so both fits stop at the optimum, not one step short of it
+_STOPPING_RESOLUTION = 1e-8
 
 
 class TestFrequencyWeights:
