@@ -36,6 +36,11 @@ __all__ = [
 
 _SEED_MAX = 2**64
 
+# rows formatted per pass of write_population_csv; bounds its temporaries
+# (about 1.5 MB at k = 9) below the draw's N x (k + 1) float64 uniforms,
+# which set simulate's peak memory at large N
+_WRITE_BLOCK_ROWS = 65_536
+
 
 def _check_seed(seed: int) -> None:
     # the one seed rule for every configuration that takes a master seed
@@ -116,8 +121,8 @@ class ResponseMatrix:
     """One realized population: latent traits plus the binary response table.
 
     responses has shape (N, k + 1): column 0 is the dependent variable,
-    column 1 the predictor, columns 2..k the confounders.  Arrays are
-    read-only; instances are safe to share across threads.
+    column 1 the predictor, columns 2..k the confounders.  Both are stored
+    as read-only arrays, whatever array-like they were given as.
     """
 
     latent: np.ndarray
@@ -136,8 +141,9 @@ class ResponseMatrix:
             raise ValueError("latent entries must be -1 or +1")
         if not ((resp == 0) | (resp == 1)).all():
             raise ValueError("response entries must be 0 or 1")
-        lat.setflags(write=False)
-        resp.setflags(write=False)
+        for name, arr in (("latent", lat), ("responses", resp)):
+            object.__setattr__(self, name, arr)
+            arr.setflags(write=False)
 
     @property
     def n_columns(self) -> int:
@@ -221,8 +227,25 @@ def sample_correlation(m: ResponseMatrix, col_a: int, col_b: int) -> float:
 def write_population_csv(m: ResponseMatrix, fh: io.TextIOBase) -> None:
     """Dense debugging dump: header Q,R0,...,Rk then one row per respondent.
 
-    Not a stability-guaranteed format.
+    The bytes are those of formatting every entry with "%d": Q is -1 or 1,
+    each response 0 or 1, lines end in "\n".  Since those are the only
+    values a ResponseMatrix holds, each row is laid out in numpy as
+    fixed-width bytes: "-1" then ",d" per column then "\n", with the "-"
+    dropped where Q = +1.  Rows go out in blocks of _WRITE_BLOCK_ROWS, one
+    fh.write each.  Not a stability-guaranteed format.
     """
-    header = "Q," + ",".join(f"R{j}" for j in range(m.n_columns))
-    np.savetxt(fh, np.column_stack([m.latent, m.responses]), fmt="%d",
-               delimiter=",", header=header, comments="")
+    ncol = m.n_columns
+    fh.write("Q," + ",".join(f"R{j}" for j in range(ncol)) + "\n")
+    width = 2 * ncol + 3
+    for start in range(0, m.latent.shape[0], _WRITE_BLOCK_ROWS):
+        q = m.latent[start:start + _WRITE_BLOCK_ROWS]
+        resp = m.responses[start:start + _WRITE_BLOCK_ROWS]
+        block = np.empty((q.shape[0], width), dtype=np.uint8)
+        block[:, :2] = np.frombuffer(b"-1", dtype=np.uint8)
+        block[:, 2:-1:2] = ord(",")
+        block[:, 3:-1:2] = resp != 0
+        block[:, 3:-1:2] += ord("0")
+        block[:, -1] = ord("\n")
+        keep = np.ones(block.shape, dtype=bool)
+        keep[:, 0] = q < 0
+        fh.write(block[keep].tobytes().decode("ascii"))

@@ -1,3 +1,4 @@
+import io
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,15 @@ def dataset_from_2x2(a: int, b: int, c: int, d: int):
     y = np.concatenate([np.ones(a + b), np.zeros(c + d)])
     x = np.concatenate([np.ones(a), np.zeros(b), np.ones(c), np.zeros(d)])
     return y, x
+
+
+def savetxt_population(latent, responses) -> str:
+    """Reference bytes of a population CSV: np.savetxt with "%d" entries."""
+    buf = io.StringIO()
+    header = "Q," + ",".join(f"R{j}" for j in range(np.shape(responses)[1]))
+    np.savetxt(buf, np.column_stack([latent, responses]), fmt="%d",
+               delimiter=",", header=header, comments="")
+    return buf.getvalue()
 
 
 def log_odds_ratio(a: int, b: int, c: int, d: int) -> float:

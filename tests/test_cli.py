@@ -1,5 +1,6 @@
 import csv
 import importlib
+import io
 import json
 import math
 import pkgutil
@@ -9,13 +10,14 @@ import numpy as np
 import pytest
 
 import confoundsim
-from confoundsim import __version__
-from confoundsim.cli import main
+from confoundsim import __version__, cli, metamodel
+from confoundsim.cli import _header, main
 from confoundsim.glm import DesignMatrix, fit_logistic
 from confoundsim.ingest import parse_mapping_file
 from confoundsim.metamodel import ModelParams, draw_population
 
-from conftest import DATA_DIR, dataset_from_2x2, log_odds_ratio
+from conftest import (DATA_DIR, dataset_from_2x2, log_odds_ratio,
+                      savetxt_population)
 
 
 def run(argv):
@@ -70,6 +72,27 @@ class TestSimulate:
         assert config["seed"] == 3 and config["p"] == 0.75
         assert lines[2] == "Q,R0,R1,R2"
         assert len(lines) == 13
+
+    def test_population_past_one_block_is_savetxt_of_the_draw(self, tmp_path):
+        out = tmp_path / "pop.csv"
+        n = metamodel._WRITE_BLOCK_ROWS + 1
+        assert run(["simulate", "--p", "0.7", "--k", "3", "--n", str(n),
+                    "--beta-prime", "0.4", "--seed", "21", "--out", str(out)]) == 0
+        config = {"command": "simulate", "p": 0.7, "k": 3, "n": n,
+                  "beta_prime": 0.4, "seed": 21}
+        m = draw_population(ModelParams(p=0.7, k=3, n_respondents=n, seed=21,
+                                        causal_increment=0.4), 4)
+        rows = savetxt_population(m.latent, m.responses)
+        assert out.read_bytes() == (_header(config) + rows).encode("ascii")
+
+        # the benchmark traces the writer at this binding and counts its
+        # output through fh.tell()
+        assert cli.write_population_csv is metamodel.write_population_csv
+        buf = io.StringIO()
+        buf.write("# header\n")
+        before = buf.tell()
+        cli.write_population_csv(m, buf)
+        assert buf.tell() - before == len(rows)
 
     def test_out_of_range_p_exits_2(self, capsys):
         assert run(["simulate", "--p", "0.4", "--k", "2", "--n", "10",

@@ -3,14 +3,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from confoundsim import metamodel
 from confoundsim.metamodel import (ModelParams, ResponseMatrix,
                                    UndefinedCorrelationError, bias_of,
                                    derive_seed, draw_population, p_of,
                                    sample_correlation, stream_generator,
                                    theoretical_correlation,
                                    write_population_csv)
+
+from conftest import savetxt_population
 
 
 def params(p=0.75, k=3, n=1000, seed=17, beta_prime=0.0):
@@ -206,3 +209,43 @@ class TestCsvDump:
         parsed = np.array([[int(v) for v in ln.split(",")] for ln in lines[1:]])
         assert np.array_equal(parsed[:, 0], m.latent)
         assert np.array_equal(parsed[:, 1:], m.responses)
+
+    def test_list_input_is_stored_as_read_only_arrays(self):
+        pr = ModelParams(p=0.6, k=1, n_respondents=3, seed=0)
+        m = ResponseMatrix(latent=[1, -1, 1], responses=[[0, 1], [1, 0], [1, 1]],
+                           params=pr)
+        for arr in (m.latent, m.responses):
+            assert isinstance(arr, np.ndarray) and not arr.flags.writeable
+        assert m.n_columns == 2
+        assert sample_correlation(m, 0, 1) == pytest.approx(-0.5)
+        buf = io.StringIO()
+        write_population_csv(m, buf)
+        assert buf.getvalue() == "Q,R0,R1\n1,0,1\n-1,1,0\n1,1,1\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bytes_equal_savetxt_across_blocks_and_dtypes(self, data):
+        block = data.draw(st.integers(2, 6), label="block")
+        n = data.draw(st.one_of(st.sampled_from([1, block - 1, block, block + 1]),
+                                st.integers(1, 3 * block + 1)), label="n")
+        k = data.draw(st.integers(1, 12), label="k")
+        q_sign = data.draw(st.sampled_from(["mixed", "+1", "-1"]), label="latent")
+        if q_sign == "mixed":
+            bits = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            latent = np.where(bits, 1, -1)
+        else:
+            latent = np.full(n, int(q_sign))
+        latent = latent.astype(data.draw(
+            st.sampled_from([np.int8, np.int64, np.float64]), label="latent dtype"))
+        cells = data.draw(st.lists(st.booleans(), min_size=n * (k + 1),
+                                   max_size=n * (k + 1)))
+        responses = np.array(cells).reshape(n, k + 1).astype(data.draw(
+            st.sampled_from([np.int8, np.bool_, np.int64, np.float64]),
+            label="response dtype"))
+        m = ResponseMatrix(latent=latent, responses=responses,
+                           params=ModelParams(p=0.6, k=k, n_respondents=n, seed=0))
+        buf = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metamodel, "_WRITE_BLOCK_ROWS", block)
+            write_population_csv(m, buf)
+        assert buf.getvalue() == savetxt_population(latent, responses)
