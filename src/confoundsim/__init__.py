@@ -20,13 +20,13 @@ from .ingest import (ColumnSpec, IngestError, MappingParseError, MappingRule,
                      parse_mapping_file, parse_mapping_rule, parse_study_json,
                      staged_analysis)
 from .metamodel import (ModelParams, ResponseMatrix, UndefinedCorrelationError,
-                        bias_of, derive_seed, draw_population, p_of,
-                        sample_correlation, theoretical_correlation)
+                        derive_seed, draw_population, sample_correlation,
+                        theoretical_correlation)
 
 __all__ = [
     "__version__",
     "ModelParams", "ResponseMatrix", "UndefinedCorrelationError",
-    "bias_of", "p_of", "theoretical_correlation", "draw_population",
+    "theoretical_correlation", "draw_population",
     "sample_correlation", "derive_seed",
     "DesignMatrix", "FitResult", "SingularDesignError", "NotConvergedError",
     "logit", "inverse_logit", "fit_logistic", "relative_risk",

@@ -7,7 +7,8 @@ output embeds the tool version and the resolved configuration (including
 the master seed), so any file can be regenerated bit-exactly from its own
 header.  Execution details such as --out are not part of the embedded
 config.  `scan --threads` is still accepted and checked, but every scan runs
-serially and its output does not depend on it.
+serially and its output does not depend on it; the flag stays because the
+benchmark's scan workload passes it.
 
 Exit codes: 0 success (including partial results carrying per-row flags),
 1 I/O failure, 2 usage or parse error, 3 numerical failure.
@@ -27,10 +28,9 @@ import numpy as np
 
 from . import __version__
 from .ensemble import EnsembleError, GridSpec, scan_grid
-from .glm import (_Z95, DesignMatrix, SingularDesignError, fit_logistic,
-                  relative_risk)
-from .ingest import (IngestError, MappingParseError, apply_mappings,
-                     build_design, load_survey, parse_mapping_file,
+from .glm import (DesignMatrix, SingularDesignError, confidence_interval,
+                  fit_logistic, relative_risk)
+from .ingest import (apply_mappings, load_survey, parse_mapping_file,
                      parse_study_json, staged_analysis)
 from .metamodel import ModelParams, draw_population, write_population_csv
 
@@ -179,12 +179,14 @@ def _read_matrix_csv(path: str) -> tuple[list[str], np.ndarray]:
             raise ValueError(f"{path} has duplicate column name {name!r} in its header")
     if len(rows) == 1:
         raise ValueError(f"{path} has a header but no data rows")
+    for i, row in enumerate(rows[1:], start=1):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: expected {len(header)} cells, "
+                             f"found {len(row)} (row {i})")
     try:
         data = np.array([[float(c) for c in row] for row in rows[1:]])
     except ValueError:
         raise ValueError(f"{path} contains non-numeric cells")
-    if data.ndim != 2 or data.shape[1] != len(header):
-        raise ValueError(f"{path} rows do not match the header width")
     return header, data
 
 
@@ -213,8 +215,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         s = float(fit.std_errors[i])
         term = {"term": name, "coefficient": b, "std_error": s}
         if fit.converged:
-            term["ci_low"] = b - _Z95 * s
-            term["ci_high"] = b + _Z95 * s
+            term["ci_low"], term["ci_high"] = confidence_interval(b, s)
         if not (intercept and i == 0) and prevalence < 1.0:
             try:
                 term["relative_risk"] = relative_risk(b, prevalence)
@@ -368,13 +369,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (MappingParseError, IngestError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SingularDesignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except EnsembleError as exc:
+    except (SingularDesignError, EnsembleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -30,8 +30,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .glm import (_Z95, NotConvergedError, SingularDesignError, fit_logistic,
-                  inverse_logit, logit, relative_risk)
+from .glm import (NotConvergedError, SingularDesignError, confidence_interval,
+                  fit_logistic, inverse_logit, logit, relative_risk)
 from .metamodel import (ModelParams, _check_seed, derive_seed, draw_population,
                         stream_generator)
 
@@ -401,8 +401,7 @@ def _run_cell(spec: GridSpec, r: float, n_conf: int, index: int) -> GridCell:
 
     ci_n = spec.ci_n_respondents or spec.n_respondents
     sigma_scaled = summary.mean_sigma1 * math.sqrt(spec.n_respondents / ci_n)
-    low = summary.mean_beta1 - _Z95 * sigma_scaled
-    high = summary.mean_beta1 + _Z95 * sigma_scaled
+    low, high = confidence_interval(summary.mean_beta1, sigma_scaled)
     error = None
     try:
         rr = relative_risk(summary.mean_beta1, spec.rr_baseline)

@@ -10,7 +10,6 @@ relative-risk conversion used by the reporting layers.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,15 +75,14 @@ def inverse_logit(x):
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Regressor matrix plus a flag recording whether column 0 is a constant.
+    """Regressor matrix with optional column names.
 
     Use build() to assemble one from raw columns; it prepends the intercept
-    column when asked.  Degenerate (all-zero) regressors raise
+    column when asked.  Degenerate (all-zero) columns raise
     SingularDesignError, naming the column by its given name if any.
     """
 
     values: np.ndarray
-    intercept_included: bool
     names: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -96,11 +94,10 @@ class DesignMatrix:
             raise ValueError("design matrix entries must be finite")
         if self.names and len(self.names) != vals.shape[1]:
             raise ValueError("names length must match column count")
-        start = 1 if self.intercept_included else 0
-        dead = ~vals[:, start:].any(axis=0)
+        dead = ~vals.any(axis=0)
         if dead.any():
             # an all-zero regressor is the plainest rank defect
-            j = int(np.flatnonzero(dead)[0]) + start
+            j = int(np.flatnonzero(dead)[0])
             label = repr(self.names[j]) if self.names else str(j)
             raise SingularDesignError(f"column {label} is all zero")
         object.__setattr__(self, "values", vals)
@@ -123,12 +120,7 @@ class DesignMatrix:
             cols = [np.ones(n)] + cols
             if names is not None:
                 names = ("intercept", *names)
-        return cls(np.column_stack(cols), intercept_included=intercept,
-                   names=tuple(names) if names else ())
-
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
+        return cls(np.column_stack(cols), names=tuple(names) if names else ())
 
     @property
     def n_cols(self) -> int:
@@ -191,7 +183,7 @@ def fit_logistic(y, X, tol: float = 1e-8, max_iter: int = 100,
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a positive finite number, got {tol}")
     design = X if isinstance(X, DesignMatrix) else DesignMatrix(
-        np.asarray(X, dtype=np.float64), intercept_included=False)
+        np.asarray(X, dtype=np.float64))
     x = design.values
     yv = np.ascontiguousarray(np.asarray(y, dtype=np.float64).reshape(-1))
     n, m = x.shape
@@ -300,16 +292,12 @@ def relative_risk(beta1: float, baseline_p: float) -> float:
     return eb / (1.0 + (eb - 1.0) * baseline_p) - 1.0
 
 
-def confidence_interval(fit: FitResult, index: int, level: float = 0.95) -> tuple[float, float]:
-    """Two-sided normal-approximation interval for one coefficient."""
-    if not fit.converged:
-        raise NotConvergedError("confidence interval requires a converged fit")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
-    z = statistics.NormalDist().inv_cdf(0.5 + level / 2.0)
-    b = float(fit.coefficients[index])
-    s = float(fit.std_errors[index])
-    return (b - z * s, b + z * s)
+def confidence_interval(b: float, s: float) -> tuple[float, float]:
+    """Two-sided 95% normal-approximation interval of estimate b, std error s.
+
+    The one interval rule of every pipeline; callers check convergence.
+    """
+    return (b - _Z95 * s, b + _Z95 * s)
 
 
 def one_hot(values, reference: int) -> tuple[np.ndarray, list[int]]:

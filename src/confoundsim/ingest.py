@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.dtypes import StringDType
 
-from .glm import (_Z95, DesignMatrix, fit_logistic, one_hot,
+from .glm import (DesignMatrix, confidence_interval, fit_logistic, one_hot,
                   relative_risk)
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "SurveyTable",
     "StageResult",
     "parse_mapping_rule",
-    "serialize_rules",
     "parse_mapping_file",
     "parse_study_json",
     "load_survey",
@@ -53,6 +52,12 @@ CAT = "CAT"
 _RULE_RE = re.compile(r"^(\d+)(?:-(\d+))?:(-?\d+)$")
 
 
+def _located(message: str, **where) -> str:
+    """message plus a "(line 3, token 1)" style suffix of the places given."""
+    parts = [f"{key} {value}" for key, value in where.items() if value is not None]
+    return f"{message} ({', '.join(parts)})" if parts else message
+
+
 class MappingParseError(ValueError):
     """A mapping rule or mapping file line could not be parsed."""
 
@@ -60,13 +65,7 @@ class MappingParseError(ValueError):
                  line: int | None = None):
         self.token_index = token_index
         self.line = line
-        where = []
-        if line is not None:
-            where.append(f"line {line}")
-        if token_index is not None:
-            where.append(f"token {token_index}")
-        suffix = f" ({', '.join(where)})" if where else ""
-        super().__init__(message + suffix)
+        super().__init__(_located(message, line=line, token=token_index))
 
 
 class IngestError(ValueError):
@@ -76,13 +75,7 @@ class IngestError(ValueError):
                  column: str | None = None):
         self.row = row
         self.column = column
-        where = []
-        if row is not None:
-            where.append(f"row {row}")
-        if column is not None:
-            where.append(f"column {column}")
-        suffix = f" ({', '.join(where)})" if where else ""
-        super().__init__(message + suffix)
+        super().__init__(_located(message, row=row, column=column))
 
 
 @dataclass(frozen=True)
@@ -96,9 +89,6 @@ class MappingRule:
     def __post_init__(self) -> None:
         if self.low > self.high:
             raise MappingParseError(f"inverted range {self.low}-{self.high}")
-
-    def covers(self, value: int) -> bool:
-        return self.low <= value <= self.high
 
     def overlaps(self, other: "MappingRule") -> bool:
         return self.low <= other.high and other.low <= self.high
@@ -124,11 +114,6 @@ def parse_mapping_rule(text: str) -> tuple[MappingRule, ...]:
             raise MappingParseError(f"inverted range in {token!r}", token_index=i)
         rules.append(MappingRule(low, high, int(m.group(3))))
     return tuple(rules)
-
-
-def serialize_rules(rules: tuple[MappingRule, ...]) -> str:
-    """Canonical text form; parse_mapping_rule round-trips it exactly."""
-    return ", ".join(rule.text() for rule in rules)
 
 
 @dataclass(frozen=True)
@@ -534,6 +519,7 @@ def staged_analysis(table: SurveyTable, study: StudySpec,
             prevalence = float(y.mean())
             beta = float(fit.coefficients[1]) * scale
             sigma = float(fit.std_errors[1]) * scale
+            low, high = confidence_interval(beta, sigma)
             results.append(StageResult(
                 stage=stage_name,
                 n_confounders=len(confounders),
@@ -542,8 +528,8 @@ def staged_analysis(table: SurveyTable, study: StudySpec,
                 beta1=beta,
                 sigma1=sigma,
                 relative_risk=relative_risk(beta, prevalence),
-                ci_low=relative_risk(beta - _Z95 * sigma, prevalence),
-                ci_high=relative_risk(beta + _Z95 * sigma, prevalence),
+                ci_low=relative_risk(low, prevalence),
+                ci_high=relative_risk(high, prevalence),
                 baseline_prevalence=prevalence,
             ))
         except (IngestError, ValueError, OverflowError,

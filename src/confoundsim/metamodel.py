@@ -24,8 +24,6 @@ __all__ = [
     "ModelParams",
     "ResponseMatrix",
     "UndefinedCorrelationError",
-    "bias_of",
-    "p_of",
     "theoretical_correlation",
     "draw_population",
     "sample_correlation",
@@ -50,23 +48,6 @@ def _check_seed(seed: int) -> None:
 
 class UndefinedCorrelationError(ValueError):
     """A correlation was requested for a column with zero variance."""
-
-
-def bias_of(p: float) -> float:
-    """Excess agreement 2p - 1 of a response with the latent trait.
-
-    Accepts the full closed range [0, 1]; the generative model itself is
-    stricter (see ModelParams).
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    return 2.0 * p - 1.0
-
-def p_of(b: float) -> float:
-    """Inverse of bias_of: agreement probability (b + 1) / 2."""
-    if not -1.0 <= b <= 1.0:
-        raise ValueError(f"bias must be in [-1, 1], got {b}")
-    return (b + 1.0) / 2.0
 
 
 def theoretical_correlation(p: float) -> float:
@@ -107,14 +88,6 @@ class ModelParams:
         if not np.isfinite(self.causal_increment):
             raise ValueError("causal_increment must be finite")
 
-    @property
-    def bias(self) -> float:
-        return bias_of(self.p)
-
-    @property
-    def correlation(self) -> float:
-        return theoretical_correlation(self.p)
-
 
 @dataclass(frozen=True)
 class ResponseMatrix:
@@ -122,7 +95,10 @@ class ResponseMatrix:
 
     responses has shape (N, k + 1): column 0 is the dependent variable,
     column 1 the predictor, columns 2..k the confounders.  Both are stored
-    as read-only arrays, whatever array-like they were given as.
+    as read-only arrays, whatever array-like they were given as.  An ndarray
+    is stored as given, not copied, so the caller's own array becomes
+    read-only too; a copy would cost draw_population another N x (k + 1)
+    bytes.
     """
 
     latent: np.ndarray
@@ -148,9 +124,6 @@ class ResponseMatrix:
     @property
     def n_columns(self) -> int:
         return self.responses.shape[1]
-
-    def column(self, j: int) -> np.ndarray:
-        return self.responses[:, j]
 
 
 def derive_seed(master: int, *indices: int) -> int:

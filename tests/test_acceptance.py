@@ -12,11 +12,16 @@ the accuracy the documentation states for it.
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import confoundsim
 from confoundsim.cli import main as cli_main
 from confoundsim.ensemble import (GridSpec, empirical_beta_formula,
                                   empirical_sigma_formula, population_limit,
@@ -232,18 +237,33 @@ def test_criterion_7_null_effect_honesty():
 
 
 def test_criterion_8_thread_determinism(tmp_path):
+    args = ["scan", "--r-list", "0.02,0.05", "--n-list", "1,2",
+            "--N", "2000", "--reps", "16", "--seed", str(MASTER_SEED)]
     files = {}
     for threads in ("1", "8"):
         out = tmp_path / f"scan_t{threads}.csv"
-        code = cli_main(["scan", "--r-list", "0.02,0.05", "--n-list", "1,2",
-                         "--N", "2000", "--reps", "16",
-                         "--seed", str(MASTER_SEED), "--threads", threads,
-                         "--out", str(out)])
+        code = cli_main([*args, "--threads", threads, "--out", str(out)])
         assert code == 0
         files[threads] = out.read_bytes()
     ok = files["1"] == files["8"]
     assert report(8, "thread-determinism", ok,
                   f"{len(files['1'])} bytes, --threads 1 vs 8"), "outputs differ"
+
+    # the BLAS thread count is the one thread setting left that could
+    # reorder a reduction; it is read at start-up, so it needs a new process
+    out = tmp_path / "scan_blas2.csv"
+    package_root = str(Path(confoundsim.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(
+               p for p in (package_root, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "confoundsim.cli", *args,
+                           "--out", str(out)], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    ok = out.read_bytes() == files["1"]
+    assert report(8, "blas-thread-determinism", ok,
+                  f"{len(files['1'])} bytes, in-process vs fresh process with "
+                  "2 BLAS threads"), "outputs differ"
 
 
 def test_criterion_9_ingest_fidelity():

@@ -356,6 +356,14 @@ class TestFit:
         assert run(["fit", str(data), "--dependent", "Y", "--regressors", "X"]) == 2
         assert "no data rows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body, found", [("1,0\n0\n", 1), ("1,0\n0,1,1\n", 3)],
+                             ids=["short", "long"])
+    def test_ragged_row_exits_2_naming_the_row(self, tmp_path, capsys, body, found):
+        data = tmp_path / "r.csv"
+        data.write_text("A,B\n" + body)
+        assert run(["fit", str(data), "--dependent", "A", "--regressors", "B"]) == 2
+        assert f"expected 2 cells, found {found} (row 2)" in capsys.readouterr().err
+
 
 def synthetic_nsduh(tmp_path, n=1500, seed=42):
     """Small survey fixture shaped like the real public-use file.

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from confoundsim import metamodel
 from confoundsim.metamodel import (ModelParams, ResponseMatrix,
-                                   UndefinedCorrelationError, bias_of,
-                                   derive_seed, draw_population, p_of,
-                                   sample_correlation, stream_generator,
+                                   UndefinedCorrelationError, derive_seed,
+                                   draw_population, sample_correlation,
+                                   stream_generator,
                                    theoretical_correlation,
                                    write_population_csv)
 
@@ -22,20 +22,6 @@ def params(p=0.75, k=3, n=1000, seed=17, beta_prime=0.0):
 
 
 class TestHelpers:
-    def test_bias_of(self):
-        assert bias_of(0.75) == pytest.approx(0.5)
-        assert bias_of(0.5) == 0.0  # boundary allowed for the pure helper
-
-    def test_bias_range(self):
-        with pytest.raises(ValueError):
-            bias_of(-0.1)
-        with pytest.raises(ValueError):
-            bias_of(1.1)
-
-    @given(st.floats(min_value=0.0, max_value=1.0))
-    def test_bias_round_trip(self, p):
-        assert p_of(bias_of(p)) == pytest.approx(p, abs=1e-15)
-
     def test_theoretical_correlation_values(self):
         assert theoretical_correlation(0.75) == pytest.approx(0.25)
         assert theoretical_correlation(0.9) == pytest.approx(0.64)
@@ -50,7 +36,7 @@ class TestHelpers:
     def test_theoretical_correlation_in_unit_interval(self, p):
         r = theoretical_correlation(p)
         assert 0.0 <= r < 1.0
-        assert r == pytest.approx(bias_of(p) ** 2)
+        assert r == pytest.approx((2.0 * p - 1.0) ** 2)
 
 
 class TestModelParams:
@@ -66,11 +52,6 @@ class TestModelParams:
             params(n=0)
         with pytest.raises(ValueError):
             ModelParams(p=0.7, k=2, n_respondents=10, seed=-1)
-
-    def test_derived_quantities(self):
-        pr = params(p=0.8)
-        assert pr.bias == pytest.approx(0.6)
-        assert pr.correlation == pytest.approx(0.36)
 
 
 class TestDrawPopulation:
@@ -221,6 +202,21 @@ class TestCsvDump:
         buf = io.StringIO()
         write_population_csv(m, buf)
         assert buf.getvalue() == "Q,R0,R1\n1,0,1\n-1,1,0\n1,1,1\n"
+
+    def test_given_ndarrays_are_frozen_in_place(self):
+        # documented contract: no copy is made, so the caller's arrays freeze
+        pr = ModelParams(p=0.75, k=1, n_respondents=3, seed=0)
+        latent = np.array([1, -1, 1], dtype=np.int8)
+        responses = np.array([[0, 1], [1, 0], [1, 1]], dtype=np.int8)
+        m = ResponseMatrix(latent=latent, responses=responses, params=pr)
+        assert m.latent is latent and m.responses is responses
+        for arr in (latent, responses):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            latent[0] = -1
+        listed = ResponseMatrix(latent=[1, -1, 1], responses=responses, params=pr)
+        assert isinstance(listed.latent, np.ndarray)
+        assert not listed.latent.flags.writeable
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
