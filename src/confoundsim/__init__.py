@@ -7,7 +7,7 @@ fitting engine powers a recoding and staged-analysis pipeline for real
 delimited survey files.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .ensemble import (EnsembleError, EnsembleSummary, GridCell, GridSpec,
                        empirical_beta_formula, empirical_sigma_formula,

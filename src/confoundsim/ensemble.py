@@ -30,8 +30,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .glm import (NotConvergedError, SingularDesignError, confidence_interval,
-                  fit_logistic, inverse_logit, logit, relative_risk)
+from .glm import (FitResult, NotConvergedError, SingularDesignError,
+                  confidence_interval, fit_logistic, inverse_logit, logit,
+                  relative_risk)
 from .metamodel import (ModelParams, _check_seed, derive_seed, draw_population,
                         stream_generator)
 
@@ -50,6 +51,9 @@ __all__ = [
 
 # bits in a nonnegative int64 row code
 _CODE_BITS = 63
+
+# replication x cell weights fitted in one batched call, at most
+_FIT_BLOCK_WEIGHTS = 4096
 
 # (bits, p_plus, p_minus) of every response pattern; see _cell_table
 _CellTable = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -217,27 +221,45 @@ def _draw_cell_counts(params: ModelParams, rep_index: int,
     return rng.multinomial(plus, p_plus) + rng.multinomial(n - plus, p_minus)
 
 
-def _fit_one_replication(params: ModelParams, rep_index: int,
-                         cells: _CellTable | None = None) -> ReplicationDigest:
-    """Draw and fit replication rep_index of an ensemble.
-
-    With the ensemble's _cell_table, the replication's pattern counts are
-    drawn directly; with None, its N rows are drawn and counted.
-    """
-    if cells is None:
-        rep_params = replace(params, seed=derive_seed(params.seed, rep_index))
-        population = draw_population(rep_params, params.k + 1)
-        y, regressors, counts = _pattern_table(population.responses)
-    else:
-        drawn = _draw_cell_counts(params, rep_index, cells)
-        occurs = drawn > 0
-        bits = cells[0][occurs]
-        y, regressors, counts = bits[:, 0], bits[:, 1:], drawn[occurs]
+def _fit_one_replication(params: ModelParams, rep_index: int) -> ReplicationDigest:
+    """Draw replication rep_index's N rows, count their patterns and fit them."""
+    rep_params = replace(params, seed=derive_seed(params.seed, rep_index))
+    population = draw_population(rep_params, params.k + 1)
+    y, regressors, counts = _pattern_table(population.responses)
     try:
+        fit = fit_logistic(y, regressors, weights=counts)
+    except SingularDesignError as exc:
+        fit = exc
+    return _digest(params, rep_index, fit)
+
+
+def _fit_cell_counts(params: ModelParams, replications: int,
+                     cells: _CellTable) -> list[ReplicationDigest]:
+    """Draw and fit every replication's pattern counts on the one cell table.
+
+    The replications share the table's design, so a block of them is one
+    batched fit of their stacked counts; each block is drawn just before it
+    is fitted, which bounds the fit's (block, cells, k) temporaries.
+    """
+    bits = cells[0]
+    block = max(1, _FIT_BLOCK_WEIGHTS // len(bits))
+    digests = []
+    for start in range(0, replications, block):
+        indices = range(start, min(start + block, replications))
+        counts = np.array([_draw_cell_counts(params, i, cells) for i in indices],
+                          dtype=np.float64)
         # the survey regressions this models fit raw response columns with no
         # constant term; the scaling laws above describe exactly those fits
-        fit = fit_logistic(y, regressors, weights=counts)
-    except SingularDesignError:
+        fits = fit_logistic(bits[:, 0], bits[:, 1:], weights=counts)
+        digests += [_digest(params, i, fit) for i, fit in zip(indices, fits)]
+    return digests
+
+
+def _digest(params: ModelParams, rep_index: int,
+            fit: FitResult | ValueError) -> ReplicationDigest:
+    # a fit that raised (a rank-deficient draw) is unusable, like one that
+    # did not converge or separated
+    if not isinstance(fit, FitResult):
         return ReplicationDigest(rep_index, math.nan, math.nan, False, False)
     if params.causal_increment == 0.0:
         beta1 = float(fit.coefficients.mean())
@@ -255,11 +277,12 @@ def run_ensemble(params: ModelParams, replications: int) -> EnsembleSummary:
     """Generate and fit `replications` independent populations.
 
     Replication streams are keyed by (params.seed, replication index) and
-    results are reduced in index order.  Non-converged or separated fits are
-    excluded and counted, never retried.  Where the 2^(k+1) response
-    patterns are no more than the N rows, each replication draws its
-    pattern counts directly from one cell table built here; otherwise it
-    draws the N rows.
+    results are reduced in index order.  Non-converged, separated or
+    rank-deficient fits are excluded and counted, never retried.  Where the
+    2^(k+1) response patterns are no more than the N rows, every
+    replication draws its pattern counts directly from one cell table built
+    here, and blocks of replications are fitted together in one batched
+    fit; otherwise each replication draws and fits its own N rows.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
@@ -268,7 +291,10 @@ def run_ensemble(params: ModelParams, replications: int) -> EnsembleSummary:
             f"n_respondents ({params.n_respondents}) must exceed the regressor "
             f"count k = {params.k}: a fit needs more observations than regressors")
     cells = _cell_table(params)
-    digests = [_fit_one_replication(params, i, cells) for i in range(replications)]
+    if cells is None:
+        digests = [_fit_one_replication(params, i) for i in range(replications)]
+    else:
+        digests = _fit_cell_counts(params, replications, cells)
 
     betas = np.array([d.beta1 for d in digests])
     sigmas = np.array([d.sigma1 for d in digests])

@@ -3,8 +3,11 @@
 Self-contained maximum-likelihood engine: Newton-Raphson on the Bernoulli
 log-likelihood, optionally frequency-weighted, with step-halving, standard
 errors from the inverse observed information, and deterministic separation
-diagnostics.  Also houses the small link-function helpers and the
-relative-risk conversion used by the reporting layers.
+diagnostics.  One Newton loop fits a single weighting of a design or a
+stack of them: the ensemble fits a block of replications, which share one
+table of response patterns and differ only in its counts, as one batch.
+Also houses the small link-function helpers and the relative-risk
+conversion used by the reporting layers.
 """
 
 from __future__ import annotations
@@ -144,28 +147,52 @@ class FitResult:
             raise ValueError("coefficients and std_errors must have equal length")
 
 
-def _log_likelihood(fy: np.ndarray, eta: np.ndarray, f: np.ndarray) -> tuple[float, float]:
-    """sum f * (y*eta - log(1 + exp(eta))) with fy = f * y, and its rounding.
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # a[r] @ b[r] for every row, as a stack of the 1-D products (same bits)
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _weighted_gram(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # x.T @ (w[r][:, None] * x) for every weight row r, one matrix product
+    # each, so a row's bits do not depend on the rows beside it
+    return np.matmul(x.T, w[:, :, None] * x)
+
+
+def _log_likelihood(fy: np.ndarray, eta: np.ndarray, f: np.ndarray,
+                    n_terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, sum f * (y*eta - log(1 + exp(eta))) with fy = f * y, and its rounding.
 
     The rounding bound is n * eps times the sum of the magnitudes added, the
-    worst case for a sum of n terms; the value is stable via logaddexp.
+    worst case for a sum of n terms, n being the row's nonzero weights; the
+    value is stable via logaddexp.
     """
-    softplus = (f * np.logaddexp(0.0, eta)).sum()
-    rounding = eta.size * np.finfo(np.float64).eps * float(fy @ np.abs(eta) + softplus)
-    return float(fy @ eta - softplus), rounding
+    softplus = (f * np.logaddexp(0.0, eta)).sum(axis=1)
+    rounding = n_terms * np.finfo(np.float64).eps * (_row_dot(fy, np.abs(eta)) + softplus)
+    return _row_dot(fy, eta) - softplus, rounding
 
 
-def _check_rank(x: np.ndarray, f: np.ndarray) -> None:
-    # rank-revealing check on the Gram matrix; cheap (m x m) and it keeps
-    # silently pseudo-inverted collinear confounders out of the results
-    gram = x.T @ (f[:, None] * x)
-    eigvals = np.linalg.eigvalsh(gram)
-    if eigvals[0] <= eigvals[-1] * x.shape[1] * np.finfo(np.float64).eps:
-        raise SingularDesignError("design matrix is rank deficient")
+def _each_matrix(op, *stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A numpy.linalg op over a stack of matrices, and where it failed.
+
+    The stacked call gives the bits of one call per matrix; when it fails on
+    some matrix, every matrix is redone alone and a failing one reads NaN.
+    """
+    try:
+        return op(*stacks), np.zeros(len(stacks[0]), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    out = np.full(stacks[-1].shape, np.nan)
+    failed = np.zeros(len(out), dtype=bool)
+    for r, operands in enumerate(zip(*stacks)):
+        try:
+            out[r] = op(*operands)
+        except np.linalg.LinAlgError:
+            failed[r] = True
+    return out, failed
 
 
 def fit_logistic(y, X, tol: float = 1e-8, max_iter: int = 100,
-                 weights=None) -> FitResult:
+                 weights=None) -> FitResult | list[FitResult | ValueError]:
     """Maximum-likelihood logistic fit of binary y on the given design.
 
     X may be a DesignMatrix or a plain 2-D array (taken as-is, no intercept
@@ -177,6 +204,14 @@ def fit_logistic(y, X, tol: float = 1e-8, max_iter: int = 100,
     below tol.  Separated fits are flagged, not raised; a rank-deficient
     design raises SingularDesignError.  max_iter must be at least 1 and
     tol a positive finite number.
+
+    Weights of shape (R, n) fit R weightings of the one design together and
+    return a list of R entries: row r's FitResult, or the ValueError (a
+    SingularDesignError when the weights leave the design rank deficient)
+    that a call with weights[r] alone would raise.  Each row keeps its own
+    step-halving, convergence and separation test; zero weights stay in
+    the sums as zeros, which can move a result's last digits from the call
+    with weights[r] alone, and a row's bits do not depend on the others.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -186,7 +221,7 @@ def fit_logistic(y, X, tol: float = 1e-8, max_iter: int = 100,
         np.asarray(X, dtype=np.float64))
     x = design.values
     yv = np.ascontiguousarray(np.asarray(y, dtype=np.float64).reshape(-1))
-    n, m = x.shape
+    n = x.shape[0]
     if yv.shape[0] != n:
         raise ValueError(f"y has {yv.shape[0]} rows, design has {n}")
     if not np.isin(yv, (0.0, 1.0)).all():
@@ -197,86 +232,129 @@ def fit_logistic(y, X, tol: float = 1e-8, max_iter: int = 100,
         f = np.ones(n)
     else:
         f = np.ascontiguousarray(np.asarray(weights, dtype=np.float64))
-        if f.shape != (n,):
-            raise ValueError(f"weights must have shape ({n},), got {f.shape}")
+        if not (f.ndim in (1, 2) and f.shape[-1] == n and f.size):
+            raise ValueError(f"weights must have shape ({n},) or (R, {n}) with "
+                             f"R >= 1, got {f.shape}")
         if not (np.isfinite(f).all() and (f >= 0.0).all()):
             raise ValueError("weights must be finite and nonnegative")
-        if not f.all():
-            occurs = f > 0.0
-            x, yv, f = x[occurs], yv[occurs], f[occurs]
-    n_obs = f.sum()
-    if n_obs <= m:
-        raise ValueError(f"need more observations ({n_obs:g}) than regressors ({m})")
-    _check_rank(x, f)
+    if f.ndim == 2:
+        return _irls(x, yv, f, tol, max_iter, design.names)
+    if not f.all():
+        occurs = f > 0.0
+        x, yv, f = x[occurs], yv[occurs], f[occurs]
+    fit = _irls(x, yv, f[None], tol, max_iter, design.names)[0]
+    if isinstance(fit, ValueError):
+        raise fit
+    return fit
 
-    fy = f * yv
-    beta = np.zeros(m)
-    eta = np.zeros(x.shape[0])
-    ll, rounding = _log_likelihood(fy, eta, f)
-    converged = False
-    separated = False
-    iterations = 0
 
-    for iterations in range(1, max_iter + 1):
-        mu = inverse_logit(eta)
-        w = f * (mu * (1.0 - mu))
-        grad = x.T @ (f * (yv - mu))
-        hess = x.T @ (w[:, None] * x)
-        try:
-            delta = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError as exc:
-            raise SingularDesignError("weighted normal equations are singular") from exc
+def _irls(x: np.ndarray, y: np.ndarray, f: np.ndarray, tol: float, max_iter: int,
+          names: tuple[str, ...]) -> list[FitResult | ValueError]:
+    """Newton-Raphson for every row of the (R, n) weight stack f at once.
+
+    Each iteration makes one stacked gradient, Hessian and solve for the
+    rows still iterating; a row leaves the stack when it converges, is
+    separated or fails.
+    """
+    n_rows, m = f.shape[0], x.shape[1]
+    fits: list[FitResult | ValueError | None] = [None] * n_rows
+    occurs = f > 0.0
+    n_obs = f.sum(axis=1)
+    for r in np.flatnonzero(n_obs <= m):
+        fits[r] = ValueError(
+            f"need more observations ({n_obs[r]:g}) than regressors ({m})")
+    live = np.flatnonzero(n_obs > m)
+    # rank-revealing check on the Gram matrices; cheap (m x m) and it keeps
+    # silently pseudo-inverted collinear confounders out of the results
+    eigvals = np.linalg.eigvalsh(_weighted_gram(x, f[live]))
+    deficient = eigvals[:, 0] <= eigvals[:, -1] * m * np.finfo(np.float64).eps
+    for r in live[deficient]:
+        fits[r] = SingularDesignError("design matrix is rank deficient")
+    live = live[~deficient]
+
+    fy = f * y
+    n_terms = occurs.sum(axis=1)
+    ones, zeros = occurs & (y == 1.0), occurs & (y == 0.0)
+    beta = np.zeros((n_rows, m))
+    eta = np.zeros(f.shape)
+    mu = inverse_logit(eta)
+    ll, rounding = _log_likelihood(fy, eta, f, n_terms)
+    converged = np.zeros(n_rows, dtype=bool)
+    separated = np.zeros(n_rows, dtype=bool)
+    iterations = np.zeros(n_rows, dtype=int)
+
+    for iteration in range(1, max_iter + 1):
+        if not live.size:
+            break
+        # while every row iterates, whole-array views stand in for copies
+        rows = slice(None) if live.size == n_rows else live
+        iterations[rows] = iteration
+        fitted = mu[rows]
+        grad = np.matmul(x.T, (f[rows] * (y - fitted))[:, :, None])[:, :, 0]
+        hess = _weighted_gram(x, f[rows] * (fitted * (1.0 - fitted)))
+        delta, singular = _each_matrix(np.linalg.solve, hess, grad[:, :, None])
+        if singular.any():
+            for r in live[singular]:
+                fits[r] = SingularDesignError("weighted normal equations are singular")
+            live, delta = live[~singular], delta[~singular]
+            rows = live
+        delta = delta[:, :, 0]
 
         # Newton step with halving whenever the log-likelihood would drop; a
         # drop within the rounding of the current sum is no drop, so near the
         # optimum, where a step's gain is below that rounding, the full step
-        # is taken
-        step = 1.0
-        while True:
-            candidate = beta + step * delta
-            eta_cand = x @ candidate
-            ll_cand, rounding_cand = _log_likelihood(fy, eta_cand, f)
-            if ll_cand >= ll - rounding or step <= 2.0**-30:
-                break
-            step *= 0.5
+        # is taken.  Each row halves its own step until it accepts it.
+        old = beta[rows].copy()
+        step = np.ones(live.size)
+        cand = old + delta
+        eta_cand = np.matmul(x, cand[:, :, None])[:, :, 0]
+        ll_cand, rounding_cand = _log_likelihood(fy[rows], eta_cand, f[rows], n_terms[rows])
+        short = np.flatnonzero(~(ll_cand >= ll[rows] - rounding[rows]))
+        while short.size:
+            step[short] *= 0.5
+            at = live[short]
+            cand[short] = old[short] + step[short, None] * delta[short]
+            eta_cand[short] = np.matmul(x, cand[short][:, :, None])[:, :, 0]
+            ll_cand[short], rounding_cand[short] = _log_likelihood(
+                fy[at], eta_cand[short], f[at], n_terms[at])
+            short = short[~((ll_cand[short] >= ll[at] - rounding[at])
+                            | (step[short] <= 2.0**-30))]
 
-        update = float(np.max(np.abs(candidate - beta)))
-        beta, eta, ll, rounding = candidate, eta_cand, ll_cand, rounding_cand
+        update = np.abs(cand - old).max(axis=1)
+        beta[rows], eta[rows], ll[rows], rounding[rows] = cand, eta_cand, ll_cand, rounding_cand
+        mu[rows] = inverse_logit(eta_cand)
+        sep = ((np.abs(cand) > _SEPARATION_COEF).any(axis=1)
+               | _probabilities_pinned(mu[rows], ones[rows], zeros[rows]))
+        done = sep | (update < tol)
+        separated[live[sep]] = True
+        converged[live[done & ~sep]] = True
+        live = live[~done]
 
-        if np.any(np.abs(beta) > _SEPARATION_COEF) or _probabilities_pinned(yv, eta):
-            separated = True
-            break
-        if update < tol:
-            converged = True
-            break
-
-    mu = inverse_logit(eta)
-    w = f * (mu * (1.0 - mu))
-    hess = x.T @ (w[:, None] * x)
-    try:
-        covariance = np.linalg.inv(hess)
-        std_errors = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
-    except np.linalg.LinAlgError:
-        std_errors = np.full(m, np.inf)
-
-    return FitResult(
-        coefficients=beta,
-        std_errors=std_errors,
-        converged=converged,
-        iterations=iterations,
-        log_likelihood=ll,
-        separation_detected=separated,
-        names=design.names,
-    )
+    usable = np.flatnonzero([fit is None for fit in fits])
+    covariance, failed = _each_matrix(
+        np.linalg.inv, _weighted_gram(x, f[usable] * (mu[usable] * (1.0 - mu[usable]))))
+    std_errors = np.sqrt(np.clip(np.diagonal(covariance, axis1=1, axis2=2), 0.0, None))
+    std_errors[failed] = np.inf
+    for r, se in zip(usable, std_errors):
+        fits[r] = FitResult(
+            coefficients=beta[r],
+            std_errors=se,
+            converged=bool(converged[r]),
+            iterations=int(iterations[r]),
+            log_likelihood=float(ll[r]),
+            separation_detected=bool(separated[r]),
+            names=names,
+        )
+    return fits
 
 
-def _probabilities_pinned(y: np.ndarray, eta: np.ndarray) -> bool:
-    # complete separation: every fitted probability pinned to its own class
-    mu = inverse_logit(eta)
-    ones = y == 1.0
-    if not ones.any() or ones.all():
-        return False
-    return bool((mu[ones] > 1.0 - _PIN_EPS).all() and (mu[~ones] < _PIN_EPS).all())
+def _probabilities_pinned(mu: np.ndarray, ones: np.ndarray, zeros: np.ndarray) -> np.ndarray:
+    # complete separation, per row: with both classes occurring, every
+    # occurring cell's fitted probability mu pinned to its own class; ones
+    # and zeros mark each row's occurring cells of y = 1 and y = 0
+    return (ones.any(axis=1) & zeros.any(axis=1)
+            & ((mu > 1.0 - _PIN_EPS) | ~ones).all(axis=1)
+            & ((mu < _PIN_EPS) | ~zeros).all(axis=1))
 
 
 def relative_risk(beta1: float, baseline_p: float) -> float:

@@ -59,10 +59,14 @@ def _located(message: str, **where) -> str:
 
 
 class MappingParseError(ValueError):
-    """A mapping rule or mapping file line could not be parsed."""
+    """A mapping rule or mapping file line could not be parsed.
+
+    `message` is the reason without the location suffix that str() adds.
+    """
 
     def __init__(self, message: str, *, token_index: int | None = None,
                  line: int | None = None):
+        self.message = message
         self.token_index = token_index
         self.line = line
         super().__init__(_located(message, line=line, token=token_index))
@@ -180,7 +184,8 @@ def parse_mapping_file(text: str) -> tuple[list[ColumnSpec], list[str]]:
         try:
             rules = parse_mapping_rule(parts[2] if len(parts) == 3 else "")
         except MappingParseError as exc:
-            raise MappingParseError(str(exc), line=lineno) from exc
+            raise MappingParseError(exc.message, line=lineno,
+                                    token_index=exc.token_index) from exc
         spec = ColumnSpec(name=name, kind=kind, rules=rules)
         for a, b in spec.overlapping_pairs():
             warnings.append(

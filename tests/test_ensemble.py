@@ -12,7 +12,7 @@ from confoundsim.ensemble import (EnsembleError, GridSpec,
                                   empirical_beta_formula,
                                   empirical_sigma_formula, population_limit,
                                   run_ensemble, scan_grid)
-from confoundsim.glm import fit_logistic
+from confoundsim.glm import SingularDesignError, fit_logistic
 from confoundsim.metamodel import ModelParams, derive_seed, draw_population
 
 
@@ -172,6 +172,66 @@ class TestCellTable:
             prob = _model_cell_probability(0.7, increment, row[0], row[1:])
             sd = math.sqrt(total * prob * (1.0 - prob))
             assert abs(count - total * prob) <= 5 * sd, (row, count, total * prob, sd)
+
+
+def _one_dimensional_loop(params, replications):
+    """(excluded, usable betas) of a loop of 1-D fits on the occurring cells."""
+    cells = ensemble._cell_table(params)
+    betas = []
+    for i in range(replications):
+        counts = ensemble._draw_cell_counts(params, i, cells)
+        occurs = counts > 0
+        bits = cells[0][occurs]
+        try:
+            fit = fit_logistic(bits[:, 0], bits[:, 1:], weights=counts[occurs])
+        except SingularDesignError:
+            continue
+        if fit.converged and not fit.separation_detected:
+            coefs = fit.coefficients
+            betas.append(coefs.mean() if params.causal_increment == 0.0 else coefs[0])
+    return replications - len(betas), betas
+
+
+class TestBatchedReplications:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([0.52, 0.7, 0.9, 0.999]), st.integers(1, 4),
+           st.integers(0, 300), st.integers(1, 9), st.integers(0, 2**31 - 1),
+           st.sampled_from([0.0, 0.5]))
+    def test_block_size_changes_no_bits(self, p, k, extra_n, reps, seed, increment):
+        base = params(p=p, k=k, n=2 ** (k + 1) + extra_n, seed=seed,
+                      beta_prime=increment)
+        cells = 2 ** (k + 1)
+        outcomes = []
+        for block_rows in (1, 3, reps, reps + 5):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ensemble, "_FIT_BLOCK_WEIGHTS", block_rows * cells)
+                try:
+                    outcomes.append(run_ensemble(base, reps))
+                except EnsembleError as exc:
+                    outcomes.append(str(exc))
+        assert all(o == outcomes[0] for o in outcomes[1:])
+        excluded, betas = _one_dimensional_loop(base, reps)
+        if isinstance(outcomes[0], str):
+            assert excluded == reps
+        else:
+            assert outcomes[0].excluded == excluded
+            assert outcomes[0].mean_beta1 == pytest.approx(np.mean(betas),
+                                                           rel=0.0, abs=1e-12)
+
+    def test_block_weight_bound(self):
+        # at k = 9 a block holds 4 replications of 1,024 cells
+        base = params(p=0.6, k=9, n=5000, seed=8)
+        seen = []
+        real = ensemble.fit_logistic
+
+        def spy(y, x, **kwargs):
+            seen.append(kwargs["weights"].shape)
+            return real(y, x, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ensemble, "fit_logistic", spy)
+            run_ensemble(base, 10)
+        assert seen == [(4, 1024), (4, 1024), (2, 1024)]
 
 
 class TestScanGrid:

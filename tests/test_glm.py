@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confoundsim.glm import (DesignMatrix, SingularDesignError,
+from confoundsim import glm
+from confoundsim.glm import (DesignMatrix, FitResult, SingularDesignError,
                              confidence_interval, fit_logistic, inverse_logit,
                              logit, one_hot, relative_risk)
 
@@ -316,8 +317,11 @@ class TestFrequencyWeights:
     def test_weight_validation(self):
         y = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
         x = np.array([[1.0], [1.0], [0.0], [1.0], [1.0]])
+        # a 2-D weight stack is a batch (TestBatchedWeights); its rows must
+        # match the design, and there must be at least one
         for bad in ([1, 1, -1, 1, 1], [1, 1, np.nan, 1, 1], [1, 1, np.inf, 1, 1],
-                    [1, 1, 1, 1], [[1, 1, 1, 1, 1]]):
+                    [1, 1, 1, 1], [[1, 1, 1, 1]], [[[1, 1, 1, 1, 1]]], 1.0,
+                    np.ones((0, 5)), [[1, 1, 1, 1, 1], [1, 1, -1, 1, 1]]):
             with pytest.raises(ValueError, match="weights"):
                 fit_logistic(y, x, weights=np.array(bad, dtype=float))
 
@@ -326,6 +330,134 @@ class TestFrequencyWeights:
         x = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 1.0]])
         with pytest.raises(ValueError, match="more observations"):
             fit_logistic(y, x, weights=np.full(4, 0.5))
+
+
+def _fit_bits(fit):
+    """Everything a fit or batch entry reports, as exact values."""
+    if isinstance(fit, ValueError):
+        return type(fit), str(fit)
+    return (fit.coefficients.tobytes(), fit.std_errors.tobytes(), fit.converged,
+            fit.iterations, fit.log_likelihood, fit.separation_detected, fit.names)
+
+
+def _one_fit(y, x, **kwargs):
+    try:
+        return fit_logistic(y, x, **kwargs)
+    except ValueError as exc:
+        return exc
+
+
+def _batch_case(data):
+    """A design (every 0/1 pattern, or an intercept and normal columns) and
+    an (R, n) stack of counts, a third of them zero."""
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    if data.draw(st.booleans(), label="pattern table"):
+        width = data.draw(st.integers(2, 6), label="k + 1")
+        cells = ((np.arange(2**width)[:, None] >> np.arange(width)) & 1).astype(float)
+        y, x = cells[:, 0], cells[:, 1:]
+    else:
+        n = data.draw(st.integers(4, 60), label="n")
+        m = data.draw(st.integers(1, 4), label="m")
+        x = np.column_stack([np.ones(n), rng.normal(size=(n, m - 1))])
+        y = rng.integers(0, 2, n).astype(float)
+    rows = data.draw(st.integers(1, 7), label="R")
+    counts = rng.integers(1, data.draw(st.sampled_from([3, 40, 2000])), (rows, len(y)))
+    counts[rng.random(counts.shape) < 1 / 3] = 0
+    return y, x, counts.astype(float)
+
+
+class TestBatchedWeights:
+    """2-D weights fit every row of an (R, n) stack in one Newton loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_single_row_stack_is_the_one_dimensional_call(self, data):
+        y, x, counts = _batch_case(data)
+        # the 1-D call drops zero weights, a stack keeps them: same bits
+        # once there are none
+        weights = counts[0] + 1.0
+        [stacked] = fit_logistic(y, x, weights=weights[None])
+        assert _fit_bits(stacked) == _fit_bits(_one_fit(y, x, weights=weights))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_rows_do_not_depend_on_the_rest_of_the_batch(self, data):
+        y, x, counts = _batch_case(data)
+        whole = [_fit_bits(fit) for fit in fit_logistic(y, x, weights=counts)]
+        order = data.draw(st.permutations(range(len(counts))), label="order")
+        permuted = fit_logistic(y, x, weights=counts[order])
+        assert [_fit_bits(fit) for fit in permuted] == [whole[i] for i in order]
+        cut = data.draw(st.integers(0, len(counts)), label="cut")
+        split = (fit_logistic(y, x, weights=counts[:cut]) if cut else []) + (
+            fit_logistic(y, x, weights=counts[cut:]) if cut < len(counts) else [])
+        assert [_fit_bits(fit) for fit in split] == whole
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_rows_match_one_dimensional_fits(self, data):
+        y, x, counts = _batch_case(data)
+        max_iter = data.draw(st.sampled_from([2, 100]), label="max_iter")
+        batch = fit_logistic(y, x, weights=counts, max_iter=max_iter)
+        assert len(batch) == len(counts)
+        for got, weights in zip(batch, counts):
+            want = _one_fit(y, x, weights=weights, max_iter=max_iter)
+            if isinstance(want, ValueError):
+                assert type(got) is type(want) and str(got) == str(want)
+                continue
+            assert isinstance(got, FitResult)
+            assert (got.converged, got.separation_detected, got.iterations) == (
+                want.converged, want.separation_detected, want.iterations)
+            if want.separation_detected:
+                # the iterates of a separated fit run off toward infinity
+                # along a flat ridge, so their last digits are no estimate
+                continue
+            for a, b in ((got.coefficients, want.coefficients),
+                         (got.std_errors, want.std_errors),
+                         (got.log_likelihood, want.log_likelihood)):
+                assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
+
+    def test_mixed_batch_keeps_each_rows_outcome(self):
+        cells = ((np.arange(8)[:, None] >> np.arange(3)) & 1).astype(float)
+        y, x = cells[:, 0], cells[:, 1:]
+        balanced = np.full(8, 50.0)                       # optimum at 0
+        strong = np.where(y == x[:, 0], 1e6, 1.0)         # needs many steps
+        empty = np.where(x[:, 1] == 1, 0.0, 25.0)         # column 2 all zero
+        separated = np.where(y == x[:, 0], 20.0, 0.0)     # y = x1 exactly
+        too_few = np.array([1.0, 1.0, 0, 0, 0, 0, 0, 0])  # 2 obs, 2 columns
+        stack = np.stack([balanced, strong, empty, separated, too_few])
+        # the separated row is flagged at iteration 15; the strong one
+        # would converge at iteration 18
+        fits = fit_logistic(y, x, weights=stack, max_iter=16)
+        assert fits[0].converged and fits[0].iterations == 1
+        assert not fits[1].converged and not fits[1].separation_detected
+        assert fits[1].iterations == 16
+        assert isinstance(fits[2], SingularDesignError)
+        assert fits[3].separation_detected and not fits[3].converged
+        assert type(fits[4]) is ValueError and "more observations" in str(fits[4])
+        for got, weights in zip(fits, stack):
+            want = _one_fit(y, x, weights=weights, max_iter=16)
+            if isinstance(got, ValueError):
+                assert type(got) is type(want)
+            else:
+                assert (got.converged, got.separation_detected, got.iterations) == (
+                    want.converged, want.separation_detected, want.iterations)
+                assert np.allclose(got.coefficients, want.coefficients,
+                                   rtol=1e-12, atol=1e-12)
+        with pytest.raises(SingularDesignError):
+            fit_logistic(y, x, weights=empty)
+
+
+    def test_a_singular_matrix_fails_only_its_own_row(self):
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(4, 3, 3))
+        a[2] = 0.0
+        b = rng.normal(size=(4, 3, 1))
+        out, failed = glm._each_matrix(np.linalg.solve, a, b)
+        assert failed.tolist() == [False, False, True, False]
+        assert np.isnan(out[2]).all()
+        for r in (0, 1, 3):
+            assert out[r].tobytes() == np.linalg.solve(a[r], b[r]).tobytes()
 
 
 class TestRelativeRisk:

@@ -85,8 +85,11 @@ class TestMappingFile:
             parse_mapping_file("A ORD\nA ORD 1:0\n")
 
     def test_rule_error_carries_line_number(self):
-        with pytest.raises(MappingParseError, match="line 2"):
-            parse_mapping_file("A ORD\nB ORD 5:x\n")
+        with pytest.raises(MappingParseError) as info:
+            parse_mapping_file("A ORD\nB ORD 1:0, 5:x\n")
+        assert str(info.value) == "malformed rule '5:x' (line 2, token 1)"
+        assert info.value.message == "malformed rule '5:x'"
+        assert (info.value.line, info.value.token_index) == (2, 1)
 
     def test_comments_and_blank_lines_skipped(self):
         specs, _ = parse_mapping_file("# note\n\nA ORD 1:0\n")
