@@ -94,13 +94,19 @@ def _write_output(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _read_text(path: str) -> str:
+def _read_bytes(path: str) -> bytes:
     # unreadable inputs are usage errors (exit 2); only output I/O is exit 1
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_text(path: str) -> str:
+    # UTF-8 with "\r\n" and "\r" read as "\n", as text mode reads a file
+    text = _read_bytes(path).decode("utf-8")
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -278,7 +284,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     study = parse_study_json(_read_text(args.study))
-    table = load_survey(_read_text(args.data), delimiter=args.delimiter,
+    table = load_survey(_read_bytes(args.data), delimiter=args.delimiter,
                         columns=study.columns())
 
     mapped = apply_mappings(table, specs)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
@@ -279,10 +278,13 @@ def parse_study_json(text: str) -> StudySpec:
                 f"stage {name!r} must be a list of non-empty column names, got {cols!r}")
     stages = tuple(
         (name, tuple(cols)) for name, cols in stages_obj.items())
+    unit_change = data.get("unit_change", 1.0)
+    if isinstance(unit_change, bool) or not isinstance(unit_change, (int, float)):
+        raise ValueError("unit_change must be a number")
     try:
-        unit_change = float(data.get("unit_change", 1.0))
-    except TypeError:
-        raise ValueError("unit_change must be a number") from None
+        unit_change = float(unit_change)
+    except OverflowError:
+        unit_change = math.inf
     return StudySpec(dependent=dependent, independent=independent, stages=stages,
                      unit_change=unit_change)
 
@@ -318,7 +320,79 @@ class SurveyTable:
 
 
 _INT64 = np.iinfo(np.int64)
-_BLOCK_ROWS = 256
+# body lines per block: one block's delimiter positions and cells are held
+# at a time
+_BLOCK_LINES = 256
+# the line breaks of str.splitlines in UTF-8, ASCII ones first; "\r\n" is
+# two breaks, and the empty line between them is skipped like any other
+_ASCII_BREAKS = (b"\n", b"\r", b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
+_LINE_BREAKS = _ASCII_BREAKS + tuple(c.encode() for c in "\x85\u2028\u2029")
+# bytes searched for line breaks at a time
+_SCAN_BYTES = 1 << 20
+# a block whose widest loaded cell has more bytes than this is decoded cell
+# by cell: copying cells out pads every one of them to the widest, so one
+# long run of padding would cost a block's cells times its length
+_GATHER_BYTES = 64
+
+
+def _find(buf: np.ndarray, pattern: bytes) -> np.ndarray:
+    """Offsets of `pattern` in `buf`, matched left to right without overlap."""
+    n = len(buf) - len(pattern) + 1
+    if n <= 0:
+        return np.empty(0, dtype=np.intp)
+    hit = buf[:n] == pattern[0]
+    for k in range(1, len(pattern)):
+        hit &= buf[k:k + n] == pattern[k]
+    at = np.flatnonzero(hit)
+    if len(pattern) > 1 and (np.diff(at) < len(pattern)).any():
+        # a pattern that overlaps itself, as "||" does in "|||"
+        kept, free = [], 0
+        for a in at.tolist():
+            if a >= free:
+                kept.append(a)
+                free = a + len(pattern)
+        at = np.array(kept, dtype=np.intp)
+    return at
+
+
+def _line_bounds(data: bytes, buf: np.ndarray,
+                 is_ascii: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end offsets of every line of `data`, empty lines included."""
+    ends, gaps = [np.array([len(buf)])], [np.array([0])]
+    for brk in _ASCII_BREAKS if is_ascii else _LINE_BREAKS:
+        if brk not in data:
+            continue
+        # one span of _SCAN_BYTES start offsets at a time, so no mask is as
+        # long as the file; a break starting in a span is matched whole
+        for lo in range(0, len(buf), _SCAN_BYTES):
+            at = _find(buf[lo:lo + _SCAN_BYTES + len(brk) - 1], brk) + lo
+            ends.append(at)
+            gaps.append(np.full(len(at), len(brk)))
+    ends, gaps = np.concatenate(ends), np.concatenate(gaps)
+    order = np.argsort(ends)
+    starts = np.concatenate(([0], (ends + gaps)[order[:-1]]))
+    return starts, ends[order]
+
+
+def _decoded(buf: np.ndarray, starts: np.ndarray,
+             ends: np.ndarray) -> list[tuple[str, ...]]:
+    """The text of buf[start:end] for each cell, one tuple per row."""
+    return [tuple(buf[a:b].tobytes().decode() for a, b in zip(row_starts, row_ends))
+            for row_starts, row_ends in zip(starts.tolist(), ends.tolist())]
+
+
+def _cells(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The cells at buf[starts:ends] as a StringDType array of their shape."""
+    lengths = ends - starts
+    width = max(int(lengths.max(initial=0)), 1)
+    if width > _GATHER_BYTES:
+        return np.array(_decoded(buf, starts, ends),
+                        dtype=StringDType()).reshape(starts.shape)
+    offsets = np.arange(width)
+    grabbed = buf.take(starts[..., None] + offsets, mode="clip")
+    # the zero padding is dropped by the S dtype; the file holds no NUL
+    grabbed[offsets >= lengths[..., None]] = 0
+    return grabbed.view(f"S{width}")[..., 0].astype(StringDType())
 
 
 def _raise_first_bad_cell(rows: list[tuple[str, ...]], names: tuple[str, ...],
@@ -339,26 +413,41 @@ def _raise_first_bad_cell(rows: list[tuple[str, ...]], names: tuple[str, ...],
                                   row=i, column=name)
 
 
-def load_survey(text: str, delimiter: str = "\t",
+def load_survey(data: bytes, delimiter: str = "\t",
                 columns: Iterable[str] | None = None) -> SurveyTable:
-    """Parse a delimited survey file: UTF-8, header row, integer cells.
+    """Parse a delimited survey file: UTF-8 bytes, header row, integer cells.
 
-    Only `columns` (every column when None) are parsed and checked, so a
-    bad cell in a column that is not loaded is not an error.  The width of
-    every row is checked before any cell is parsed.  A NUL character
-    anywhere in the file is an error.  A line is skipped only when it is
-    whitespace holding no delimiter; any other line is a row, and its blank
-    cells are missing.
+    Lines end at any line break `str.splitlines` knows, CRLF included, and
+    a delimiter of any length splits a line left to right without overlap.
+    A line is skipped only when it is whitespace holding no delimiter; any
+    other line is a row, and its blank cells are missing.  Only `columns`
+    (every column when None) are parsed and checked, so a bad cell in a
+    column that is not loaded is not an error, but the width of every row
+    is checked before a bad cell is reported.  Bytes that are not UTF-8,
+    and a NUL byte anywhere, are errors.
+
+    The body is read in blocks of lines, each once: numpy finds a block's
+    delimiters, which give every line's width, and copies out only the
+    loaded cells, so the cost follows the file's bytes plus the cells
+    loaded, not the cells the file has.
     """
+    is_ascii = data.isascii()
+    if not is_ascii:
+        data.decode("utf-8")  # UnicodeDecodeError names the first bad byte
     if not delimiter:
         raise IngestError("the delimiter must be non-empty")
     # numpy's strip drops trailing NULs, which Python's int() would reject
-    if "\0" in text:
+    if b"\0" in data:
         raise IngestError("survey file contains a NUL character")
-    lines = [ln for ln in text.splitlines() if ln.strip() or delimiter in ln]
-    if not lines:
+    buf = np.frombuffer(data, dtype=np.uint8)
+    line_starts, line_ends = _line_bounds(data, buf, is_ascii)
+    for first, (a, b) in enumerate(zip(line_starts.tolist(), line_ends.tolist())):
+        line = data[a:b].decode()
+        if line.strip() or delimiter in line:
+            break
+    else:
         raise IngestError("empty survey file")
-    header = tuple(h.strip() for h in lines[0].split(delimiter))
+    header = tuple(h.strip() for h in line.split(delimiter))
     present = set(header)
     if len(present) != len(header):
         dup = next(name for i, name in enumerate(header) if name in header[:i])
@@ -368,37 +457,64 @@ def load_survey(text: str, delimiter: str = "\t",
         if name not in present:
             raise IngestError("column absent from the data", column=name)
     wanted = set(requested)
-    index = [j for j, name in enumerate(header) if name in wanted]
+    index = np.array([j for j, name in enumerate(header) if name in wanted],
+                     dtype=np.intp)
     names = tuple(header[j] for j in index)
-    # itemgetter returns a bare cell, not a tuple, for a single index
-    pick = (operator.itemgetter(*index) if len(index) > 1
-            else lambda cells: tuple(cells[j] for j in index))
 
-    body = lines[1:]
     n_cols = len(header)
-    for i, line in enumerate(body, start=1):
-        width = line.count(delimiter) + 1
-        if width != n_cols:
-            raise IngestError(f"expected {n_cols} cells, found {width}", row=i)
-
-    values = np.zeros((len(body), len(names)), dtype=np.int64)
-    missing = np.zeros((len(body), len(names)), dtype=bool)
-    # split in blocks of rows, so no more than one block's cells are held
-    for start in range(0, len(body), _BLOCK_ROWS):
-        block = [pick(line.split(delimiter))
-                 for line in body[start:start + _BLOCK_ROWS]]
-        rows = slice(start, start + len(block))
-        for j, column in enumerate(zip(*block)):
-            cells = np.strings.strip(np.array(column, dtype=StringDType()))
-            blank = cells == ""
-            missing[rows, j] = blank
-            cells[blank] = "0"
-            try:
-                values[rows, j] = cells.astype(np.int64)
-            except (ValueError, OverflowError):
-                _raise_first_bad_cell(block, names, first_row=start + 1)
-                raise
-    return SurveyTable(names=names, values=values, missing=missing, header=header)
+    pattern = delimiter.encode()
+    # a delimiter holding a line break is in no line
+    splits = delimiter.splitlines() == [delimiter]
+    line_starts, line_ends = line_starts[first + 1:], line_ends[first + 1:]
+    values = np.zeros((len(line_starts), len(names)), dtype=np.int64)
+    missing = np.zeros((len(line_starts), len(names)), dtype=bool)
+    n_rows = 0
+    bad = None
+    for block in range(0, len(line_starts), _BLOCK_LINES):
+        # offsets from here on are into this block's bytes
+        base = line_starts[block]
+        starts = line_starts[block:block + _BLOCK_LINES] - base
+        ends = line_ends[block:block + _BLOCK_LINES] - base
+        chunk = buf[base:base + ends[-1]]
+        at = _find(chunk, pattern) if splits else np.empty(0, dtype=np.intp)
+        # no delimiter sits in a line break, so each line's are the ones
+        # before its end and after the previous line's end
+        counts = np.diff(np.searchsorted(at, ends), prepend=0)
+        kept = counts > 0
+        for i in np.flatnonzero(~kept & (ends > starts)).tolist():
+            kept[i] = bool(chunk[starts[i]:ends[i]].tobytes().decode().strip())
+        ragged = np.flatnonzero(kept & (counts != n_cols - 1))
+        if len(ragged):
+            i = ragged[0]
+            raise IngestError(f"expected {n_cols} cells, found {counts[i] + 1}",
+                              row=n_rows + int(np.count_nonzero(kept[:i])) + 1)
+        starts, ends = starts[kept], ends[kept]
+        rows = slice(n_rows, n_rows + len(starts))
+        n_rows = rows.stop
+        if bad is not None:
+            continue
+        # a row's cell j runs from its delimiter j - 1 to its delimiter j,
+        # with a delimiter taken to sit just before the line and at its end
+        edges = np.empty((len(starts), n_cols + 1), dtype=np.intp)
+        edges[:, 0] = starts - len(pattern)
+        edges[:, 1:-1] = at.reshape(len(starts), n_cols - 1)
+        edges[:, -1] = ends
+        cell_starts, cell_ends = edges[:, index] + len(pattern), edges[:, index + 1]
+        cells = np.strings.strip(_cells(chunk, cell_starts, cell_ends))
+        blank = cells == ""
+        missing[rows] = blank
+        cells[blank] = "0"
+        try:
+            values[rows] = cells.astype(np.int64)
+        except (ValueError, OverflowError) as exc:
+            # reported once every row's width has been checked
+            bad = exc, _decoded(chunk, cell_starts, cell_ends), rows.start + 1
+    if bad is not None:
+        exc, cells, first_row = bad
+        _raise_first_bad_cell(cells, names, first_row)
+        raise exc
+    return SurveyTable(names=names, values=values[:n_rows],
+                       missing=missing[:n_rows], header=header)
 
 
 def apply_mappings(table: SurveyTable, specs: list[ColumnSpec]) -> SurveyTable:

@@ -293,7 +293,7 @@ def test_ingest_gate_planted_coefficients():
     lines = ["Y\tX1\tX2\tX3"]
     for row in zip(y, x1, x2, x3):
         lines.append("\t".join(str(int(v)) for v in row))
-    table = load_survey("\n".join(lines) + "\n")
+    table = load_survey(("\n".join(lines) + "\n").encode())
     mapped = apply_mappings(table, [ColumnSpec("X3", "CAT", ())])
     study = StudySpec(dependent="Y", independent="X1",
                       stages=(("A", ("X2", "X3")),))

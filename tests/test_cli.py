@@ -478,7 +478,8 @@ class TestIngest:
                      study=None):
         data, maps, spec = (tmp_path / "d.tsv", tmp_path / "m.txt",
                             tmp_path / "s.json")
-        data.write_text(data_text)
+        data.write_bytes(data_text if isinstance(data_text, bytes)
+                         else data_text.encode())
         maps.write_text(mappings)
         spec.write_text(study if study is not None else json.dumps(
             {"dependent": "Y", "independent": "X", "stages": {"A": ["C"]}}))
@@ -538,6 +539,34 @@ class TestIngest:
         assert capsys.readouterr().err == (
             "error: mapping spec names a column absent from the data "
             "(column NOPE)\n")
+
+    def test_crlf_survey_gives_the_lf_output_body(self, tmp_path):
+        outputs = []
+        for end in ("\n", "\r\n"):
+            argv = self._small_study(tmp_path, self._rows().replace("\n", end))
+            assert run(argv + ["--out", str(tmp_path / "o.csv")]) == 0
+            outputs.append((tmp_path / "o.csv").read_text())
+        assert outputs[0] == outputs[1]
+        assert "error" in outputs[0] and ",," in outputs[0]
+
+    def test_survey_not_utf8_exits_2_naming_the_byte(self, tmp_path, capsys):
+        argv = self._small_study(tmp_path, b"Y\tX\tC\n1\t\xff\t3\n")
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: 'utf-8' codec can't decode byte 0xff in position 8: "
+            "invalid start byte\n")
+
+    def test_byte_order_mark_stays_in_the_first_name(self, tmp_path, capsys):
+        argv = self._small_study(tmp_path, b"\xef\xbb\xbf" + self._rows().encode())
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: column absent from the data (column Y)\n")
+
+    def test_nul_byte_exits_2(self, tmp_path, capsys):
+        argv = self._small_study(tmp_path, self._rows(extra="1\x00"))
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: survey file contains a NUL character\n")
 
     def test_empty_delimiter_exits_2(self, tmp_path, capsys):
         argv = self._small_study(tmp_path, self._rows())

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from confoundsim import ingest
 from confoundsim.glm import DesignMatrix, fit_logistic
 from confoundsim.ingest import (CAT, ORD, ColumnSpec, IngestError,
                                 MappingParseError, MappingRule, StudySpec,
@@ -17,12 +20,95 @@ from conftest import log_odds_ratio
 MARGINAL_LOG_OR_P075 = 1.0216512475319814
 
 
-def survey_text(names, columns):
+def survey_bytes(names, columns):
     lines = ["\t".join(names)]
     data = np.column_stack(columns)
     for row in data:
         lines.append("\t".join(str(int(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n").encode()
+
+
+# every line end str.splitlines knows but \x1d, \x1e and \u2029, and CRLF
+LINE_ENDS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x85", "\u2028"]
+# "||" overlaps itself, so a run of empty cells tests matching without overlap
+DELIMITERS = ["\t", ",", ";", " ", "||", "\xa6"]
+BAD_CELLS = ["x", "1.5", "--1", "0x1f", str(2**63), str(-(2**63) - 1)]
+
+
+@st.composite
+def survey_files(draw):
+    """Survey text with mixed line ends, blank and whitespace-only lines,
+    sometimes a bad cell or a ragged row; its delimiter; columns to load."""
+    delimiter = draw(st.sampled_from(DELIMITERS))
+    n_cols = draw(st.integers(1, 5))
+    n_rows = draw(st.integers(0, 12))
+    pad = st.text(alphabet=" \xa0\u3000".replace(delimiter, ""), max_size=2)
+    number = st.builds(
+        lambda v, fmt: fmt.format(v), st.integers(-(2**63), 2**63 - 1),
+        st.sampled_from(["{}", "{:+d}", "{:_d}"]))
+    cell = st.builds(lambda a, v, b: a + v + b, pad,
+                     st.one_of(st.just(""), number), pad)
+    names = [f"C{j}" for j in range(n_cols)]
+    rows = [[draw(cell) for _ in names] for _ in range(n_rows)]
+    if rows and draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, n_cols - 1))] = draw(st.sampled_from(BAD_CELLS))
+    if rows and draw(st.integers(0, 3)) == 0:
+        draw(st.sampled_from(rows)).append("7")
+    lines = [delimiter.join(r) for r in [names, *rows]]
+    blank = st.text(alphabet=" \t\xa0\u3000".replace(delimiter, ""), max_size=3)
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(blank))
+    ends = st.sampled_from(LINE_ENDS)
+    text = "".join(line + draw(ends) for line in lines[:-1])
+    text += lines[-1] + draw(st.one_of(ends, st.just("")))
+    columns = draw(st.lists(st.sampled_from(names), unique=True))
+    return text, delimiter, columns
+
+
+def reference_load(text, delimiter, columns=None):
+    """load_survey's rules on text in plain Python: splitlines, split,
+    strip and int.  Returns the header, the loaded names and the rows, a
+    missing cell as None, or the IngestError message."""
+    lines = [ln for ln in text.splitlines() if ln.strip() or delimiter in ln]
+    if not lines:
+        return str(IngestError("empty survey file"))
+    header = tuple(h.strip() for h in lines[0].split(delimiter))
+    keep = [j for j, name in enumerate(header)
+            if columns is None or name in columns]
+    rows = [ln.split(delimiter) for ln in lines[1:]]
+    for i, cells in enumerate(rows, start=1):
+        if len(cells) != len(header):
+            return str(IngestError(
+                f"expected {len(header)} cells, found {len(cells)}", row=i))
+    values = []
+    for i, cells in enumerate(rows, start=1):
+        values.append([])
+        for j in keep:
+            cell = cells[j].strip()
+            try:
+                value = int(cell) if cell else None
+            except ValueError:
+                return str(IngestError(f"non-integer cell {cell!r}", row=i,
+                                       column=header[j]))
+            if value is not None and not -(2**63) <= value < 2**63:
+                return str(IngestError(
+                    f"cell {cell!r} is outside the 64-bit integer range",
+                    row=i, column=header[j]))
+            values[-1].append(value)
+    return header, tuple(header[j] for j in keep), values
+
+
+def load_outcome(data, delimiter, columns=None):
+    """load_survey's table in reference_load's form, or its error message."""
+    try:
+        table = load_survey(data, delimiter=delimiter, columns=columns)
+    except IngestError as exc:
+        return str(exc)
+    assert not table.values[table.missing].any()
+    rows = [[None if m else v for v, m in zip(vr, mr)]
+            for vr, mr in zip(table.values.tolist(), table.missing.tolist())]
+    return table.header, table.names, rows
 
 
 class TestRuleParsing:
@@ -126,18 +212,18 @@ class TestApplyMappings:
 
     def test_cat_relabeled_to_consecutive_codes(self):
         # merged categories end up as consecutive codes starting at 0
-        table = load_survey(survey_text(["NEWRACE2"], [np.array([1, 2, 3, 4, 5, 6, 7])]))
+        table = load_survey(survey_bytes(["NEWRACE2"], [np.array([1, 2, 3, 4, 5, 6, 7])]))
         spec = ColumnSpec("NEWRACE2", CAT, parse_mapping_rule("3-4:3, 5:4, 6:5, 7:6"))
         mapped = apply_mappings(table, [spec])
         assert mapped.column("NEWRACE2").tolist() == [0, 1, 2, 2, 3, 4, 5]
 
     def test_missing_spec_column_rejected(self):
-        table = load_survey(survey_text(["A"], [np.array([1, 2])]))
+        table = load_survey(survey_bytes(["A"], [np.array([1, 2])]))
         with pytest.raises(IngestError, match="column B"):
             apply_mappings(table, [ColumnSpec("B", ORD, ())])
 
     def test_spec_for_a_column_not_loaded_is_skipped(self):
-        table = load_survey("A\tB\n1\t2\n3\t4\n", columns=["A"])
+        table = load_survey(b"A\tB\n1\t2\n3\t4\n", columns=["A"])
         mapped = apply_mappings(table, [ColumnSpec("A", ORD, parse_mapping_rule("3:0")),
                                         ColumnSpec("B", CAT, ())])
         assert mapped.names == ("A",)
@@ -149,56 +235,56 @@ class TestApplyMappings:
 
 class TestLoadSurvey:
     def test_missing_cells_tracked(self):
-        table = load_survey("A\tB\n1\t\n\t2\n3\t4\n")
+        table = load_survey(b"A\tB\n1\t\n\t2\n3\t4\n")
         assert table.values[2].tolist() == [3, 4]
         assert table.missing.tolist() == [[False, True], [True, False],
                                           [False, False]]
 
     def test_non_integer_cell_reports_position(self):
         with pytest.raises(IngestError, match=r"row 2.*column B"):
-            load_survey("A\tB\n1\t2\n3\tx\n")
+            load_survey(b"A\tB\n1\t2\n3\tx\n")
 
     def test_all_blank_row_is_a_row_and_empty_lines_are_not(self):
-        table = load_survey("A\tB\n\n1\t2\n\t\n \n3\t4\n\n")
+        table = load_survey(b"A\tB\n\n1\t2\n\t\n \n3\t4\n\n")
         assert table.values.tolist() == [[1, 2], [0, 0], [3, 4]]
         assert table.missing.tolist() == [[False, False], [True, True],
                                           [False, False]]
         with pytest.raises(IngestError, match=r"'x' \(row 3, column B\)"):
-            load_survey("A\tB\n1\t2\n\t\n3\tx\n")
+            load_survey(b"A\tB\n1\t2\n\t\n3\tx\n")
 
     def test_repeated_header_name_is_named(self):
         with pytest.raises(IngestError, match=r"duplicate column name in header "
                                               r"\(column A\)"):
-            load_survey("A\tB\tA\n1\t2\t3\n")
+            load_survey(b"A\tB\tA\n1\t2\t3\n")
 
     def test_ragged_row_rejected(self):
         with pytest.raises(IngestError, match="row 1"):
-            load_survey("A\tB\n1\n")
+            load_survey(b"A\tB\n1\n")
 
     def test_custom_delimiter(self):
-        table = load_survey("A,B\n1,2\n", delimiter=",")
+        table = load_survey(b"A,B\n1,2\n", delimiter=",")
         assert table.values.tolist() == [[1, 2]]
 
     def test_only_requested_columns_are_loaded_in_header_order(self):
-        table = load_survey("A\tB\tC\n1\t2\t3\n\t5\t6\n", columns=["C", "A", "C"])
+        table = load_survey(b"A\tB\tC\n1\t2\t3\n\t5\t6\n", columns=["C", "A", "C"])
         assert table.names == ("A", "C")
         assert table.header == ("A", "B", "C")
         assert table.values.tolist() == [[1, 3], [0, 6]]
         assert table.missing.tolist() == [[False, False], [True, False]]
 
     def test_no_requested_columns_keeps_the_rows(self):
-        table = load_survey("A\tB\n1\t2\n3\t4\n", columns=[])
+        table = load_survey(b"A\tB\n1\t2\n3\t4\n", columns=[])
         assert table.values.shape == (2, 0)
 
     def test_ragged_row_reported_whether_or_not_its_columns_are_loaded(self):
-        text = "A\tB\tC\n1\t2\t3\n4\t5\t6\n7\t8\n"
+        text = b"A\tB\tC\n1\t2\t3\n4\t5\t6\n7\t8\n"
         for columns in (None, ["A"], ["C"], []):
             with pytest.raises(IngestError, match=r"found 2 \(row 3\)"):
                 load_survey(text, columns=columns)
 
     def test_first_bad_cell_in_loaded_columns_reported_row_by_row(self):
         # row 3 holds a bad B; row 2 holds a bad C, which comes first
-        text = "A\tB\tC\n1\t2\t3\n4\t5\ty\n7\tx\t9\n"
+        text = b"A\tB\tC\n1\t2\t3\n4\t5\ty\n7\tx\t9\n"
         with pytest.raises(IngestError, match=r"'y' \(row 2, column C\)"):
             load_survey(text)
         with pytest.raises(IngestError, match=r"'x' \(row 3, column B\)"):
@@ -207,17 +293,17 @@ class TestLoadSurvey:
     def test_rows_past_the_first_block_land_in_place(self):
         rng = np.random.default_rng(8)
         cols = [rng.integers(-500, 500, 2000), rng.integers(0, 9, 2000)]
-        table = load_survey(survey_text(["A", "B"], cols), columns=["B"])
+        table = load_survey(survey_bytes(["A", "B"], cols), columns=["B"])
         assert table.values[:, 0].tolist() == cols[1].tolist()
 
     def test_bad_cell_past_the_first_block_keeps_its_row(self):
         lines = ["A\tB"] + [f"{i}\t{i}" for i in range(1, 1000)]
         lines[700] = "700\t7.5"
         with pytest.raises(IngestError, match=r"'7.5' \(row 700, column B\)"):
-            load_survey("\n".join(lines) + "\n")
+            load_survey(("\n".join(lines) + "\n").encode())
 
     def test_non_integer_cell_in_a_column_not_loaded_is_not_an_error(self):
-        table = load_survey("A\tB\n1\tx\n2\t3.5\n", columns=["A"])
+        table = load_survey(b"A\tB\n1\tx\n2\t3.5\n", columns=["A"])
         assert table.values.tolist() == [[1], [2]]
 
     def test_cell_outside_int64_reports_position(self):
@@ -225,57 +311,103 @@ class TestLoadSurvey:
         with pytest.raises(IngestError,
                            match=rf"'{big}' is outside the 64-bit integer range "
                                  r"\(row 2, column B\)"):
-            load_survey(f"A\tB\n1\t2\n3\t{big}\n")
+            load_survey(f"A\tB\n1\t2\n3\t{big}\n".encode())
 
     def test_int64_limits_parse(self):
         lo, hi = -(2**63), 2**63 - 1
-        table = load_survey(f"A\tB\n{lo}\t{hi}\n")
+        table = load_survey(f"A\tB\n{lo}\t{hi}\n".encode())
         assert table.values.tolist() == [[lo, hi]]
 
     def test_requested_column_absent_from_header(self):
         with pytest.raises(IngestError, match=r"absent from the data \(column Z\)"):
-            load_survey("A\tB\n1\t2\n", columns=["A", "Z"])
+            load_survey(b"A\tB\n1\t2\n", columns=["A", "Z"])
 
     def test_empty_delimiter_rejected(self):
         with pytest.raises(IngestError, match="delimiter"):
-            load_survey("A\tB\n1\t2\n", delimiter="")
+            load_survey(b"A\tB\n1\t2\n", delimiter="")
 
     def test_nul_character_rejected(self):
         with pytest.raises(IngestError, match="NUL"):
-            load_survey("A\tB\n1\t2\x00\n", columns=["A"])
+            load_survey(b"A\tB\n1\t2\x00\n", columns=["A"])
 
     @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_pruned_load_matches_full_load_and_per_cell_reference(self, data):
-        delimiter = data.draw(st.sampled_from(["\t", ",", ";"]))
-        n_cols = data.draw(st.integers(1, 5))
-        n_rows = data.draw(st.integers(0, 12))
-        pad = st.text(alphabet=" \xa0\u3000", max_size=2)
-        number = st.builds(
-            lambda v, fmt: fmt.format(v), st.integers(-(2**63), 2**63 - 1),
-            st.sampled_from(["{}", "{:+d}", "{:_d}"]))
-        cell = st.builds(lambda a, v, b: a + v + b, pad,
-                         st.one_of(st.just(""), number), pad)
-        names = [f"C{j}" for j in range(n_cols)]
-        rows = [[data.draw(cell) for _ in names] for _ in range(n_rows)]
-        text = "\n".join(delimiter.join(r) for r in [names, *rows]) + "\n"
-        columns = data.draw(st.lists(st.sampled_from(names), unique=True))
+    @given(survey_files())
+    def test_pruned_load_matches_full_load_and_per_cell_reference(self, case):
+        text, delimiter, columns = case
+        data = text.encode()
+        pruned = load_outcome(data, delimiter, columns)
+        full = load_outcome(data, delimiter)
+        assert pruned == reference_load(text, delimiter, columns)
+        assert full == reference_load(text, delimiter)
+        if not isinstance(pruned, str) and not isinstance(full, str):
+            keep = [j for j, name in enumerate(full[1]) if name in columns]
+            assert pruned[1] == tuple(full[1][j] for j in keep)
+            assert pruned[2] == [[row[j] for j in keep] for row in full[2]]
 
-        pruned = load_survey(text, delimiter=delimiter, columns=columns)
-        full = load_survey(text, delimiter=delimiter)
-        keep = [j for j, name in enumerate(names) if name in columns]
-        assert pruned.names == tuple(names[j] for j in keep)
-        assert pruned.header == full.header == tuple(names)
-        assert np.array_equal(pruned.values, full.values[:, keep])
-        assert np.array_equal(pruned.missing, full.missing[:, keep])
+    @settings(max_examples=100, deadline=None)
+    @given(survey_files())
+    def test_block_size_changes_nothing(self, case):
+        text, delimiter, columns = case
+        data = text.encode()
+        n = len(text.splitlines())
+        outcomes = []
+        # a block size of n - 1, n or n + 5 lines puts the whole body in one
+        # block; gathering cells of at most 0 bytes decodes every cell alone
+        for block_lines, gather_bytes in ((1, 64), (3, 64), (max(n - 1, 1), 64),
+                                          (n, 64), (n + 5, 64), (3, 0)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ingest, "_BLOCK_LINES", block_lines)
+                mp.setattr(ingest, "_GATHER_BYTES", gather_bytes)
+                outcomes.append(load_outcome(data, delimiter, columns))
+        assert outcomes == [reference_load(text, delimiter, columns)] * len(outcomes)
 
-        # per-cell reference: a line is skipped only when it is whitespace
-        # with no delimiter; Python's strip and int
-        kept_rows = [r for r in rows
-                     if (line := delimiter.join(r)).strip() or delimiter in line]
-        ref = [[c.strip() for c in (r[j] for j in keep)] for r in kept_rows]
-        assert pruned.values.tolist() == [[int(c) if c else 0 for c in r] for r in ref]
-        assert pruned.missing.tolist() == [[not c for c in r] for r in ref]
+    @pytest.mark.parametrize("body", [
+        ["1\t2", "", "3\t4", " \xa0", "5\t6", "", "", "7\t8", "\t", "9\t10"],
+        ["1\t2", "", "3\t4", " \xa0", "5\tx", "", "", "7\t8", "\t", "9\t10"],
+        ["1\t2", "", "3\t4", " \xa0", "5\tx", "", "", "7\t8", "\t", "9\t10\t"],
+        ["", "1\t2", "\u3000", "3", "4\t5", " "],
+    ])
+    def test_blank_lines_at_every_block_edge(self, body):
+        text = "\n".join(["A\tB", *body]) + "\n"
+        expected = reference_load(text, "\t")
+        for block_lines in range(1, len(body) + 6):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ingest, "_BLOCK_LINES", block_lines)
+                assert load_outcome(text.encode(), "\t") == expected
+
+    def test_wide_cells_are_decoded_one_by_one(self):
+        text = ("A\tB\n" + " " * 100 + "5\t" + "\u3000" * 40 + "-7\n"
+                "1\t" + "\xa0" * 50 + "\n")
+        assert load_outcome(text.encode(), "\t") == (
+            ("A", "B"), ("A", "B"), [[5, -7], [1, None]])
+        bad = text.replace("-7", "7x")
+        assert load_outcome(bad.encode(), "\t") == reference_load(bad, "\t")
+        # copied out at its width, one 64 kB cell would cost every cell
+        # of its block 64 kB
+        data = ("A\tB\n" + "1\t2\n" * 100 + " " * 2**16 + "3\t4\n").encode()
+        tracemalloc.start()
+        try:
+            assert load_survey(data).values[-1].tolist() == [3, 4]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("delimiter", ["\n", "\r\n", ";\r", "\u2028"])
+    def test_delimiter_holding_a_line_break_is_in_no_line(self, delimiter):
+        for text in ("A\r\n1\n \n2\n", "A;B\r1;2\r\n", "A\n\n"):
+            assert (load_outcome(text.encode(), delimiter)
+                    == reference_load(text, delimiter))
+
+    def test_line_breaks_are_those_of_splitlines(self):
+        breaks = {c.encode() for c in map(chr, range(0x110000))
+                  if len(f"a{c}b".splitlines()) == 2}
+        assert set(ingest._LINE_BREAKS) == breaks
+        assert set(ingest._ASCII_BREAKS) == {b for b in breaks if b.isascii()}
+
+    def test_bytes_not_utf8_rejected_at_the_first_bad_byte(self):
+        with pytest.raises(UnicodeDecodeError, match="position 8: invalid start"):
+            load_survey(b"Y\tX\tC\n1\t\xff\t3\n")
 
 
 class TestStudySpec:
@@ -339,9 +471,24 @@ class TestStudySpec:
                              ' "stages": {"A": ["C1"]}}')
 
     def test_json_unit_change_not_a_number_rejected(self):
-        with pytest.raises(ValueError, match="unit_change must be a number"):
+        for value in ('[52]', 'true', 'false', '"52.18"', '"abc"', 'null',
+                      '{"per": 52}'):
+            with pytest.raises(ValueError, match="^unit_change must be a number$"):
+                parse_study_json('{"dependent": "Y", "independent": "X",'
+                                 f' "unit_change": {value}, "stages": {{"A": ["C1"]}}}}')
+
+    @pytest.mark.parametrize("value, expected", [('52', 52.0), ('52.18', 52.18),
+                                                 ('1e-3', 1e-3)])
+    def test_json_unit_change_number_accepted(self, value, expected):
+        spec = parse_study_json('{"dependent": "Y", "independent": "X",'
+                                f' "unit_change": {value}, "stages": {{"A": ["C1"]}}}}')
+        assert spec.unit_change == expected
+
+    @pytest.mark.parametrize("value", ['0', '-1.5', '1e400', '1' + '0' * 400])
+    def test_json_unit_change_not_positive_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="unit_change must be a positive finite"):
             parse_study_json('{"dependent": "Y", "independent": "X",'
-                             ' "unit_change": [52], "stages": {"A": ["C1"]}}')
+                             f' "unit_change": {value}, "stages": {{"A": ["C1"]}}}}')
 
     def test_columns_lists_every_column_the_study_reads(self):
         assert self._spec().columns() == ("Y", "X", "C1", "C2", "C3")
@@ -354,7 +501,7 @@ def _metamodel_survey(p=0.75, k=2, n=40_000, seed=101, beta_prime=0.0):
                     causal_increment=beta_prime), k + 1)
     names = [f"R{j}" for j in range(k + 1)] + ["QBIN"]
     cols = [m.responses[:, j] for j in range(k + 1)] + [(m.latent + 1) // 2]
-    return load_survey(survey_text(names, cols)), m
+    return load_survey(survey_bytes(names, cols)), m
 
 
 class TestBuildDesign:
@@ -370,8 +517,8 @@ class TestBuildDesign:
         assert widths == [2, 3, 5]
 
     def test_table_with_no_mappings_applied_is_all_ordinal(self):
-        table = load_survey("Y\tX\tC\n" + "".join(
-            f"{i % 2}\t{i % 5}\t{1 + i % 3}\n" for i in range(40)))
+        table = load_survey(("Y\tX\tC\n" + "".join(
+            f"{i % 2}\t{i % 5}\t{1 + i % 3}\n" for i in range(40))).encode())
         study = StudySpec(dependent="Y", independent="X", stages=(("A", ("C",)),))
         y, design, info = build_design(table, study, "A")
         assert design.names == ("intercept", "X", "C")
@@ -385,14 +532,14 @@ class TestBuildDesign:
         y = rng.integers(0, 2, n)
         x = rng.integers(0, 5, n)
         c = rng.integers(1, 4, n)  # three categories, not 0-based
-        table = load_survey(survey_text(["Y", "X", "C"], [y, x, c]))
+        table = load_survey(survey_bytes(["Y", "X", "C"], [y, x, c]))
         mapped = apply_mappings(table, [ColumnSpec("C", CAT, ())])
         study = StudySpec(dependent="Y", independent="X", stages=(("A", ("C",)),))
         _, design, info = build_design(mapped, study, "A")
         assert design.names == ("intercept", "X", "C=1", "C=2")
 
     def test_non_binary_dependent_rejected(self):
-        table = load_survey(survey_text(["Y", "X"], [np.array([0, 1, 2]),
+        table = load_survey(survey_bytes(["Y", "X"], [np.array([0, 1, 2]),
                                                      np.array([1, 2, 3])]))
         mapped = apply_mappings(table, [])
         study = StudySpec(dependent="Y", independent="X", stages=(("A", ()),))
@@ -400,7 +547,7 @@ class TestBuildDesign:
             build_design(mapped, study, "A")
 
     def test_rows_missing_dependent_dropped_and_counted(self):
-        text = "Y\tX\n1\t3\n\t4\n0\t5\n0\t\n"
+        text = b"Y\tX\n1\t3\n\t4\n0\t5\n0\t\n"
         mapped = apply_mappings(load_survey(text), [])
         study = StudySpec(dependent="Y", independent="X", stages=(("A", ()),))
         y, design, info = build_design(mapped, study, "A")
@@ -409,14 +556,14 @@ class TestBuildDesign:
         assert y.tolist() == [1.0, 0.0]
 
     def test_all_blank_respondent_dropped_and_counted(self):
-        text = "Y\tX\n1\t3\n\t\n0\t5\n"
+        text = b"Y\tX\n1\t3\n\t\n0\t5\n"
         mapped = apply_mappings(load_survey(text), [])
         study = StudySpec(dependent="Y", independent="X", stages=(("A", ()),))
         _, _, info = build_design(mapped, study, "A")
         assert (info.n_used, info.n_dropped) == (2, 1)
 
     def test_cat_dependent_rejected(self):
-        table = load_survey(survey_text(["Y", "X"], [np.array([0, 1]),
+        table = load_survey(survey_bytes(["Y", "X"], [np.array([0, 1]),
                                                      np.array([1, 2])]))
         mapped = apply_mappings(table, [ColumnSpec("Y", CAT, ())])
         study = StudySpec(dependent="Y", independent="X", stages=(("A", ()),))
@@ -432,7 +579,7 @@ class TestStagedAnalysis:
         x = rng.integers(0, 10, n)
         c1 = rng.integers(0, 2, n)
         c2 = rng.integers(0, 4, n)
-        table = load_survey(survey_text(["Y", "X", "C1", "C2"], [y, x, c1, c2]))
+        table = load_survey(survey_bytes(["Y", "X", "C1", "C2"], [y, x, c1, c2]))
         study = StudySpec(dependent="Y", independent="X",
                           stages=(("A", ("C1",)), ("B", ("C2",))))
         results = staged_analysis(apply_mappings(table, []), study)
@@ -474,7 +621,7 @@ class TestStagedAnalysis:
         eta = (truth["intercept"] + truth["X1"] * x1 + truth["X2"] * x2
                + truth["X3=1"] * (x3 == 1) + truth["X3=2"] * (x3 == 2))
         y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(int)
-        table = load_survey(survey_text(["Y", "X1", "X2", "X3"], [y, x1, x2, x3]))
+        table = load_survey(survey_bytes(["Y", "X1", "X2", "X3"], [y, x1, x2, x3]))
         mapped = apply_mappings(table, [ColumnSpec("X3", CAT, ())])
         study = StudySpec(dependent="Y", independent="X1",
                           stages=(("A", ("X2",)), ("B", ("X3",))))
@@ -491,7 +638,7 @@ class TestStagedAnalysis:
         x = rng.integers(0, 4, n)
         good = rng.integers(0, 2, n)
         dead = np.zeros(n, dtype=int)  # degenerate all-zero confounder
-        table = load_survey(survey_text(["Y", "X", "G", "DEAD"],
+        table = load_survey(survey_bytes(["Y", "X", "G", "DEAD"],
                                         [y, x, good, dead]))
         study = StudySpec(dependent="Y", independent="X",
                           stages=(("A", ("G",)), ("B", ("DEAD",))))
@@ -502,7 +649,7 @@ class TestStagedAnalysis:
     def test_all_zero_confounder_is_named_in_the_stage_error(self):
         rng = np.random.default_rng(6)
         n = 300
-        table = load_survey(survey_text(
+        table = load_survey(survey_bytes(
             ["Y", "X", "DEAD"],
             [rng.integers(0, 2, n), rng.integers(0, 4, n), np.zeros(n, dtype=int)]))
         study = StudySpec(dependent="Y", independent="X", stages=(("A", ("DEAD",)),))
