@@ -52,7 +52,7 @@ __all__ = [
 # bits in a nonnegative int64 row code
 _CODE_BITS = 63
 
-# replication x cell weights fitted in one batched call, at most
+# replication x regressor-pattern trials fitted in one batched call, at most
 _FIT_BLOCK_WEIGHTS = 4096
 
 # (bits, p_plus, p_minus) of every response pattern; see _cell_table
@@ -94,22 +94,27 @@ def _check_formula_args(p: float, k: int) -> None:
 
 
 def _pattern_table(responses: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct rows of a 0/1 response table as (y, regressors, counts).
+    """Distinct regressor rows of a 0/1 response table as (regressors, successes, trials).
 
-    The regressors are binary, so these counts carry the whole likelihood of
-    a fit of column 0 on the other columns: at most min(N, 2^(k+1)) rows
-    stand in for N.  Each row is encoded as an int64 bit code and the N
-    codes are sorted, so time and memory grow with N, not with 2^(k+1).  A
-    row too wide for one code stands for itself with count 1.
+    Column 0 is the dependent one.  The regressors are binary, so each
+    distinct row with its count and its sum of y carries the whole
+    likelihood of a fit of column 0 on the other columns: at most
+    min(N, 2^k) rows stand in for N.  Each row is encoded as an int64 bit
+    code and the N codes are sorted, so time and memory grow with N, not
+    with 2^k.  A row too wide for one code stands for itself, one trial.
     """
     n, width = responses.shape
     if width > _CODE_BITS:
         rows = responses.astype(np.float64)
-        return rows[:, 0], rows[:, 1:], np.ones(n)
-    codes, counts = np.unique(responses @ (1 << np.arange(width)), return_counts=True)
-    # bit j of a code is the 0/1 value of response column j
-    bits = ((codes[:, None] >> np.arange(width)) & 1).astype(np.float64)
-    return bits[:, 0], bits[:, 1:], counts.astype(np.float64)
+        return rows[:, 1:], rows[:, 0], np.ones(n)
+    # bit j of a code is the 0/1 value of response column j, so y is bit 0
+    # and the rows of one regressor pattern are neighbours once sorted
+    codes = np.sort(responses @ (1 << np.arange(width)))
+    patterns = codes >> 1
+    starts = np.flatnonzero(np.diff(patterns, prepend=-1))
+    bits = ((patterns[starts, None] >> np.arange(width - 1)) & 1).astype(np.float64)
+    successes = np.add.reduceat(codes & 1, starts)
+    return bits, successes.astype(np.float64), np.diff(starts, append=n).astype(np.float64)
 
 
 def population_limit(p: float, k: int) -> float:
@@ -121,29 +126,30 @@ def population_limit(p: float, k: int) -> float:
     the regressors are exchangeable, so the unique solution gives every
     regressor the same coefficient beta, and the fit sees a response only
     through y and s, the number of regressors equal to 1.  beta is therefore
-    the no-intercept fit of y on s over the 2(k+1) cells (y, s), cell (y, s)
-    weighted by C(k, s) [p^(y+s) (1-p)^(k+1-y-s) + the same with p and 1 - p
-    swapped], scaled so the mean cell weight is 1 (beta does not depend on
-    the scale).  This is the mean coefficient run_ensemble reports with no
-    causal increment.  Deterministic, independent of N, and linear in k.
+    the no-intercept fit of y on s over the k + 1 values of s: cell (y, s)
+    is weighted by C(k, s) [p^(y+s) (1-p)^(k+1-y-s) + the same with p and
+    1 - p swapped], scaled so the mean cell weight is 1 (beta does not
+    depend on the scale), and s has its y = 1 weight as successes out of
+    its two weights as trials.  This is the mean coefficient run_ensemble
+    reports with no causal increment.  Deterministic, independent of N,
+    and linear in k.
     """
     if not 0.5 < p < 1.0:
         raise ValueError(f"p must be in (0.5, 1), got {p}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    s = np.tile(np.arange(k + 1, dtype=np.float64), 2)
-    y = np.repeat([0.0, 1.0], k + 1)
+    s = np.arange(k + 1, dtype=np.float64)
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, k + 1)))))
-    log_choose = np.tile(log_fact[k] - log_fact - log_fact[::-1], 2)
+    log_choose = log_fact[k] - log_fact - log_fact[::-1]
     # each column, the dependent one included, agrees with the latent trait
     # with probability p; weights are kept in logs until scaled, so none
-    # under- or overflows at large k
-    ones, log_p, log_q = y + s, math.log(p), math.log1p(-p)
+    # under- or overflows at large k.  Row y of the weights is cell (y, s).
+    ones, log_p, log_q = s + np.array([[0.0], [1.0]]), math.log(p), math.log1p(-p)
     log_weight = log_choose + np.logaddexp(
         ones * log_p + (k + 1 - ones) * log_q, ones * log_q + (k + 1 - ones) * log_p)
     weights = np.exp(log_weight - log_weight.max())
     weights *= weights.size / weights.sum()
-    fit = fit_logistic(y, s[:, None], weights=weights)
+    fit = fit_logistic(weights[1], s[:, None], trials=weights.sum(axis=0))
     if not fit.converged:
         raise NotConvergedError(f"population limit did not converge at p={p}, k={k}")
     return float(fit.coefficients[0])
@@ -187,7 +193,8 @@ def _cell_table(params: ModelParams) -> _CellTable | None:
     """Every 0/1 pattern of the k + 1 columns and its probability given Q.
 
     Returns (bits, p_plus, p_minus): bits[c, j] is column j's value in cell c,
-    ordered as the row codes of _pattern_table, and p_plus / p_minus are the
+    bit j of c, so y is bit 0 and cells 2i and 2i + 1 are regressor pattern
+    i's cells of y = 0 and y = 1, and p_plus / p_minus are the
     cell's probabilities given latent trait +1 / -1 under the model
     draw_population samples: every regressor is 1 with probability p_Q, the
     dependent column with inverse_logit(logit(p_Q) + causal_increment * x1).
@@ -225,9 +232,9 @@ def _fit_one_replication(params: ModelParams, rep_index: int) -> ReplicationDige
     """Draw replication rep_index's N rows, count their patterns and fit them."""
     rep_params = replace(params, seed=derive_seed(params.seed, rep_index))
     population = draw_population(rep_params, params.k + 1)
-    y, regressors, counts = _pattern_table(population.responses)
+    regressors, successes, trials = _pattern_table(population.responses)
     try:
-        fit = fit_logistic(y, regressors, weights=counts)
+        fit = fit_logistic(successes, regressors, trials=trials)
     except SingularDesignError as exc:
         fit = exc
     return _digest(params, rep_index, fit)
@@ -237,20 +244,22 @@ def _fit_cell_counts(params: ModelParams, replications: int,
                      cells: _CellTable) -> list[ReplicationDigest]:
     """Draw and fit every replication's pattern counts on the one cell table.
 
-    The replications share the table's design, so a block of them is one
-    batched fit of their stacked counts; each block is drawn just before it
-    is fitted, which bounds the fit's (block, cells, k) temporaries.
+    A replication's cell counts pair up into successes out of trials for
+    each of the 2^k regressor patterns.  The replications share the
+    patterns' design, so a block of them is one batched fit of their
+    stacked tables; each block is drawn just before it is fitted, which
+    bounds the fit's (block, patterns, k) temporaries.
     """
-    bits = cells[0]
-    block = max(1, _FIT_BLOCK_WEIGHTS // len(bits))
+    patterns = cells[0][0::2, 1:]
+    block = max(1, _FIT_BLOCK_WEIGHTS // len(patterns))
     digests = []
     for start in range(0, replications, block):
         indices = range(start, min(start + block, replications))
         counts = np.array([_draw_cell_counts(params, i, cells) for i in indices],
-                          dtype=np.float64)
+                          dtype=np.float64).reshape(len(indices), len(patterns), 2)
         # the survey regressions this models fit raw response columns with no
         # constant term; the scaling laws above describe exactly those fits
-        fits = fit_logistic(bits[:, 0], bits[:, 1:], weights=counts)
+        fits = fit_logistic(counts[:, :, 1], patterns, trials=counts.sum(axis=2))
         digests += [_digest(params, i, fit) for i, fit in zip(indices, fits)]
     return digests
 

@@ -1,13 +1,14 @@
 """Binary logistic regression by iteratively reweighted least squares.
 
-Self-contained maximum-likelihood engine: Newton-Raphson on the Bernoulli
-log-likelihood, optionally frequency-weighted, with step-halving, standard
-errors from the inverse observed information, and deterministic separation
-diagnostics.  One Newton loop fits a single weighting of a design or a
-stack of them: the ensemble fits a block of replications, which share one
-table of response patterns and differ only in its counts, as one batch.
-Also houses the small link-function helpers and the relative-risk
-conversion used by the reporting layers.
+Self-contained maximum-likelihood engine: Newton-Raphson on the binomial
+log-likelihood of successes out of trials per design row (0/1 outcomes are
+the case of one trial per row), with step-halving, standard errors from the
+inverse observed information, and deterministic separation diagnostics.
+One Newton loop fits a single table on a design or a stack of them: the
+ensemble fits a block of replications, which share one design of regressor
+patterns and differ only in their counts, as one batch.  Also houses the
+small link-function helpers and the relative-risk conversion used by the
+reporting layers.
 """
 
 from __future__ import annotations
@@ -158,17 +159,17 @@ def _weighted_gram(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.matmul(x.T, w[:, :, None] * x)
 
 
-def _log_likelihood(fy: np.ndarray, eta: np.ndarray, f: np.ndarray,
+def _log_likelihood(s: np.ndarray, eta: np.ndarray, t: np.ndarray,
                     n_terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, sum f * (y*eta - log(1 + exp(eta))) with fy = f * y, and its rounding.
+    """Per row, sum s*eta - t*log(1 + exp(eta)) over the table, and its rounding.
 
     The rounding bound is n * eps times the sum of the magnitudes added, the
-    worst case for a sum of n terms, n being the row's nonzero weights; the
-    value is stable via logaddexp.
+    worst case for a sum of n terms, n being the row's occurring (y, x)
+    cells; the value is stable via logaddexp.
     """
-    softplus = (f * np.logaddexp(0.0, eta)).sum(axis=1)
-    rounding = n_terms * np.finfo(np.float64).eps * (_row_dot(fy, np.abs(eta)) + softplus)
-    return _row_dot(fy, eta) - softplus, rounding
+    softplus = (t * np.logaddexp(0.0, eta)).sum(axis=1)
+    rounding = n_terms * np.finfo(np.float64).eps * (_row_dot(s, np.abs(eta)) + softplus)
+    return _row_dot(s, eta) - softplus, rounding
 
 
 def _each_matrix(op, *stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,26 +193,28 @@ def _each_matrix(op, *stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fit_logistic(y, X, tol: float = 1e-8, max_iter: int = 100,
-                 weights=None) -> FitResult | list[FitResult | ValueError]:
-    """Maximum-likelihood logistic fit of binary y on the given design.
+                 trials=None) -> FitResult | list[FitResult | ValueError]:
+    """Maximum-likelihood logistic fit of y on the given design.
 
     X may be a DesignMatrix or a plain 2-D array (taken as-is, no intercept
-    added).  `weights`, when given, are frequency weights: row i stands for
-    weights[i] identical observations, so a table of the distinct (y, x)
-    rows with their counts gives the fit of the rows it counts.  Rows of
-    weight zero are ignored; the observation count is the sum of the
-    weights.  Converges when the largest absolute coefficient update drops
-    below tol.  Separated fits are flagged, not raised; a rank-deficient
-    design raises SingularDesignError.  max_iter must be at least 1 and
-    tol a positive finite number.
+    added).  Without `trials`, y holds one 0/1 outcome per design row.  With
+    `trials`, row i stands for trials[i] observations that share the design
+    row, y[i] of them successes (0 <= y[i] <= trials[i], both finite, not
+    necessarily whole): the aggregated binomial fit, so the distinct
+    regressor rows of a data set with their (successes, trials) give the
+    fit of the rows they count.  Rows of zero trials add zeros to every
+    sum; the observation count is the sum of the trials.  Converges when the largest
+    absolute coefficient update drops below tol.  Separated fits are
+    flagged, not raised; a rank-deficient design raises SingularDesignError.
+    max_iter must be at least 1 and tol a positive finite number.
 
-    Weights of shape (R, n) fit R weightings of the one design together and
-    return a list of R entries: row r's FitResult, or the ValueError (a
-    SingularDesignError when the weights leave the design rank deficient)
-    that a call with weights[r] alone would raise.  Each row keeps its own
-    step-halving, convergence and separation test; zero weights stay in
-    the sums as zeros, which can move a result's last digits from the call
-    with weights[r] alone, and a row's bits do not depend on the others.
+    Trials of shape (R, n), with y of the same shape, fit R tables on the
+    one design together and return a list of R entries: table r's
+    FitResult, or the ValueError (a SingularDesignError when its trials
+    leave the design rank deficient) that a call with y[r] and trials[r]
+    alone would raise, with the same bits.  Each table keeps its own
+    step-halving, convergence and separation test, and its bits do not
+    depend on the others.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -220,65 +223,73 @@ def fit_logistic(y, X, tol: float = 1e-8, max_iter: int = 100,
     design = X if isinstance(X, DesignMatrix) else DesignMatrix(
         np.asarray(X, dtype=np.float64))
     x = design.values
-    yv = np.ascontiguousarray(np.asarray(y, dtype=np.float64).reshape(-1))
     n = x.shape[0]
-    if yv.shape[0] != n:
-        raise ValueError(f"y has {yv.shape[0]} rows, design has {n}")
-    if not np.isin(yv, (0.0, 1.0)).all():
-        raise ValueError("y entries must be 0 or 1")
-    # every term is multiplied by its weight before the usual reduction; a
-    # unit weight changes no bits, so unweighted fits are the weights=1 case
-    if weights is None:
-        f = np.ones(n)
+    s = np.ascontiguousarray(np.asarray(y, dtype=np.float64))
+    if trials is None:
+        # one trial per row: the successes are y, and 1.0 * mu, 1.0 * y and
+        # a term per row change no bits of the sums
+        s = s.reshape(-1)
+        if s.shape[0] != n:
+            raise ValueError(f"y has {s.shape[0]} rows, design has {n}")
+        if not np.isin(s, (0.0, 1.0)).all():
+            raise ValueError("y entries must be 0 or 1")
+        t = np.ones(n)
     else:
-        f = np.ascontiguousarray(np.asarray(weights, dtype=np.float64))
-        if not (f.ndim in (1, 2) and f.shape[-1] == n and f.size):
-            raise ValueError(f"weights must have shape ({n},) or (R, {n}) with "
-                             f"R >= 1, got {f.shape}")
-        if not (np.isfinite(f).all() and (f >= 0.0).all()):
-            raise ValueError("weights must be finite and nonnegative")
-    if f.ndim == 2:
-        return _irls(x, yv, f, tol, max_iter, design.names)
-    if not f.all():
-        occurs = f > 0.0
-        x, yv, f = x[occurs], yv[occurs], f[occurs]
-    fit = _irls(x, yv, f[None], tol, max_iter, design.names)[0]
+        t = np.ascontiguousarray(np.asarray(trials, dtype=np.float64))
+        if not (t.ndim in (1, 2) and t.shape[-1] == n and t.size):
+            raise ValueError(f"trials must have shape ({n},) or (R, {n}) with "
+                             f"R >= 1, got {t.shape}")
+        if s.shape != t.shape:
+            raise ValueError(f"y must have the shape of trials, {t.shape}, got {s.shape}")
+        if not (np.isfinite(s).all() and np.isfinite(t).all()):
+            raise ValueError("y and trials must be finite")
+        if not ((s >= 0.0) & (s <= t)).all():
+            raise ValueError("y must satisfy 0 <= y <= trials")
+        if t.ndim == 2:
+            return _irls(x, s, t, tol, max_iter, design.names)
+    fit = _irls(x, s[None], t[None], tol, max_iter, design.names)[0]
     if isinstance(fit, ValueError):
         raise fit
     return fit
 
 
-def _irls(x: np.ndarray, y: np.ndarray, f: np.ndarray, tol: float, max_iter: int,
+def _irls(x: np.ndarray, s: np.ndarray, t: np.ndarray, tol: float, max_iter: int,
           names: tuple[str, ...]) -> list[FitResult | ValueError]:
-    """Newton-Raphson for every row of the (R, n) weight stack f at once.
+    """Newton-Raphson for every row of the (R, n) successes s out of trials t.
 
     Each iteration makes one stacked gradient, Hessian and solve for the
     rows still iterating; a row leaves the stack when it converges, is
     separated or fails.
     """
-    n_rows, m = f.shape[0], x.shape[1]
+    n_rows, m = t.shape[0], x.shape[1]
     fits: list[FitResult | ValueError | None] = [None] * n_rows
-    occurs = f > 0.0
-    n_obs = f.sum(axis=1)
+    n_obs = t.sum(axis=1)
     for r in np.flatnonzero(n_obs <= m):
         fits[r] = ValueError(
             f"need more observations ({n_obs[r]:g}) than regressors ({m})")
     live = np.flatnonzero(n_obs > m)
     # rank-revealing check on the Gram matrices; cheap (m x m) and it keeps
     # silently pseudo-inverted collinear confounders out of the results
-    eigvals = np.linalg.eigvalsh(_weighted_gram(x, f[live]))
+    gram = _weighted_gram(x, t[live])
+    eigvals = np.linalg.eigvalsh(gram)
     deficient = eigvals[:, 0] <= eigvals[:, -1] * m * np.finfo(np.float64).eps
     for r in live[deficient]:
         fits[r] = SingularDesignError("design matrix is rank deficient")
     live = live[~deficient]
+    # at beta = 0 every mu is 0.5 exactly, so the first Hessian's weights are
+    # t * 0.25 and the Hessian is the Gram matrix times 0.25.  Scaling by a
+    # power of two is exact, so these are the bits of weighting by t * 0.25
+    # unless a term t x_i x_j or a partial sum of the Gram falls under four
+    # times the smallest normal double, about 9e-308
+    first_hess = 0.25 * gram[~deficient]
 
-    fy = f * y
-    n_terms = occurs.sum(axis=1)
-    ones, zeros = occurs & (y == 1.0), occurs & (y == 0.0)
+    # the occurring cells of y = 1 and of y = 0, and their count
+    ones, zeros = s > 0.0, t - s > 0.0
+    n_terms = ones.sum(axis=1) + zeros.sum(axis=1)
     beta = np.zeros((n_rows, m))
-    eta = np.zeros(f.shape)
+    eta = np.zeros(t.shape)
     mu = inverse_logit(eta)
-    ll, rounding = _log_likelihood(fy, eta, f, n_terms)
+    ll, rounding = _log_likelihood(s, eta, t, n_terms)
     converged = np.zeros(n_rows, dtype=bool)
     separated = np.zeros(n_rows, dtype=bool)
     iterations = np.zeros(n_rows, dtype=int)
@@ -290,8 +301,9 @@ def _irls(x: np.ndarray, y: np.ndarray, f: np.ndarray, tol: float, max_iter: int
         rows = slice(None) if live.size == n_rows else live
         iterations[rows] = iteration
         fitted = mu[rows]
-        grad = np.matmul(x.T, (f[rows] * (y - fitted))[:, :, None])[:, :, 0]
-        hess = _weighted_gram(x, f[rows] * (fitted * (1.0 - fitted)))
+        grad = np.matmul(x.T, (s[rows] - t[rows] * fitted)[:, :, None])[:, :, 0]
+        hess = (first_hess if iteration == 1
+                else _weighted_gram(x, t[rows] * (fitted * (1.0 - fitted))))
         delta, singular = _each_matrix(np.linalg.solve, hess, grad[:, :, None])
         if singular.any():
             for r in live[singular]:
@@ -308,7 +320,7 @@ def _irls(x: np.ndarray, y: np.ndarray, f: np.ndarray, tol: float, max_iter: int
         step = np.ones(live.size)
         cand = old + delta
         eta_cand = np.matmul(x, cand[:, :, None])[:, :, 0]
-        ll_cand, rounding_cand = _log_likelihood(fy[rows], eta_cand, f[rows], n_terms[rows])
+        ll_cand, rounding_cand = _log_likelihood(s[rows], eta_cand, t[rows], n_terms[rows])
         short = np.flatnonzero(~(ll_cand >= ll[rows] - rounding[rows]))
         while short.size:
             step[short] *= 0.5
@@ -316,7 +328,7 @@ def _irls(x: np.ndarray, y: np.ndarray, f: np.ndarray, tol: float, max_iter: int
             cand[short] = old[short] + step[short, None] * delta[short]
             eta_cand[short] = np.matmul(x, cand[short][:, :, None])[:, :, 0]
             ll_cand[short], rounding_cand[short] = _log_likelihood(
-                fy[at], eta_cand[short], f[at], n_terms[at])
+                s[at], eta_cand[short], t[at], n_terms[at])
             short = short[~((ll_cand[short] >= ll[at] - rounding[at])
                             | (step[short] <= 2.0**-30))]
 
@@ -332,7 +344,7 @@ def _irls(x: np.ndarray, y: np.ndarray, f: np.ndarray, tol: float, max_iter: int
 
     usable = np.flatnonzero([fit is None for fit in fits])
     covariance, failed = _each_matrix(
-        np.linalg.inv, _weighted_gram(x, f[usable] * (mu[usable] * (1.0 - mu[usable]))))
+        np.linalg.inv, _weighted_gram(x, t[usable] * (mu[usable] * (1.0 - mu[usable]))))
     std_errors = np.sqrt(np.clip(np.diagonal(covariance, axis1=1, axis2=2), 0.0, None))
     std_errors[failed] = np.inf
     for r, se in zip(usable, std_errors):
@@ -351,7 +363,7 @@ def _irls(x: np.ndarray, y: np.ndarray, f: np.ndarray, tol: float, max_iter: int
 def _probabilities_pinned(mu: np.ndarray, ones: np.ndarray, zeros: np.ndarray) -> np.ndarray:
     # complete separation, per row: with both classes occurring, every
     # occurring cell's fitted probability mu pinned to its own class; ones
-    # and zeros mark each row's occurring cells of y = 1 and y = 0
+    # and zeros mark the design rows with successes and with failures
     return (ones.any(axis=1) & zeros.any(axis=1)
             & ((mu > 1.0 - _PIN_EPS) | ~ones).all(axis=1)
             & ((mu < _PIN_EPS) | ~zeros).all(axis=1))
@@ -387,7 +399,7 @@ def one_hot(values, reference: int) -> tuple[np.ndarray, list[int]]:
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError("one_hot expects a 1-D vector")
-    cats = np.unique(arr)
+    cats = _sorted_distinct(arr)
     if cats.size < 2:
         raise ValueError("one_hot needs at least 2 distinct categories")
     if reference not in cats:
@@ -395,3 +407,13 @@ def one_hot(values, reference: int) -> tuple[np.ndarray, list[int]]:
     kept = [int(c) for c in cats if c != reference]
     cols = np.column_stack([(arr == c).astype(np.float64) for c in kept])
     return cols, kept
+
+
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array in ascending order.
+
+    A sort and a neighbour comparison: np.unique would import numpy.ma on
+    its first call, a cost every fresh process would pay.
+    """
+    ordered = np.sort(values)
+    return np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))

@@ -539,7 +539,11 @@ def apply_mappings(table: SurveyTable, specs: list[ColumnSpec]) -> SurveyTable:
         if spec.kind == CAT:
             # relabel to consecutive codes from 0 in value order
             present = ~table.missing[:, j]
-            col[present] = np.searchsorted(np.unique(col[present]), col[present])
+            # the distinct values by a sort and a neighbour comparison:
+            # np.unique would import numpy.ma on its first call in a process
+            ordered = np.sort(col[present])
+            distinct = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
+            col[present] = np.searchsorted(distinct, col[present])
         values[:, j] = col
     return replace(table, values=values, kinds=kinds)
 
@@ -621,7 +625,8 @@ def staged_analysis(table: SurveyTable, study: StudySpec,
     example 52.18 turns a days-per-year coefficient into the effect of one
     additional day per week) and converted to a relative risk at the
     dependent column's observed prevalence.  Failures in one stage do not
-    stop later stages.
+    stop later stages; a stage that fails after its design was built keeps
+    its row counts.
     """
     scale = study.unit_change if unit_change is None else unit_change
     if not (math.isfinite(scale) and scale > 0):
@@ -630,6 +635,7 @@ def staged_analysis(table: SurveyTable, study: StudySpec,
     nan = math.nan
     for stage_name, _ in study.stages:
         confounders = study.cumulative_confounders(stage_name)
+        info = BuildInfo(n_used=0, n_dropped=0)
         try:
             y, design, info = build_design(table, study, stage_name)
             fit = fit_logistic(y, design)
@@ -656,8 +662,8 @@ def staged_analysis(table: SurveyTable, study: StudySpec,
         except (IngestError, ValueError, OverflowError,
                 np.linalg.LinAlgError) as exc:
             results.append(StageResult(
-                stage=stage_name, n_confounders=len(confounders), n_used=0,
-                n_dropped=0, beta1=nan, sigma1=nan, relative_risk=nan,
+                stage=stage_name, n_confounders=len(confounders), n_used=info.n_used,
+                n_dropped=info.n_dropped, beta1=nan, sigma1=nan, relative_risk=nan,
                 ci_low=nan, ci_high=nan, baseline_prevalence=nan,
                 error=str(exc)))
     return results

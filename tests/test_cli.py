@@ -3,7 +3,10 @@ import importlib
 import io
 import json
 import math
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -593,3 +596,33 @@ class TestExitCodes:
                     "--seed", "1",
                     "--out", str(tmp_path / "no_dir" / "x.csv")]) == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestFreshProcess:
+    def test_no_command_imports_numpy_ma(self, tmp_path):
+        # np.unique imports numpy.ma on its first call, ~12 ms that every
+        # command, a process of its own, would pay; none of them needs it
+        data_file, study_file = synthetic_nsduh(tmp_path, n=300)
+        pop_csv = tmp_path / "pop.csv"
+        assert run(["simulate", "--p", "0.7", "--k", "3", "--n", "400",
+                    "--seed", "2", "--out", str(pop_csv)]) == 0
+        commands = [
+            ["ingest", "--data", str(data_file), "--mappings",
+             str(DATA_DIR / "nsduh2023_mappings.txt"), "--study", str(study_file)],
+            ["fit", str(pop_csv), "--dependent", "R0", "--regressors", "R1,R2,R3"],
+            # k = 9 at N = 30 draws and counts rows: the row path
+            ["scan", "--r-list", "0.1", "--n-list", "8", "--N", "30", "--reps", "3",
+             "--seed", "4"],
+        ]
+        script = ("import sys\n"
+                  "from confoundsim.cli import main\n"
+                  "assert main(sys.argv[1:]) == 0\n"
+                  "print('numpy.ma' in sys.modules, file=sys.stderr)\n")
+        package_root = str(Path(confoundsim.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (package_root, os.environ.get("PYTHONPATH")) if p)}
+        for argv in commands:
+            proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr.splitlines()[-1] == "False", argv[0]

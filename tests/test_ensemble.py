@@ -117,6 +117,25 @@ class TestRunEnsemble:
                 assert digest.beta1 == pytest.approx(raw.coefficients.mean(),
                                                      rel=0.0, abs=1e-8)
 
+    def test_row_path_table_holds_each_regressor_rows_successes_and_trials(self):
+        rng = np.random.default_rng(3)
+        for k, n in ((3, 50), (6, 40), (70, 5)):
+            responses = rng.integers(0, 2, (n, k + 1)).astype(np.int8)
+            x, successes, trials = ensemble._pattern_table(responses)
+            # brute force: every distinct regressor row, y summed over its rows
+            table = {}
+            for row in responses.tolist():
+                s, t = table.get(tuple(row[1:]), (0, 0))
+                table[tuple(row[1:])] = (s + row[0], t + 1)
+            got = {tuple(int(v) for v in row): (s, t)
+                   for row, s, t in zip(x, successes, trials)}
+            if k < 63:
+                assert got == table and len(x) == len(table)
+            else:
+                # too wide for one code: each row stands for itself
+                assert len(x) == n and (trials == 1).all()
+                assert (successes == responses[:, 0]).all()
+
     def test_single_replication_has_infinite_mc_error(self):
         summary = run_ensemble(params(seed=5, n=500), 1)
         assert summary.mc_error_beta1 == math.inf
@@ -151,12 +170,13 @@ class TestCellTable:
         assert minus.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_expected_table_fits_to_the_population_limit(self):
-        # no Monte Carlo: the expected table, weights P+ + P- scaled to a mean
+        # no Monte Carlo: the expected table, counts P+ + P- scaled to a mean
         # of 1 over the 2^(k+1) cells, gives every coefficient the limit
         for p in (0.55, 0.6, 0.7, 0.8, 0.9):
             for k in range(1, 10):
                 bits, plus, minus = ensemble._cell_table(params(p=p, k=k, n=2**(k + 1)))
-                fit = fit_logistic(bits[:, 0], bits[:, 1:], weights=(plus + minus) * 2**k)
+                counts = (plus + minus) * 2**k
+                fit = fit_logistic(bits[:, 0] * counts, bits[:, 1:], trials=counts)
                 assert fit.converged and not fit.separation_detected
                 assert np.allclose(fit.coefficients, population_limit(p, k),
                                    rtol=0.0, atol=1e-8), (p, k)
@@ -175,15 +195,17 @@ class TestCellTable:
 
 
 def _one_dimensional_loop(params, replications):
-    """(excluded, usable betas) of a loop of 1-D fits on the occurring cells."""
+    """(excluded, usable betas) of a loop of 1-D fits on the occurring patterns."""
     cells = ensemble._cell_table(params)
     betas = []
     for i in range(replications):
         counts = ensemble._draw_cell_counts(params, i, cells)
-        occurs = counts > 0
-        bits = cells[0][occurs]
+        # y is bit 0 of a cell's code: cells 2i and 2i + 1 share pattern i
+        trials = counts[0::2] + counts[1::2]
+        occurs = trials > 0
         try:
-            fit = fit_logistic(bits[:, 0], bits[:, 1:], weights=counts[occurs])
+            fit = fit_logistic(counts[1::2][occurs], cells[0][0::2, 1:][occurs],
+                               trials=trials[occurs])
         except SingularDesignError:
             continue
         if fit.converged and not fit.separation_detected:
@@ -200,11 +222,11 @@ class TestBatchedReplications:
     def test_block_size_changes_no_bits(self, p, k, extra_n, reps, seed, increment):
         base = params(p=p, k=k, n=2 ** (k + 1) + extra_n, seed=seed,
                       beta_prime=increment)
-        cells = 2 ** (k + 1)
+        patterns = 2 ** k
         outcomes = []
         for block_rows in (1, 3, reps, reps + 5):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(ensemble, "_FIT_BLOCK_WEIGHTS", block_rows * cells)
+                mp.setattr(ensemble, "_FIT_BLOCK_WEIGHTS", block_rows * patterns)
                 try:
                     outcomes.append(run_ensemble(base, reps))
                 except EnsembleError as exc:
@@ -219,19 +241,19 @@ class TestBatchedReplications:
                                                            rel=0.0, abs=1e-12)
 
     def test_block_weight_bound(self):
-        # at k = 9 a block holds 4 replications of 1,024 cells
+        # at k = 9 a block holds 8 replications of 512 regressor patterns
         base = params(p=0.6, k=9, n=5000, seed=8)
         seen = []
         real = ensemble.fit_logistic
 
         def spy(y, x, **kwargs):
-            seen.append(kwargs["weights"].shape)
+            seen.append((y.shape, x.shape, kwargs["trials"].shape))
             return real(y, x, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ensemble, "fit_logistic", spy)
             run_ensemble(base, 10)
-        assert seen == [(4, 1024), (4, 1024), (2, 1024)]
+        assert seen == [((8, 512), (512, 9), (8, 512)), ((2, 512), (512, 9), (2, 512))]
 
 
 class TestScanGrid:

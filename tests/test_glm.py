@@ -152,6 +152,37 @@ class TestFitLogistic:
         newton_step = np.linalg.solve(hess, x.T @ (y - mu))
         assert np.max(np.abs(newton_step)) < 1e-12
 
+    def test_first_iterate_is_the_newton_step_from_zero(self):
+        # the first Hessian is taken from the rank check's Gram matrix
+        rng = np.random.default_rng(13)
+        x = np.column_stack([np.ones(300), rng.normal(size=(300, 3))])
+        y = (rng.random(300) < inverse_logit(x @ [0.2, 0.1, -0.1, 0.05])).astype(float)
+        trials = rng.integers(1, 9, 300).astype(float)
+        for s, t in ((y, None), (y * trials, trials)):
+            w = np.ones(300) if t is None else t
+            step = np.linalg.solve(x.T @ ((0.25 * w)[:, None] * x), x.T @ (s - 0.5 * w))
+            first = fit_logistic(s, x, max_iter=1, trials=t)
+            assert np.allclose(first.coefficients, step, rtol=1e-12, atol=0.0)
+
+    def test_first_step_has_the_bits_of_the_quarter_weighted_gram(self):
+        # at beta = 0 every mu is exactly 0.5; the first Newton step solves
+        # the Gram matrix weighted by t * 0.25, bit for bit, unweighted and
+        # weighted, one table or five, at scales far from underflow
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            n, m, rows = rng.integers(20, 80), rng.integers(1, 6), rng.integers(1, 6)
+            x = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=(n, m))
+            t = rng.integers(1, 50, (rows, n)).astype(float)
+            s = rng.binomial(t.astype(int), 0.5).astype(float)
+            for succ, tri in ((s[0] >= t[0] / 2, None), (s, t)):
+                succ = succ.astype(float)
+                trials = np.ones((1, n)) if tri is None else tri
+                grad = np.matmul(x.T, (succ.reshape(trials.shape) - trials * 0.5)[:, :, None])
+                step = np.linalg.solve(glm._weighted_gram(x, trials * 0.25), grad)[:, :, 0]
+                fits = fit_logistic(succ, x, max_iter=1, trials=tri)
+                for fit, want in zip(fits if tri is not None else [fits], step):
+                    assert np.array_equal(fit.coefficients, want)
+
     def test_log_likelihood_non_decreasing_over_iterations(self):
         rng = np.random.default_rng(7)
         n = 300
@@ -201,13 +232,32 @@ class TestFitLogistic:
             fit_logistic(y, np.ones((5, 1)), **setting)
 
 
-def _pattern_counts(y, x):
+def _cell_counts(y, x):
     """Distinct (y, x) rows of 0/1 arrays and how often each occurs."""
     codes = np.column_stack([y, x]).astype(np.int64) @ (1 << np.arange(x.shape[1] + 1))
     counts = np.bincount(codes)
     cells = np.flatnonzero(counts)
     bits = ((cells[:, None] >> np.arange(x.shape[1] + 1)) & 1).astype(float)
     return bits[:, 0], bits[:, 1:], counts[cells].astype(float)
+
+
+def _pattern_counts(y, x):
+    """Distinct rows of 0/1 regressors x with their (successes, trials) of y."""
+    codes = x.astype(np.int64) @ (1 << np.arange(x.shape[1]))
+    trials = np.bincount(codes)
+    patterns = np.flatnonzero(trials)
+    bits = ((patterns[:, None] >> np.arange(x.shape[1])) & 1).astype(float)
+    successes = np.bincount(codes, weights=y)[patterns]
+    return bits, successes, trials[patterns].astype(float)
+
+
+def _cell_expansion(x, successes, trials):
+    """A table's (y, x) cells, the y = 1 cells first, as successes out of
+    trials: every cell's successes are its trials or none."""
+    failures = trials - successes
+    return (np.concatenate([x, x]),
+            np.concatenate([successes, np.zeros_like(failures)], axis=-1),
+            np.concatenate([successes, failures], axis=-1))
 
 
 def _newton_polish(beta, y, x):
@@ -229,53 +279,75 @@ def _newton_polish(beta, y, x):
 _STOPPING_RESOLUTION = 1e-8
 
 
+def _raw_rows(n, k, p, seed):
+    """n rows of k + 1 binary columns that agree with a latent coin w.p. p."""
+    rng = np.random.default_rng(seed)
+    latent = rng.integers(0, 2, n)
+    agree = np.where(latent == 1, p, 1.0 - p)[:, None]
+    rows = (rng.random((n, k + 1)) < agree).astype(float)
+    return rows[:, 0], rows[:, 1:]
+
+
+def _assert_table_fit_matches_raw_rows(y, x, ts, tx, tt):
+    """The fit of successes ts out of trials tt on tx against the raw rows'."""
+    try:
+        raw = fit_logistic(y, x)
+    except SingularDesignError:
+        with pytest.raises(SingularDesignError):
+            fit_logistic(ts, tx, trials=tt)
+        return
+    table = fit_logistic(ts, tx, trials=tt)
+    assert table.converged == raw.converged
+    assert table.separation_detected == raw.separation_detected
+    # the same Newton iterates, up to rounding, until the stopping rule
+    for i in (1, 2):
+        early_raw = fit_logistic(y, x, max_iter=i)
+        early_table = fit_logistic(ts, tx, max_iter=i, trials=tt)
+        assert np.allclose(early_table.coefficients, early_raw.coefficients,
+                           rtol=0.0, atol=1e-10)
+        assert np.allclose(early_table.std_errors, early_raw.std_errors,
+                           rtol=0.0, atol=1e-10)
+    if raw.converged:
+        assert np.allclose(table.coefficients, raw.coefficients,
+                           rtol=0.0, atol=_STOPPING_RESOLUTION)
+        assert np.allclose(table.std_errors, raw.std_errors,
+                           rtol=0.0, atol=_STOPPING_RESOLUTION)
+        assert table.log_likelihood == pytest.approx(raw.log_likelihood,
+                                                     rel=1e-12)
+        # both stop at the same optimum: 1e-8 once the last step is taken
+        for got, want in zip(_newton_polish(table.coefficients, y, x),
+                             _newton_polish(raw.coefficients, y, x)):
+            assert np.allclose(got, want, rtol=0.0, atol=1e-8)
+
+
 class TestFrequencyWeights:
+    """Successes out of trials per design row stand for the rows they count."""
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(20, 2000), st.integers(1, 9),
            st.floats(0.55, 0.95), st.integers(0, 2**32 - 1))
     def test_pattern_table_fit_matches_raw_rows(self, n, k, p, seed):
-        rng = np.random.default_rng(seed)
-        latent = rng.integers(0, 2, n)
-        agree = np.where(latent == 1, p, 1.0 - p)[:, None]
-        rows = (rng.random((n, k + 1)) < agree).astype(float)
-        y, x = rows[:, 0], rows[:, 1:]
-        ty, tx, counts = _pattern_counts(y, x)
-        try:
-            raw = fit_logistic(y, x)
-        except SingularDesignError:
-            with pytest.raises(SingularDesignError):
-                fit_logistic(ty, tx, weights=counts)
-            return
-        table = fit_logistic(ty, tx, weights=counts)
-        assert table.converged == raw.converged
-        assert table.separation_detected == raw.separation_detected
-        # the same Newton iterates, up to rounding, until the stopping rule
-        for i in (1, 2):
-            early_raw = fit_logistic(y, x, max_iter=i)
-            early_table = fit_logistic(ty, tx, max_iter=i, weights=counts)
-            assert np.allclose(early_table.coefficients, early_raw.coefficients,
-                               rtol=0.0, atol=1e-10)
-            assert np.allclose(early_table.std_errors, early_raw.std_errors,
-                               rtol=0.0, atol=1e-10)
-        if raw.converged:
-            assert np.allclose(table.coefficients, raw.coefficients,
-                               rtol=0.0, atol=_STOPPING_RESOLUTION)
-            assert np.allclose(table.std_errors, raw.std_errors,
-                               rtol=0.0, atol=_STOPPING_RESOLUTION)
-            assert table.log_likelihood == pytest.approx(raw.log_likelihood,
-                                                         rel=1e-12)
-            # both stop at the same optimum: 1e-8 once the last step is taken
-            for got, want in zip(_newton_polish(table.coefficients, y, x),
-                                 _newton_polish(raw.coefficients, y, x)):
-                assert np.allclose(got, want, rtol=0.0, atol=1e-8)
+        # frequency-weighted 0/1 rows: w rows of outcome y are y * w
+        # successes out of w trials
+        y, x = _raw_rows(n, k, p, seed)
+        cy, cx, counts = _cell_counts(y, x)
+        _assert_table_fit_matches_raw_rows(y, x, cy * counts, cx, counts)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(20, 2000), st.integers(1, 9),
+           st.floats(0.55, 0.95), st.integers(0, 2**32 - 1))
+    def test_distinct_regressor_rows_fit_matches_raw_rows(self, n, k, p, seed):
+        y, x = _raw_rows(n, k, p, seed)
+        tx, successes, trials = _pattern_counts(y, x)
+        _assert_table_fit_matches_raw_rows(y, x, successes, tx, trials)
 
     def test_separated_design_flagged_in_both(self):
         rng = np.random.default_rng(4)
         x = rng.integers(0, 2, size=(200, 2)).astype(float)
         y = x[:, 0].copy()
-        ty, tx, counts = _pattern_counts(y, x)
+        tx, successes, trials = _pattern_counts(y, x)
         raw = fit_logistic(y, x)
-        table = fit_logistic(ty, tx, weights=counts)
+        table = fit_logistic(successes, tx, trials=trials)
         assert raw.separation_detected and table.separation_detected
         assert not raw.converged and not table.converged
 
@@ -284,20 +356,21 @@ class TestFrequencyWeights:
         col = rng.integers(0, 2, size=100).astype(float)
         x = np.column_stack([col, col, rng.integers(0, 2, size=100)])
         y = rng.integers(0, 2, size=100).astype(float)
-        ty, tx, counts = _pattern_counts(y, x)
+        tx, successes, trials = _pattern_counts(y, x)
         with pytest.raises(SingularDesignError):
             fit_logistic(y, x)
         with pytest.raises(SingularDesignError):
-            fit_logistic(ty, tx, weights=counts)
+            fit_logistic(successes, tx, trials=trials)
 
     def test_unit_weights_give_identical_bits(self):
+        # one trial per row is the call without trials, bit for bit
         rng = np.random.default_rng(6)
         n = 300
         x = np.column_stack([np.ones(n), rng.normal(size=n),
                              rng.integers(0, 2, n)])
         y = (rng.random(n) < inverse_logit(x @ [-0.4, 0.9, 0.5])).astype(float)
         plain = fit_logistic(y, x)
-        unit = fit_logistic(y, x, weights=np.ones(n))
+        unit = fit_logistic(y, x, trials=np.ones(n))
         assert plain.coefficients.tobytes() == unit.coefficients.tobytes()
         assert plain.std_errors.tobytes() == unit.std_errors.tobytes()
         assert plain.log_likelihood == unit.log_likelihood
@@ -307,29 +380,58 @@ class TestFrequencyWeights:
         rng = np.random.default_rng(7)
         x = rng.integers(0, 2, size=(120, 2)).astype(float)
         y = rng.integers(0, 2, size=120).astype(float)
-        weights = np.ones(120)
-        weights[::3] = 0.0
-        kept = weights > 0
-        a = fit_logistic(y, x, weights=weights)
+        trials = np.ones(120)
+        trials[::3] = 0.0
+        kept = trials > 0
+        a = fit_logistic(y * trials, x, trials=trials)
         b = fit_logistic(y[kept], x[kept])
         assert np.allclose(a.coefficients, b.coefficients, rtol=0.0, atol=1e-12)
 
     def test_weight_validation(self):
         y = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
         x = np.array([[1.0], [1.0], [0.0], [1.0], [1.0]])
-        # a 2-D weight stack is a batch (TestBatchedWeights); its rows must
+        # a 2-D trials stack is a batch (TestBatchedWeights); its rows must
         # match the design, and there must be at least one
         for bad in ([1, 1, -1, 1, 1], [1, 1, np.nan, 1, 1], [1, 1, np.inf, 1, 1],
                     [1, 1, 1, 1], [[1, 1, 1, 1]], [[[1, 1, 1, 1, 1]]], 1.0,
                     np.ones((0, 5)), [[1, 1, 1, 1, 1], [1, 1, -1, 1, 1]]):
-            with pytest.raises(ValueError, match="weights"):
-                fit_logistic(y, x, weights=np.array(bad, dtype=float))
+            trials = np.array(bad, dtype=float)
+            successes = np.zeros(trials.shape)
+            with pytest.raises(ValueError, match="trials"):
+                fit_logistic(successes, x, trials=trials)
+        # y must have the shape of the trials
+        with pytest.raises(ValueError, match="shape of trials"):
+            fit_logistic(y, x, trials=np.ones((2, 5)))
+
+    @pytest.mark.parametrize("successes", [
+        [0, 1, 3, 0, 1],          # more successes than trials
+        [0, 1, -1, 0, 1],         # negative
+        [0, 1, -0.5, 0, 1],
+        [0, 1, 2.5, 0, 1],
+        [0, 1, np.nan, 0, 1],     # not finite
+        [0, 1, np.inf, 0, 1],
+        [0, 1, -np.inf, 0, 1],
+    ])
+    def test_successes_outside_zero_to_trials_rejected(self, successes):
+        x = np.array([[1.0], [1.0], [0.0], [1.0], [1.0]])
+        trials = np.array([1.0, 2.0, 2.0, 1.0, 3.0])
+        with pytest.raises(ValueError, match="0 <= y <= trials|finite"):
+            fit_logistic(np.array(successes, dtype=float), x, trials=trials)
+        with pytest.raises(ValueError, match="0 <= y <= trials|finite"):
+            fit_logistic(np.array([successes, [0.0] * 5]), x,
+                         trials=np.stack([trials, trials]))
+
+    def test_weights_keyword_is_gone(self):
+        y = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
+        x = np.array([[1.0], [1.0], [0.0], [1.0], [1.0]])
+        with pytest.raises(TypeError, match="weights"):
+            fit_logistic(y, x, weights=np.ones(5))
 
     def test_observation_count_is_the_weight_sum(self):
-        y = np.array([0.0, 1.0, 1.0, 0.0])
+        y = np.array([0.0, 0.5, 0.5, 0.0])
         x = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 1.0]])
         with pytest.raises(ValueError, match="more observations"):
-            fit_logistic(y, x, weights=np.full(4, 0.5))
+            fit_logistic(y, x, trials=np.full(4, 0.5))
 
 
 def _fit_bits(fit):
@@ -347,96 +449,140 @@ def _one_fit(y, x, **kwargs):
         return exc
 
 
-def _batch_case(data):
+def _batch_case(data, patterns=None):
     """A design (every 0/1 pattern, or an intercept and normal columns) and
-    an (R, n) stack of counts, a third of them zero."""
+    an (R, n) stack of successes out of trials, a third of the trials zero.
+
+    patterns=True or False picks the design instead of drawing the choice.
+    """
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     rng = np.random.default_rng(seed)
-    if data.draw(st.booleans(), label="pattern table"):
-        width = data.draw(st.integers(2, 6), label="k + 1")
-        cells = ((np.arange(2**width)[:, None] >> np.arange(width)) & 1).astype(float)
-        y, x = cells[:, 0], cells[:, 1:]
+    if data.draw(st.booleans(), label="pattern table") if patterns is None else patterns:
+        k = data.draw(st.integers(1, 5), label="k")
+        x = ((np.arange(2**k)[:, None] >> np.arange(k)) & 1).astype(float)
     else:
         n = data.draw(st.integers(4, 60), label="n")
         m = data.draw(st.integers(1, 4), label="m")
         x = np.column_stack([np.ones(n), rng.normal(size=(n, m - 1))])
-        y = rng.integers(0, 2, n).astype(float)
     rows = data.draw(st.integers(1, 7), label="R")
-    counts = rng.integers(1, data.draw(st.sampled_from([3, 40, 2000])), (rows, len(y)))
-    counts[rng.random(counts.shape) < 1 / 3] = 0
-    return y, x, counts.astype(float)
+    trials = rng.integers(1, data.draw(st.sampled_from([3, 40, 2000])), (rows, len(x)))
+    trials[rng.random(trials.shape) < 1 / 3] = 0
+    # a row's success probability is often 0 or 1, as in a table of 0/1 cells
+    prob = np.clip(rng.uniform(-0.5, 1.5, len(x)), 0.0, 1.0)
+    successes = rng.binomial(trials, prob)
+    return x, successes.astype(float), trials.astype(float)
+
+
+def _assert_same_outcome(got, want, rtol=1e-12, atol=1e-12):
+    """Equal errors, or equal flags and iterations and values within tolerance."""
+    if isinstance(want, ValueError):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert isinstance(got, FitResult)
+    assert (got.converged, got.separation_detected, got.iterations) == (
+        want.converged, want.separation_detected, want.iterations)
+    if want.separation_detected:
+        # the iterates of a separated fit run off toward infinity
+        # along a flat ridge, so their last digits are no estimate
+        return
+    for a, b in ((got.coefficients, want.coefficients),
+                 (got.std_errors, want.std_errors),
+                 (got.log_likelihood, want.log_likelihood)):
+        assert np.allclose(a, b, rtol=rtol, atol=atol)
+
+
+def _no_estimate(fit):
+    """Whether a fit stopped unconverged: separated, at max_iter or on
+    singular normal equations."""
+    if isinstance(fit, FitResult):
+        return not fit.converged
+    return str(fit) == "weighted normal equations are singular"
 
 
 class TestBatchedWeights:
-    """2-D weights fit every row of an (R, n) stack in one Newton loop."""
+    """2-D trials fit every table of an (R, n) stack in one Newton loop."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_single_row_stack_is_the_one_dimensional_call(self, data):
-        y, x, counts = _batch_case(data)
-        # the 1-D call drops zero weights, a stack keeps them: same bits
-        # once there are none
-        weights = counts[0] + 1.0
-        [stacked] = fit_logistic(y, x, weights=weights[None])
-        assert _fit_bits(stacked) == _fit_bits(_one_fit(y, x, weights=weights))
+        x, successes, trials = _batch_case(data)
+        # zero trials included, as the 1-D call keeps them too
+        [stacked] = fit_logistic(successes[:1], x, trials=trials[:1])
+        assert _fit_bits(stacked) == _fit_bits(
+            _one_fit(successes[0], x, trials=trials[0]))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_rows_do_not_depend_on_the_rest_of_the_batch(self, data):
-        y, x, counts = _batch_case(data)
-        whole = [_fit_bits(fit) for fit in fit_logistic(y, x, weights=counts)]
-        order = data.draw(st.permutations(range(len(counts))), label="order")
-        permuted = fit_logistic(y, x, weights=counts[order])
+        x, successes, trials = _batch_case(data)
+        whole = [_fit_bits(fit) for fit in fit_logistic(successes, x, trials=trials)]
+        order = data.draw(st.permutations(range(len(trials))), label="order")
+        permuted = fit_logistic(successes[order], x, trials=trials[order])
         assert [_fit_bits(fit) for fit in permuted] == [whole[i] for i in order]
-        cut = data.draw(st.integers(0, len(counts)), label="cut")
-        split = (fit_logistic(y, x, weights=counts[:cut]) if cut else []) + (
-            fit_logistic(y, x, weights=counts[cut:]) if cut < len(counts) else [])
+        cut = data.draw(st.integers(0, len(trials)), label="cut")
+        split = ((fit_logistic(successes[:cut], x, trials=trials[:cut]) if cut else [])
+                 + (fit_logistic(successes[cut:], x, trials=trials[cut:])
+                    if cut < len(trials) else []))
         assert [_fit_bits(fit) for fit in split] == whole
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_rows_match_one_dimensional_fits(self, data):
-        y, x, counts = _batch_case(data)
+        x, successes, trials = _batch_case(data)
         max_iter = data.draw(st.sampled_from([2, 100]), label="max_iter")
-        batch = fit_logistic(y, x, weights=counts, max_iter=max_iter)
-        assert len(batch) == len(counts)
-        for got, weights in zip(batch, counts):
-            want = _one_fit(y, x, weights=weights, max_iter=max_iter)
-            if isinstance(want, ValueError):
-                assert type(got) is type(want) and str(got) == str(want)
+        batch = fit_logistic(successes, x, trials=trials, max_iter=max_iter)
+        assert len(batch) == len(trials)
+        for got, s, t in zip(batch, successes, trials):
+            _assert_same_outcome(got, _one_fit(s, x, trials=t, max_iter=max_iter))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_table_matches_its_cell_expansion(self, data):
+        # a row of s successes out of t trials is the (y, x) cells it
+        # stands for: t - s rows of y = 0 and s of y = 1 on the same x.  On
+        # 0/1 patterns; a real-valued design as ill-conditioned as 4 rows
+        # by 4 columns can move the two forms' iterates 2e-12 apart
+        x, successes, trials = _batch_case(data, patterns=True)
+        max_iter = data.draw(st.sampled_from([2, 100]), label="max_iter")
+        cx, cs, ct = _cell_expansion(x, successes, trials)
+        batch = fit_logistic(successes, x, trials=trials, max_iter=max_iter)
+        cells = fit_logistic(cs, cx, trials=ct, max_iter=max_iter)
+        pairs = list(zip(batch, cells)) + [
+            (_one_fit(successes[0], x, trials=trials[0], max_iter=max_iter),
+             _one_fit(cs[0], cx, trials=ct[0], max_iter=max_iter))]
+        for got, want in pairs:
+            if max_iter == 100 and (_no_estimate(got) or _no_estimate(want)):
+                # a fit that runs off toward infinity stops when it sees a
+                # pinned probability, its Hessian becomes singular or it
+                # reaches max_iter; the two sums differ in their last
+                # digits, and along the ridge so can the iterates and the
+                # way the fit stops
+                assert _no_estimate(got) and _no_estimate(want)
                 continue
-            assert isinstance(got, FitResult)
-            assert (got.converged, got.separation_detected, got.iterations) == (
-                want.converged, want.separation_detected, want.iterations)
-            if want.separation_detected:
-                # the iterates of a separated fit run off toward infinity
-                # along a flat ridge, so their last digits are no estimate
-                continue
-            for a, b in ((got.coefficients, want.coefficients),
-                         (got.std_errors, want.std_errors),
-                         (got.log_likelihood, want.log_likelihood)):
-                assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
+            _assert_same_outcome(got, want)
 
     def test_mixed_batch_keeps_each_rows_outcome(self):
-        cells = ((np.arange(8)[:, None] >> np.arange(3)) & 1).astype(float)
-        y, x = cells[:, 0], cells[:, 1:]
-        balanced = np.full(8, 50.0)                       # optimum at 0
-        strong = np.where(y == x[:, 0], 1e6, 1.0)         # needs many steps
-        empty = np.where(x[:, 1] == 1, 0.0, 25.0)         # column 2 all zero
-        separated = np.where(y == x[:, 0], 20.0, 0.0)     # y = x1 exactly
-        too_few = np.array([1.0, 1.0, 0, 0, 0, 0, 0, 0])  # 2 obs, 2 columns
-        stack = np.stack([balanced, strong, empty, separated, too_few])
+        x = ((np.arange(4)[:, None] >> np.arange(2)) & 1).astype(float)
+        x0 = x[:, 0] == 1
+        balanced = (np.full(4, 25.0), np.full(4, 50.0))              # optimum at 0
+        strong = (np.where(x0, 1e6, 1.0), np.full(4, 1e6 + 1.0))      # needs many steps
+        empty = (np.where(x[:, 1] == 1, 0.0, 25.0),                  # column 2 all zero
+                 np.where(x[:, 1] == 1, 0.0, 50.0))
+        separated = (np.where(x0, 20.0, 0.0), np.full(4, 20.0))      # y = x1 exactly
+        too_few = (np.array([1.0, 0, 0, 0]), np.array([2.0, 0, 0, 0]))  # 2 obs, 2 columns
+        successes, trials = (np.stack(part) for part in zip(
+            balanced, strong, empty, separated, too_few))
         # the separated row is flagged at iteration 15; the strong one
         # would converge at iteration 18
-        fits = fit_logistic(y, x, weights=stack, max_iter=16)
+        fits = fit_logistic(successes, x, trials=trials, max_iter=16)
         assert fits[0].converged and fits[0].iterations == 1
         assert not fits[1].converged and not fits[1].separation_detected
         assert fits[1].iterations == 16
         assert isinstance(fits[2], SingularDesignError)
         assert fits[3].separation_detected and not fits[3].converged
         assert type(fits[4]) is ValueError and "more observations" in str(fits[4])
-        for got, weights in zip(fits, stack):
-            want = _one_fit(y, x, weights=weights, max_iter=16)
+        for got, s, t in zip(fits, successes, trials):
+            want = _one_fit(s, x, trials=t, max_iter=16)
             if isinstance(got, ValueError):
                 assert type(got) is type(want)
             else:
@@ -445,8 +591,7 @@ class TestBatchedWeights:
                 assert np.allclose(got.coefficients, want.coefficients,
                                    rtol=1e-12, atol=1e-12)
         with pytest.raises(SingularDesignError):
-            fit_logistic(y, x, weights=empty)
-
+            fit_logistic(*empty[:1], x, trials=empty[1])
 
     def test_a_singular_matrix_fails_only_its_own_row(self):
         rng = np.random.default_rng(11)

@@ -646,6 +646,30 @@ class TestStagedAnalysis:
         assert res_a.error is None
         assert res_b.error is not None
 
+    def test_failed_stage_keeps_its_row_counts(self):
+        rng = np.random.default_rng(8)
+        n = 400
+        y = rng.integers(0, 2, n)
+        columns = [y, rng.integers(0, 4, n), rng.integers(0, 3, n), y,
+                   np.zeros(n, dtype=int)]
+        lines = survey_bytes(["Y", "X", "C", "S", "DEAD"], columns).decode().splitlines()
+        # blank C in every 9th row, so a stage using C drops rows
+        lines[1::9] = ["\t".join(ln.split("\t")[:2] + ["", *ln.split("\t")[3:]])
+                       for ln in lines[1::9]]
+        table = apply_mappings(load_survey(("\n".join(lines) + "\n").encode()), [])
+        study = StudySpec(dependent="Y", independent="X",
+                          stages=(("A", ("C",)), ("B", ("S",)), ("C", ("DEAD",))))
+        good, separated, dead = staged_analysis(table, study)
+        _, _, info = build_design(table, study, "B")
+        assert info.n_dropped > 0
+        assert good.error is None
+        # S copies Y: the design is built, then the fit separates
+        assert separated.error == "separation detected in stage B"
+        assert (separated.n_used, separated.n_dropped) == (info.n_used, info.n_dropped)
+        # an all-zero column fails while the design is built: no counts
+        assert dead.error == "column 'DEAD' is all zero"
+        assert (dead.n_used, dead.n_dropped) == (0, 0)
+
     def test_all_zero_confounder_is_named_in_the_stage_error(self):
         rng = np.random.default_rng(6)
         n = 300
