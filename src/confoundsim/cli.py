@@ -109,18 +109,11 @@ def _read_text(path: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
+def _parse_list(text: str, kind: type, noun: str) -> tuple:
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+        return tuple(kind(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
-        raise ValueError(f"expected a comma-separated list of numbers, got {text!r}")
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise ValueError(f"expected a comma-separated list of integers, got {text!r}")
+        raise ValueError(f"expected a comma-separated list of {noun}, got {text!r}")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -146,8 +139,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if args.threads < 1:
         raise ValueError("threads must be >= 1")
     spec = GridSpec(
-        correlations=_parse_float_list(args.r_list),
-        confounder_counts=_parse_int_list(args.n_list),
+        correlations=_parse_list(args.r_list, float, "numbers"),
+        confounder_counts=_parse_list(args.n_list, int, "integers"),
         n_respondents=args.N,
         replications=args.reps,
         seed=args.seed,
@@ -215,8 +208,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
     prevalence = float(np.mean(y))
     terms = []
-    for i, name in enumerate(design.names or
-                             [f"x{j}" for j in range(design.n_cols)]):
+    for i, name in enumerate(design.names):
         b = float(fit.coefficients[i])
         s = float(fit.std_errors[i])
         term = {"term": name, "coefficient": b, "std_error": s}

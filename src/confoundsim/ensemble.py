@@ -17,6 +17,11 @@ p in {0.55, 0.6, 0.7, 0.8} x k in {2, 3, 5, 9} it is more than 15% off at
 three cells: (0.55, 9) with +19.1%, (0.6, 9) with +16.4% and (0.8, 2) with
 -16.1%.
 
+A replication is drawn as its counts over the 2^(k+1) response cells where
+those are no more than the N rows, and as its N rows otherwise; either way
+it becomes successes out of trials per regressor pattern, and one loop fits
+every replication's table with the batched IRLS of `glm.fit_logistic`.
+
 Grid scans sweep pairwise correlation r against confounder count n and
 return one plot-ready cell per pair (relative risk with 95% intervals),
 mirroring how real survey analyses report adjusted associations.
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,7 +44,6 @@ from .metamodel import (ModelParams, _check_seed, derive_seed, draw_population,
 
 __all__ = [
     "EnsembleError",
-    "ReplicationDigest",
     "EnsembleSummary",
     "GridSpec",
     "GridCell",
@@ -156,17 +161,6 @@ def population_limit(p: float, k: int) -> float:
 
 
 @dataclass(frozen=True)
-class ReplicationDigest:
-    """The fit of one replication; NaN statistics mark an unusable fit."""
-
-    index: int
-    beta1: float
-    sigma1: float
-    converged: bool
-    separation_detected: bool
-
-
-@dataclass(frozen=True)
 class EnsembleSummary:
     """Averages over the converged replications of one parameter setting.
 
@@ -181,12 +175,6 @@ class EnsembleSummary:
     mean_sigma1: float
     mc_error_beta1: float
     excluded: int
-
-    def __post_init__(self) -> None:
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if not self.mc_error_beta1 >= 0.0:
-            raise ValueError("mc_error_beta1 must be nonnegative")
 
 
 def _cell_table(params: ModelParams) -> _CellTable | None:
@@ -228,58 +216,35 @@ def _draw_cell_counts(params: ModelParams, rep_index: int,
     return rng.multinomial(plus, p_plus) + rng.multinomial(n - plus, p_minus)
 
 
-def _fit_one_replication(params: ModelParams, rep_index: int) -> ReplicationDigest:
-    """Draw replication rep_index's N rows, count their patterns and fit them."""
-    rep_params = replace(params, seed=derive_seed(params.seed, rep_index))
-    population = draw_population(rep_params, params.k + 1)
-    regressors, successes, trials = _pattern_table(population.responses)
-    try:
-        fit = fit_logistic(successes, regressors, trials=trials)
-    except SingularDesignError as exc:
-        fit = exc
-    return _digest(params, rep_index, fit)
+def _tables(params: ModelParams, replications: int
+            ) -> Iterator[tuple[range, np.ndarray, np.ndarray, np.ndarray]]:
+    """Every replication's pattern table, in index order, in blocks to fit.
 
-
-def _fit_cell_counts(params: ModelParams, replications: int,
-                     cells: _CellTable) -> list[ReplicationDigest]:
-    """Draw and fit every replication's pattern counts on the one cell table.
-
-    A replication's cell counts pair up into successes out of trials for
-    each of the 2^k regressor patterns.  The replications share the
-    patterns' design, so a block of them is one batched fit of their
-    stacked tables; each block is drawn just before it is fitted, which
-    bounds the fit's (block, patterns, k) temporaries.
+    Yields (indices, design, successes, trials): the replications of
+    `indices`, their shared design of regressor patterns, and their
+    (len(indices), patterns) successes out of trials.  Where the 2^(k+1)
+    response cells are no more than the N rows, every replication draws its
+    cell counts from one cell table built here; they pair up into successes
+    out of trials for each of the 2^k regressor patterns, and each block of
+    replications is drawn just before it is fitted, which bounds the fit's
+    (block, patterns, k) temporaries.  Otherwise a replication draws its N
+    rows and is a block of one on its own table of the patterns that occur.
     """
+    cells = _cell_table(params)
+    if cells is None:
+        for i in range(replications):
+            rep_params = replace(params, seed=derive_seed(params.seed, i))
+            population = draw_population(rep_params, params.k + 1)
+            regressors, successes, trials = _pattern_table(population.responses)
+            yield range(i, i + 1), regressors, successes[None], trials[None]
+        return
     patterns = cells[0][0::2, 1:]
     block = max(1, _FIT_BLOCK_WEIGHTS // len(patterns))
-    digests = []
     for start in range(0, replications, block):
         indices = range(start, min(start + block, replications))
         counts = np.array([_draw_cell_counts(params, i, cells) for i in indices],
                           dtype=np.float64).reshape(len(indices), len(patterns), 2)
-        # the survey regressions this models fit raw response columns with no
-        # constant term; the scaling laws above describe exactly those fits
-        fits = fit_logistic(counts[:, :, 1], patterns, trials=counts.sum(axis=2))
-        digests += [_digest(params, i, fit) for i, fit in zip(indices, fits)]
-    return digests
-
-
-def _digest(params: ModelParams, rep_index: int,
-            fit: FitResult | ValueError) -> ReplicationDigest:
-    # a fit that raised (a rank-deficient draw) is unusable, like one that
-    # did not converge or separated
-    if not isinstance(fit, FitResult):
-        return ReplicationDigest(rep_index, math.nan, math.nan, False, False)
-    if params.causal_increment == 0.0:
-        beta1 = float(fit.coefficients.mean())
-        sigma1 = float(fit.std_errors.mean())
-    else:
-        beta1 = float(fit.coefficients[0])
-        sigma1 = float(fit.std_errors[0])
-    usable = fit.converged and not fit.separation_detected
-    return ReplicationDigest(rep_index, beta1 if usable else math.nan,
-                             sigma1 if usable else math.nan,
-                             fit.converged, fit.separation_detected)
+        yield indices, patterns, counts[:, :, 1], counts.sum(axis=2)
 
 
 def run_ensemble(params: ModelParams, replications: int) -> EnsembleSummary:
@@ -287,11 +252,8 @@ def run_ensemble(params: ModelParams, replications: int) -> EnsembleSummary:
 
     Replication streams are keyed by (params.seed, replication index) and
     results are reduced in index order.  Non-converged, separated or
-    rank-deficient fits are excluded and counted, never retried.  Where the
-    2^(k+1) response patterns are no more than the N rows, every
-    replication draws its pattern counts directly from one cell table built
-    here, and blocks of replications are fitted together in one batched
-    fit; otherwise each replication draws and fits its own N rows.
+    rank-deficient fits are excluded and counted, never retried.  Each
+    block of replications that _tables yields is one batched fit.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
@@ -299,18 +261,34 @@ def run_ensemble(params: ModelParams, replications: int) -> EnsembleSummary:
         raise ValueError(
             f"n_respondents ({params.n_respondents}) must exceed the regressor "
             f"count k = {params.k}: a fit needs more observations than regressors")
-    cells = _cell_table(params)
-    if cells is None:
-        digests = [_fit_one_replication(params, i) for i in range(replications)]
-    else:
-        digests = _fit_cell_counts(params, replications, cells)
+    betas = np.full(replications, math.nan)
+    sigmas = np.full(replications, math.nan)
+    separated = 0
+    for indices, design, successes, trials in _tables(params, replications):
+        try:
+            # the survey regressions this models fit raw response columns with
+            # no constant term; the scaling laws above describe exactly those fits
+            fits = fit_logistic(successes, design, trials=trials)
+        except SingularDesignError:
+            # a row-path draw with an all-zero regressor column, which the
+            # design rejects before any fit: the block's one fit is unusable
+            continue
+        for i, fit in zip(indices, fits):
+            # a fit that raised (a rank-deficient draw) is unusable, like one
+            # that did not converge or separated
+            if not isinstance(fit, FitResult):
+                continue
+            separated += fit.separation_detected
+            if not fit.converged or fit.separation_detected:
+                continue
+            if params.causal_increment == 0.0:
+                betas[i], sigmas[i] = fit.coefficients.mean(), fit.std_errors.mean()
+            else:
+                betas[i], sigmas[i] = fit.coefficients[0], fit.std_errors[0]
 
-    betas = np.array([d.beta1 for d in digests])
-    sigmas = np.array([d.sigma1 for d in digests])
     kept = ~np.isnan(betas)
     n_kept = int(kept.sum())
     if n_kept == 0:
-        separated = sum(d.separation_detected for d in digests)
         raise EnsembleError(
             f"all {replications} replications failed to converge "
             f"({separated} flagged as separated; "

@@ -562,7 +562,9 @@ def build_design(table: SurveyTable, study: StudySpec,
 
     X is intercept + independent + every confounder up to and including
     `stage`; CAT confounders expand to indicator columns against category 0.
-    Rows missing any used column are dropped and counted.
+    Rows missing any used column are dropped and counted.  A CAT confounder
+    left with one category, or without category 0, raises IngestError naming
+    it.
     """
     confounders = study.cumulative_confounders(stage)
     used = [study.dependent, study.independent, *confounders]
@@ -589,7 +591,10 @@ def build_design(table: SurveyTable, study: StudySpec,
     for name in confounders:
         col = table.column(name)[keep]
         if table.kinds.get(name) == CAT:
-            encoded, kept_codes = one_hot(col, reference=0)
+            try:
+                encoded, kept_codes = one_hot(col, reference=0)
+            except ValueError as exc:
+                raise IngestError(str(exc), column=name) from None
             for code, vec in zip(kept_codes, encoded.T):
                 columns.append(vec)
                 names.append(f"{name}={code}")
@@ -659,8 +664,7 @@ def staged_analysis(table: SurveyTable, study: StudySpec,
                 ci_high=relative_risk(high, prevalence),
                 baseline_prevalence=prevalence,
             ))
-        except (IngestError, ValueError, OverflowError,
-                np.linalg.LinAlgError) as exc:
+        except (ValueError, OverflowError) as exc:
             results.append(StageResult(
                 stage=stage_name, n_confounders=len(confounders), n_used=info.n_used,
                 n_dropped=info.n_dropped, beta1=nan, sigma1=nan, relative_risk=nan,

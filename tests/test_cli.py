@@ -213,6 +213,13 @@ class TestScan:
         assert run(self.small_args(tmp_path / "g.csv", ["--threads", "0"])) == 2
         assert "threads must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, text, kind", [
+        ("--r-list", "0.1,x", "numbers"), ("--n-list", "1,x", "integers")])
+    def test_malformed_list_exits_2_quoting_it(self, capsys, flag, text, kind):
+        assert run(["scan", flag, text, "--seed", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: expected a comma-separated list of {kind}, got {text!r}\n")
+
     def test_seed_outside_64_bits_exits_2_and_names_the_seed(self, tmp_path, capsys):
         for seed in ("-1", str(2**64)):
             argv = ["scan", "--r-list", "0.05", "--n-list", "1", "--N", "100",
@@ -575,6 +582,15 @@ class TestIngest:
         argv = self._small_study(tmp_path, self._rows())
         assert run(argv + ["--delimiter", ""]) == 2
         assert "delimiter" in capsys.readouterr().err
+
+    def test_single_category_cat_confounder_error_names_it(self, tmp_path, capsys):
+        argv = self._small_study(
+            tmp_path, "Y\tX\tC\n1\t1\t1\n0\t2\t1\n1\t3\t1\n0\t4\t1\n",
+            mappings="Y ORD\nC CAT\n",
+            study='{"dependent": "Y", "independent": "X", "stages": {"a": ["C"]}}')
+        assert run(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: stage a: one_hot needs at least 2 distinct categories (column C)\n")
 
     def test_every_stage_failing_exits_3(self, tmp_path, capsys):
         data = tmp_path / "d.tsv"

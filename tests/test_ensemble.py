@@ -96,10 +96,13 @@ class TestRunEnsemble:
         empty = [i for i in range(60) if not draw_population(
             replace(base, seed=derive_seed(base.seed, i)), 3).responses[:, 1:]
             .any(axis=0).all()]
-        assert empty
+        assert empty and 0 not in empty
+        # replication streams do not depend on the count, so the first i + 1
+        # replications exclude one more than the first i exactly when
+        # replication i is excluded
         for i in empty:
-            digest = ensemble._fit_one_replication(base, i)
-            assert math.isnan(digest.beta1) and not digest.converged
+            assert (run_ensemble(base, i + 1).excluded
+                    == run_ensemble(base, i).excluded + 1)
         assert math.isfinite(summary.mean_beta1)
 
     def test_wide_replications_match_raw_row_fits(self):
@@ -107,15 +110,17 @@ class TestRunEnsemble:
         # is too wide for one int64 code.  Both fit what the N rows give.
         for k, n in ((40, 200), (70, 400)):
             base = params(p=0.6, k=k, n=n, seed=21)
-            for digest in (ensemble._fit_one_replication(base, i) for i in range(2)):
-                rows = draw_population(
-                    replace(base, seed=derive_seed(base.seed, digest.index)),
-                    k + 1).responses.astype(float)
+            summary = run_ensemble(base, 2)
+            raw_betas = []
+            for i in range(2):
+                rows = draw_population(replace(base, seed=derive_seed(base.seed, i)),
+                                       k + 1).responses.astype(float)
                 raw = fit_logistic(rows[:, 0], rows[:, 1:])
                 assert raw.converged and not raw.separation_detected
-                assert digest.converged and not digest.separation_detected
-                assert digest.beta1 == pytest.approx(raw.coefficients.mean(),
-                                                     rel=0.0, abs=1e-8)
+                raw_betas.append(raw.coefficients.mean())
+            assert summary.excluded == 0
+            assert summary.mean_beta1 == pytest.approx(np.mean(raw_betas),
+                                                       rel=0.0, abs=1e-8)
 
     def test_row_path_table_holds_each_regressor_rows_successes_and_trials(self):
         rng = np.random.default_rng(3)
@@ -214,6 +219,27 @@ def _one_dimensional_loop(params, replications):
     return replications - len(betas), betas
 
 
+def _row_path_loop(params, replications):
+    """(excluded, usable betas, their sigmas) of a loop of 1-D row-path fits."""
+    betas, sigmas = [], []
+    for i in range(replications):
+        population = draw_population(
+            replace(params, seed=derive_seed(params.seed, i)), params.k + 1)
+        regressors, successes, trials = ensemble._pattern_table(population.responses)
+        try:
+            fit = fit_logistic(successes, regressors, trials=trials)
+        except SingularDesignError:
+            continue
+        if fit.converged and not fit.separation_detected:
+            if params.causal_increment == 0.0:
+                betas.append(fit.coefficients.mean())
+                sigmas.append(fit.std_errors.mean())
+            else:
+                betas.append(fit.coefficients[0])
+                sigmas.append(fit.std_errors[0])
+    return replications - len(betas), betas, sigmas
+
+
 class TestBatchedReplications:
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([0.52, 0.7, 0.9, 0.999]), st.integers(1, 4),
@@ -239,6 +265,21 @@ class TestBatchedReplications:
             assert outcomes[0].excluded == excluded
             assert outcomes[0].mean_beta1 == pytest.approx(np.mean(betas),
                                                            rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("k, n, increment", [
+        (3, 8, 0.0), (40, 200, 0.0), (70, 400, 0.0), (40, 200, 0.4)])
+    def test_row_path_equals_a_loop_of_one_dimensional_fits(self, k, n, increment):
+        # blocks of one replication give the bits of one 1-D fit each
+        base = params(p=0.6, k=k, n=n, seed=21, beta_prime=increment)
+        assert ensemble._cell_table(base) is None
+        summary = run_ensemble(base, 12)
+        excluded, betas, sigmas = _row_path_loop(base, 12)
+        assert len(betas) >= 2
+        assert summary.excluded == excluded
+        assert summary.mean_beta1 == float(np.mean(betas))
+        assert summary.mean_sigma1 == float(np.mean(sigmas))
+        assert summary.mc_error_beta1 == (float(np.std(betas, ddof=1))
+                                          / math.sqrt(len(betas)))
 
     def test_block_weight_bound(self):
         # at k = 9 a block holds 8 replications of 512 regressor patterns

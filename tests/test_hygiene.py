@@ -1,7 +1,8 @@
 """Source hygiene checks that stand in for a linter.
 
-Every `__all__` must name only what its module defines, and no module may
-import a name it never uses.
+Every `__all__` must name only what its module defines, no module may
+import a name it never uses, and no module-level private name may go
+unreferenced by the whole package.
 """
 
 import ast
@@ -52,3 +53,41 @@ def test_unused_import_detector_bites():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_private_helpers(sources: dict[str, str]) -> list[str]:
+    """Module-level `_names` that no module of the given sources references.
+
+    A reference is a name read anywhere in any module, its own included;
+    `sources` maps module names to their text.
+    """
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(module, name, node.lineno) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        used.update(node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+    return [f"{module}.{name} (line {line})" for module, name, line in defined
+            if name not in used]
+
+
+def test_dead_private_helper_detector_bites():
+    sources = {"a": "_LIMIT = 1\ndef _used():\n    return _LIMIT\n"
+                    "def _dead():\n    pass\nclass _Gone:\n    pass\n",
+               "b": "from a import _used\nprint(_used())\n"}
+    assert dead_private_helpers(sources) == ["a._dead (line 4)", "a._Gone (line 6)"]
+
+
+def test_no_dead_private_helpers():
+    package = Path(confoundsim.__file__).parent
+    assert dead_private_helpers({path.stem: path.read_text(encoding="utf-8")
+                                 for path in sorted(package.glob("*.py"))}) == []

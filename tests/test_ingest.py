@@ -570,6 +570,23 @@ class TestBuildDesign:
         with pytest.raises(IngestError, match="must be ORD"):
             build_design(mapped, study, "A")
 
+    def test_cat_confounder_errors_name_the_column(self):
+        # one category only; then category 0 present only in rows another
+        # confounder drops
+        single = load_survey(b"Y\tX\tC\n1\t1\t1\n0\t2\t1\n1\t3\t1\n0\t4\t1\n")
+        study = StudySpec(dependent="Y", independent="X", stages=(("A", ("C",)),))
+        with pytest.raises(IngestError, match="at least 2 distinct") as exc:
+            build_design(apply_mappings(single, [ColumnSpec("C", CAT, ())]), study, "A")
+        assert exc.value.column == "C" and str(exc.value).endswith("(column C)")
+        no_reference = load_survey(b"Y\tX\tC\tD\n" + b"".join(
+            b"%d\t%d\t%d\t%s\n" % (i % 2, i % 5, i % 3, b"" if i % 3 == 0 else b"1")
+            for i in range(30)))
+        study = StudySpec(dependent="Y", independent="X", stages=(("A", ("D", "C")),))
+        with pytest.raises(IngestError, match="reference category 0 not present") as exc:
+            build_design(apply_mappings(no_reference, [ColumnSpec("C", CAT, ())]),
+                         study, "A")
+        assert exc.value.column == "C"
+
 
 class TestStagedAnalysis:
     def test_pure_noise_dependent_keeps_zero_in_every_ci(self):
