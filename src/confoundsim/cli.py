@@ -17,12 +17,15 @@ Exit codes: 0 success (including partial results carrying per-row flags),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import asdict
+from typing import TextIO
 
 import numpy as np
 
@@ -86,12 +89,19 @@ def format_rows(rows: list[dict], config: dict, fmt: str) -> str:
     return buf.getvalue()
 
 
-def _write_output(path: str | None, text: str) -> None:
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    # stdout for None or "-", else the file at path, opened for writing
     if path in (None, "-"):
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _write_output(path: str | None, text: str) -> None:
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def _read_bytes(path: str) -> bytes:
@@ -122,10 +132,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     matrix = draw_population(params, params.k + 1)
     config = {"command": "simulate", "p": args.p, "k": args.k, "n": args.n,
               "beta_prime": args.beta_prime, "seed": args.seed}
-    buf = io.StringIO()
-    buf.write(_header(config))
-    write_population_csv(matrix, buf)
-    _write_output(args.out, buf.getvalue())
+    # the file is opened only after the draw, so invalid parameters create
+    # none, and the rows go to it block by block, never held as one string
+    with _output(args.out) as fh:
+        fh.write(_header(config))
+        write_population_csv(matrix, fh)
     return EXIT_OK
 
 

@@ -169,8 +169,6 @@ class EnsembleSummary:
     over the k possible choices of predictor column within each fit.
     """
 
-    params: ModelParams
-    replications: int
     mean_beta1: float
     mean_sigma1: float
     mc_error_beta1: float
@@ -296,8 +294,6 @@ def run_ensemble(params: ModelParams, replications: int) -> EnsembleSummary:
     mc_error = (float(np.std(betas[kept], ddof=1)) / math.sqrt(n_kept)
                 if n_kept >= 2 else math.inf)
     return EnsembleSummary(
-        params=params,
-        replications=replications,
         mean_beta1=float(np.mean(betas[kept])),
         mean_sigma1=float(np.mean(sigmas[kept])),
         mc_error_beta1=mc_error,

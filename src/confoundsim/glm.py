@@ -126,10 +126,6 @@ class DesignMatrix:
                 names = ("intercept", *names)
         return cls(np.column_stack(cols), names=tuple(names) if names else ())
 
-    @property
-    def n_cols(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class FitResult:

@@ -34,10 +34,11 @@ __all__ = [
 
 _SEED_MAX = 2**64
 
-# rows formatted per pass of write_population_csv; bounds its temporaries
-# (about 1.5 MB at k = 9) below the draw's N x (k + 1) float64 uniforms,
-# which set simulate's peak memory at large N
-_WRITE_BLOCK_ROWS = 65_536
+# rows per pass of draw_population and of write_population_csv: each pass
+# holds a block's float64 uniforms or formatted bytes (about 1.3 MB or
+# 0.4 MB at k = 9), so simulate's peak memory is set by the N x (k + 1)
+# int8 table, not by N-sized temporaries
+_BLOCK_ROWS = 16_384
 
 
 def _check_seed(seed: int) -> None:
@@ -115,7 +116,13 @@ class ResponseMatrix:
             raise ValueError(f"latent must have shape {(n,)}, got {lat.shape}")
         if not ((lat == -1) | (lat == 1)).all():
             raise ValueError("latent entries must be -1 or +1")
-        if not ((resp == 0) | (resp == 1)).all():
+        # integers and bools in [0, 1] are 0 or 1; min and max make no
+        # N x (k + 1) temporaries, which the elementwise test would
+        if resp.dtype.kind in "biu":
+            binary = resp.min() >= 0 and resp.max() <= 1
+        else:
+            binary = ((resp == 0) | (resp == 1)).all()
+        if not binary:
             raise ValueError("response entries must be 0 or 1")
         for name, arr in (("latent", lat), ("responses", resp)):
             object.__setattr__(self, name, arr)
@@ -150,6 +157,11 @@ def draw_population(params: ModelParams, column_count: int) -> ResponseMatrix:
     inverse_logit(logit(p_i) + increment * predictor_i), where p_i is the
     agreement probability implied by the respondent's trait.  Bit-identical
     output for identical params.
+
+    The stream is one `integers` call for the N traits, then the N x (k + 1)
+    uniforms in row order.  They are drawn _BLOCK_ROWS rows at a time into
+    the preallocated int8 table; Philox gives the same doubles in blocks as
+    in one call, so the population does not depend on the block size.
     """
     if column_count != params.k + 1:
         raise ValueError(
@@ -159,16 +171,19 @@ def draw_population(params: ModelParams, column_count: int) -> ResponseMatrix:
     rng = stream_generator(params.seed)
 
     latent = rng.integers(0, 2, size=n, dtype=np.int8) * 2 - 1
-    uniforms = rng.random((n, column_count))
-
-    # agreement probability per respondent given the latent trait
-    p_i = np.where(latent == 1, params.p, 1.0 - params.p)
-
-    # booleans are stored as bytes 0/1, so the view is the int8 table
-    responses = (uniforms < p_i[:, None]).view(np.int8)
-    if params.causal_increment != 0.0:
-        shift = params.causal_increment * responses[:, 1]
-        responses[:, 0] = uniforms[:, 0] < inverse_logit(logit(p_i) + shift)
+    responses = np.empty((n, column_count), dtype=np.int8)
+    # one buffer for every block's uniforms, so no two blocks' are alive
+    buffer = np.empty((min(n, _BLOCK_ROWS), column_count))
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        block = responses[rows]
+        uniforms = rng.random(out=buffer[:block.shape[0]])
+        # agreement probability per respondent given the latent trait
+        p_i = np.where(latent[rows] == 1, params.p, 1.0 - params.p)
+        block[:] = uniforms < p_i[:, None]
+        if params.causal_increment != 0.0:
+            shift = params.causal_increment * block[:, 1]
+            block[:, 0] = uniforms[:, 0] < inverse_logit(logit(p_i) + shift)
 
     return ResponseMatrix(latent=latent, responses=responses, params=params)
 
@@ -204,15 +219,15 @@ def write_population_csv(m: ResponseMatrix, fh: io.TextIOBase) -> None:
     each response 0 or 1, lines end in "\n".  Since those are the only
     values a ResponseMatrix holds, each row is laid out in numpy as
     fixed-width bytes: "-1" then ",d" per column then "\n", with the "-"
-    dropped where Q = +1.  Rows go out in blocks of _WRITE_BLOCK_ROWS, one
+    dropped where Q = +1.  Rows go out in blocks of _BLOCK_ROWS, one
     fh.write each.  Not a stability-guaranteed format.
     """
     ncol = m.n_columns
     fh.write("Q," + ",".join(f"R{j}" for j in range(ncol)) + "\n")
     width = 2 * ncol + 3
-    for start in range(0, m.latent.shape[0], _WRITE_BLOCK_ROWS):
-        q = m.latent[start:start + _WRITE_BLOCK_ROWS]
-        resp = m.responses[start:start + _WRITE_BLOCK_ROWS]
+    for start in range(0, m.latent.shape[0], _BLOCK_ROWS):
+        q = m.latent[start:start + _BLOCK_ROWS]
+        resp = m.responses[start:start + _BLOCK_ROWS]
         block = np.empty((q.shape[0], width), dtype=np.uint8)
         block[:, :2] = np.frombuffer(b"-1", dtype=np.uint8)
         block[:, 2:-1:2] = ord(",")

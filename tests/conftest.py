@@ -31,6 +31,29 @@ def savetxt_population(latent, responses) -> str:
     return buf.getvalue()
 
 
+def stream_population(params):
+    """Reference draw: the latent coins, then all N x (k + 1) uniforms at once.
+
+    This is the random stream `draw_population` is pinned to: one
+    `stream_generator(seed)`, one `integers` call for the latent traits and
+    one `random((N, k + 1))` call, compared cell by cell.  Returns the
+    (latent, responses) int8 arrays.
+    """
+    from confoundsim.glm import inverse_logit, logit
+    from confoundsim.metamodel import stream_generator
+
+    n, ncol = params.n_respondents, params.k + 1
+    rng = stream_generator(params.seed)
+    latent = rng.integers(0, 2, size=n, dtype=np.int8) * 2 - 1
+    uniforms = rng.random((n, ncol))
+    p_i = np.where(latent == 1, params.p, 1.0 - params.p)
+    responses = (uniforms < p_i[:, None]).astype(np.int8)
+    if params.causal_increment != 0.0:
+        shift = params.causal_increment * responses[:, 1]
+        responses[:, 0] = uniforms[:, 0] < inverse_logit(logit(p_i) + shift)
+    return latent, responses
+
+
 def log_odds_ratio(a: int, b: int, c: int, d: int) -> float:
     """Closed-form 2x2 oracle for the slope of y on x (with intercept)."""
     return float(np.log((a * d) / (b * c)))

@@ -7,6 +7,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -78,7 +79,7 @@ class TestSimulate:
 
     def test_population_past_one_block_is_savetxt_of_the_draw(self, tmp_path):
         out = tmp_path / "pop.csv"
-        n = metamodel._WRITE_BLOCK_ROWS + 1
+        n = metamodel._BLOCK_ROWS + 1
         assert run(["simulate", "--p", "0.7", "--k", "3", "--n", str(n),
                     "--beta-prime", "0.4", "--seed", "21", "--out", str(out)]) == 0
         config = {"command": "simulate", "p": 0.7, "k": 3, "n": n,
@@ -101,6 +102,40 @@ class TestSimulate:
         assert run(["simulate", "--p", "0.4", "--k", "2", "--n", "10",
                     "--seed", "1"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_invalid_p_creates_no_file(self, tmp_path, capsys):
+        out = tmp_path / "pop.csv"
+        assert run(["simulate", "--p", "1.5", "--k", "2", "--n", "10",
+                    "--seed", "1", "--out", str(out)]) == 2
+        assert "p must be in (0.5, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_stdout_gets_the_bytes_of_the_file(self, tmp_path, capsysbinary):
+        out = tmp_path / "pop.csv"
+        n = metamodel._BLOCK_ROWS + 3
+        args = ["simulate", "--p", "0.7", "--k", "2", "--n", str(n),
+                "--beta-prime", "0.2", "--seed", "8"]
+        assert run([*args, "--out", str(out)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert run([*args, "--out", "-"]) == 0
+        written = capsysbinary.readouterr().out
+        assert written == out.read_bytes()
+        assert written.count(b"\n") == n + 3
+
+    def test_memory_is_bounded_by_the_int8_table(self, tmp_path):
+        # N = 200,000 at k = 9 writes 4.5 MB from a 2 MB table; drawing all
+        # uniforms at once and holding the CSV as one string peaked at 23 MB
+        out = tmp_path / "pop.csv"
+        tracemalloc.start()
+        try:
+            code = run(["simulate", "--p", "0.7", "--k", "9", "--n", "200000",
+                        "--seed", "3", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert out.stat().st_size > 4_000_000
+        assert peak < 8_000_000
 
     def test_seed_flag_is_mandatory(self):
         with pytest.raises(SystemExit) as exc:
@@ -611,7 +646,9 @@ class TestExitCodes:
         assert run(["simulate", "--p", "0.7", "--k", "1", "--n", "5",
                     "--seed", "1",
                     "--out", str(tmp_path / "no_dir" / "x.csv")]) == 1
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(tmp_path / "no_dir" / "x.csv") in err
 
 
 class TestFreshProcess:

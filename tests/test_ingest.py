@@ -513,7 +513,7 @@ class TestBuildDesign:
         widths = []
         for stage in study.stage_names():
             _, design, _ = build_design(mapped, study, stage)
-            widths.append(design.n_cols)
+            widths.append(design.values.shape[1])
         assert widths == [2, 3, 5]
 
     def test_table_with_no_mappings_applied_is_all_ordinal(self):

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from confoundsim.metamodel import (ModelParams, ResponseMatrix,
                                    theoretical_correlation,
                                    write_population_csv)
 
-from conftest import savetxt_population
+from conftest import savetxt_population, stream_population
 
 
 def params(p=0.75, k=3, n=1000, seed=17, beta_prime=0.0):
@@ -111,6 +112,75 @@ class TestDrawPopulation:
         assert m.responses[:, 0].mean() > 0.5 + 3 * half_sd
         for j in (1, 2):
             assert abs(m.responses[:, j].mean() - 0.5) < 4 * half_sd
+
+
+class TestBlockedDraw:
+    @pytest.mark.parametrize("beta_prime", [0.0, 0.4, -50.0])
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_every_block_size_draws_the_one_call_stream(self, block, beta_prime):
+        for n in sorted({1, max(block - 1, 1), block, block + 1, 2 * block + 3}):
+            pr = params(p=0.7, k=4, n=n, seed=31 + n, beta_prime=beta_prime)
+            latent, responses = stream_population(pr)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(metamodel, "_BLOCK_ROWS", block)
+                m = draw_population(pr, 5)
+            assert m.latent.dtype == m.responses.dtype == np.int8
+            assert np.array_equal(m.latent, latent)
+            assert np.array_equal(m.responses, responses)
+
+    @pytest.mark.parametrize("beta_prime", [0.0, 0.3])
+    def test_default_block_draws_the_one_call_stream(self, beta_prime):
+        # N on, beside and past the edges of the real block size
+        b = metamodel._BLOCK_ROWS
+        for n in (1, b - 1, b, b + 1, 2 * b + 3):
+            pr = params(p=0.65, k=2, n=n, seed=5, beta_prime=beta_prime)
+            latent, responses = stream_population(pr)
+            m = draw_population(pr, 3)
+            assert np.array_equal(m.latent, latent)
+            assert np.array_equal(m.responses, responses)
+
+    def test_draw_memory_is_bounded_by_the_int8_table(self):
+        # N = 200,000 at k = 9: the table is 2 MB; the one-call draw's
+        # float64 uniforms alone were 16 MB
+        pr = params(p=0.7, k=9, n=200_000, seed=3)
+        tracemalloc.start()
+        try:
+            m = draw_population(pr, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.responses.nbytes == 2_000_000
+        assert peak < 6_000_000
+
+
+class TestResponseValidation:
+    def _matrix(self, responses, latent=(1, -1)):
+        pr = ModelParams(p=0.6, k=1, n_respondents=2, seed=0)
+        return ResponseMatrix(latent=np.array(latent), responses=responses, params=pr)
+
+    @pytest.mark.parametrize("responses", [
+        np.array([[0, 1], [-1, 0]], dtype=np.int8),
+        np.array([[0, 1], [1, 2]], dtype=np.int64),
+        np.array([[0, 1], [1, 255]], dtype=np.uint8),
+        np.array([[0, 0.5], [1, 0]], dtype=np.float64),
+        np.array([[0, 1], [np.nan, 0]], dtype=np.float64),
+    ])
+    def test_entries_other_than_0_and_1_rejected(self, responses):
+        with pytest.raises(ValueError, match="response entries must be 0 or 1"):
+            self._matrix(responses)
+
+    @pytest.mark.parametrize("dtype", [np.bool_, np.int8, np.uint8, np.int64,
+                                       np.float64])
+    def test_zeros_and_ones_accepted_in_every_dtype(self, dtype):
+        m = self._matrix(np.array([[0, 1], [1, 1]]).astype(dtype))
+        buf = io.StringIO()
+        write_population_csv(m, buf)
+        assert buf.getvalue() == "Q,R0,R1\n1,0,1\n-1,1,1\n"
+
+    @pytest.mark.parametrize("latent", [(1, 0), (1, 2), (-1, 0.5)])
+    def test_latent_other_than_plus_minus_one_rejected(self, latent):
+        with pytest.raises(ValueError, match="latent entries"):
+            self._matrix(np.zeros((2, 2), dtype=np.int8), latent=latent)
 
 
 class TestInvariants:
@@ -242,6 +312,6 @@ class TestCsvDump:
                            params=ModelParams(p=0.6, k=k, n_respondents=n, seed=0))
         buf = io.StringIO()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(metamodel, "_WRITE_BLOCK_ROWS", block)
+            mp.setattr(metamodel, "_BLOCK_ROWS", block)
             write_population_csv(m, buf)
         assert buf.getvalue() == savetxt_population(latent, responses)
