@@ -12,7 +12,7 @@ __version__ = "0.3.0"
 from .ensemble import (EnsembleError, EnsembleSummary, GridCell, GridSpec,
                        empirical_beta_formula, empirical_sigma_formula,
                        population_limit, run_ensemble, scan_grid)
-from .glm import (DesignMatrix, FitResult, NotConvergedError,
+from .glm import (DesignMatrix, FitBatch, FitResult, NotConvergedError,
                   SingularDesignError, confidence_interval, fit_logistic,
                   inverse_logit, logit, one_hot, relative_risk)
 from .ingest import (ColumnSpec, IngestError, MappingParseError, MappingRule,
@@ -28,7 +28,7 @@ __all__ = [
     "ModelParams", "ResponseMatrix", "UndefinedCorrelationError",
     "theoretical_correlation", "draw_population",
     "sample_correlation", "derive_seed",
-    "DesignMatrix", "FitResult", "SingularDesignError", "NotConvergedError",
+    "DesignMatrix", "FitResult", "FitBatch", "SingularDesignError", "NotConvergedError",
     "logit", "inverse_logit", "fit_logistic", "relative_risk",
     "confidence_interval", "one_hot",
     "EnsembleError", "EnsembleSummary", "GridSpec", "GridCell",

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .glm import (FitResult, NotConvergedError, SingularDesignError,
+from .glm import (CONVERGED, SEPARATED, NotConvergedError, SingularDesignError,
                   confidence_interval, fit_logistic, inverse_logit, logit,
                   relative_risk)
 from .metamodel import (ModelParams, _check_seed, derive_seed, draw_population,
@@ -251,7 +251,8 @@ def run_ensemble(params: ModelParams, replications: int) -> EnsembleSummary:
     Replication streams are keyed by (params.seed, replication index) and
     results are reduced in index order.  Non-converged, separated or
     rank-deficient fits are excluded and counted, never retried.  Each
-    block of replications that _tables yields is one batched fit.
+    block of replications that _tables yields is one batched fit, read
+    through masks over its status.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
@@ -266,23 +267,19 @@ def run_ensemble(params: ModelParams, replications: int) -> EnsembleSummary:
         try:
             # the survey regressions this models fit raw response columns with
             # no constant term; the scaling laws above describe exactly those fits
-            fits = fit_logistic(successes, design, trials=trials)
+            batch = fit_logistic(successes, design, trials=trials)
         except SingularDesignError:
             # a row-path draw with an all-zero regressor column, which the
             # design rejects before any fit: the block's one fit is unusable
             continue
-        for i, fit in zip(indices, fits):
-            # a fit that raised (a rank-deficient draw) is unusable, like one
-            # that did not converge or separated
-            if not isinstance(fit, FitResult):
-                continue
-            separated += fit.separation_detected
-            if not fit.converged or fit.separation_detected:
-                continue
-            if params.causal_increment == 0.0:
-                betas[i], sigmas[i] = fit.coefficients.mean(), fit.std_errors.mean()
-            else:
-                betas[i], sigmas[i] = fit.coefficients[0], fit.std_errors[0]
+        separated += int(np.count_nonzero(batch.status == SEPARATED))
+        usable = batch.status == CONVERGED
+        if params.causal_increment == 0.0:
+            beta, sigma = batch.coefficients.mean(axis=1), batch.std_errors.mean(axis=1)
+        else:
+            beta, sigma = batch.coefficients[:, 0], batch.std_errors[:, 0]
+        at = np.asarray(indices)[usable]
+        betas[at], sigmas[at] = beta[usable], sigma[usable]
 
     kept = ~np.isnan(betas)
     n_kept = int(kept.sum())

@@ -6,15 +6,15 @@ the case of one trial per row), with step-halving, standard errors from the
 inverse observed information, and deterministic separation diagnostics.
 One Newton loop fits a single table on a design or a stack of them: the
 ensemble fits a block of replications, which share one design of regressor
-patterns and differ only in their counts, as one batch.  Also houses the
-small link-function helpers and the relative-risk conversion used by the
-reporting layers.
+patterns and differ only in their counts, as one batch, and reads its
+outcome as arrays (a FitBatch).  Also houses the small link-function
+helpers and the relative-risk conversion used by the reporting layers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,7 @@ __all__ = [
     "NotConvergedError",
     "DesignMatrix",
     "FitResult",
+    "FitBatch",
     "logit",
     "inverse_logit",
     "fit_logistic",
@@ -40,6 +41,10 @@ _PIN_EPS = 1e-10
 
 # two-sided 95% normal quantile, correctly rounded, for reported intervals
 _Z95 = 1.959963984540054
+
+# FitBatch.status codes; the first three are fits, the others are not
+CONVERGED, SEPARATED, NOT_CONVERGED = 0, 1, 2
+TOO_FEW_OBSERVATIONS, RANK_DEFICIENT, SINGULAR_NORMAL = 3, 4, 5
 
 
 class SingularDesignError(ValueError):
@@ -137,11 +142,19 @@ class FitResult:
     iterations: int
     log_likelihood: float
     separation_detected: bool
-    names: tuple[str, ...] = field(default=())
+    names: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if len(self.coefficients) != len(self.std_errors):
-            raise ValueError("coefficients and std_errors must have equal length")
+
+@dataclass(frozen=True)
+class FitBatch:
+    """Output of one batched fit of R tables: row r is table r's outcome,
+    status[r] one of the codes above; a row that is no fit holds NaN values."""
+
+    coefficients: np.ndarray
+    std_errors: np.ndarray
+    iterations: np.ndarray
+    log_likelihood: np.ndarray
+    status: np.ndarray
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -189,7 +202,7 @@ def _each_matrix(op, *stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fit_logistic(y, X, tol: float = 1e-8, max_iter: int = 100,
-                 trials=None) -> FitResult | list[FitResult | ValueError]:
+                 trials=None) -> FitResult | FitBatch:
     """Maximum-likelihood logistic fit of y on the given design.
 
     X may be a DesignMatrix or a plain 2-D array (taken as-is, no intercept
@@ -205,11 +218,11 @@ def fit_logistic(y, X, tol: float = 1e-8, max_iter: int = 100,
     max_iter must be at least 1 and tol a positive finite number.
 
     Trials of shape (R, n), with y of the same shape, fit R tables on the
-    one design together and return a list of R entries: table r's
-    FitResult, or the ValueError (a SingularDesignError when its trials
-    leave the design rank deficient) that a call with y[r] and trials[r]
-    alone would raise, with the same bits.  Each table keeps its own
-    step-halving, convergence and separation test, and its bits do not
+    one design together and return a FitBatch, whose row r has the bits of
+    a call with y[r] and trials[r] alone: its FitResult's values, or the
+    status of the ValueError (a SingularDesignError when its trials leave
+    the design rank deficient) that call would raise.  Each table keeps its
+    own step-halving, convergence and separation test, and its bits do not
     depend on the others.
     """
     if max_iter < 1:
@@ -242,15 +255,24 @@ def fit_logistic(y, X, tol: float = 1e-8, max_iter: int = 100,
         if not ((s >= 0.0) & (s <= t)).all():
             raise ValueError("y must satisfy 0 <= y <= trials")
         if t.ndim == 2:
-            return _irls(x, s, t, tol, max_iter, design.names)
-    fit = _irls(x, s[None], t[None], tol, max_iter, design.names)[0]
-    if isinstance(fit, ValueError):
-        raise fit
-    return fit
+            return _irls(x, s, t, tol, max_iter)
+    fit = _irls(x, s[None], t[None], tol, max_iter)
+    status = fit.status[0]
+    if status == TOO_FEW_OBSERVATIONS:
+        raise ValueError(
+            f"need more observations ({t.sum():g}) than regressors ({x.shape[1]})")
+    if status == RANK_DEFICIENT:
+        raise SingularDesignError("design matrix is rank deficient")
+    if status == SINGULAR_NORMAL:
+        raise SingularDesignError("weighted normal equations are singular")
+    return FitResult(coefficients=fit.coefficients[0], std_errors=fit.std_errors[0],
+                     converged=bool(status == CONVERGED), iterations=int(fit.iterations[0]),
+                     log_likelihood=float(fit.log_likelihood[0]),
+                     separation_detected=bool(status == SEPARATED), names=design.names)
 
 
-def _irls(x: np.ndarray, s: np.ndarray, t: np.ndarray, tol: float, max_iter: int,
-          names: tuple[str, ...]) -> list[FitResult | ValueError]:
+def _irls(x: np.ndarray, s: np.ndarray, t: np.ndarray, tol: float,
+          max_iter: int) -> FitBatch:
     """Newton-Raphson for every row of the (R, n) successes s out of trials t.
 
     Each iteration makes one stacked gradient, Hessian and solve for the
@@ -258,19 +280,16 @@ def _irls(x: np.ndarray, s: np.ndarray, t: np.ndarray, tol: float, max_iter: int
     separated or fails.
     """
     n_rows, m = t.shape[0], x.shape[1]
-    fits: list[FitResult | ValueError | None] = [None] * n_rows
+    status = np.full(n_rows, NOT_CONVERGED, dtype=np.int8)
     n_obs = t.sum(axis=1)
-    for r in np.flatnonzero(n_obs <= m):
-        fits[r] = ValueError(
-            f"need more observations ({n_obs[r]:g}) than regressors ({m})")
+    status[n_obs <= m] = TOO_FEW_OBSERVATIONS
     live = np.flatnonzero(n_obs > m)
     # rank-revealing check on the Gram matrices; cheap (m x m) and it keeps
     # silently pseudo-inverted collinear confounders out of the results
     gram = _weighted_gram(x, t[live])
     eigvals = np.linalg.eigvalsh(gram)
     deficient = eigvals[:, 0] <= eigvals[:, -1] * m * np.finfo(np.float64).eps
-    for r in live[deficient]:
-        fits[r] = SingularDesignError("design matrix is rank deficient")
+    status[live[deficient]] = RANK_DEFICIENT
     live = live[~deficient]
     # at beta = 0 every mu is 0.5 exactly, so the first Hessian's weights are
     # t * 0.25 and the Hessian is the Gram matrix times 0.25.  Scaling by a
@@ -286,8 +305,6 @@ def _irls(x: np.ndarray, s: np.ndarray, t: np.ndarray, tol: float, max_iter: int
     eta = np.zeros(t.shape)
     mu = inverse_logit(eta)
     ll, rounding = _log_likelihood(s, eta, t, n_terms)
-    converged = np.zeros(n_rows, dtype=bool)
-    separated = np.zeros(n_rows, dtype=bool)
     iterations = np.zeros(n_rows, dtype=int)
 
     for iteration in range(1, max_iter + 1):
@@ -302,8 +319,7 @@ def _irls(x: np.ndarray, s: np.ndarray, t: np.ndarray, tol: float, max_iter: int
                 else _weighted_gram(x, t[rows] * (fitted * (1.0 - fitted))))
         delta, singular = _each_matrix(np.linalg.solve, hess, grad[:, :, None])
         if singular.any():
-            for r in live[singular]:
-                fits[r] = SingularDesignError("weighted normal equations are singular")
+            status[live[singular]] = SINGULAR_NORMAL
             live, delta = live[~singular], delta[~singular]
             rows = live
         delta = delta[:, :, 0]
@@ -334,26 +350,18 @@ def _irls(x: np.ndarray, s: np.ndarray, t: np.ndarray, tol: float, max_iter: int
         sep = ((np.abs(cand) > _SEPARATION_COEF).any(axis=1)
                | _probabilities_pinned(mu[rows], ones[rows], zeros[rows]))
         done = sep | (update < tol)
-        separated[live[sep]] = True
-        converged[live[done & ~sep]] = True
+        status[live[sep]] = SEPARATED
+        status[live[done & ~sep]] = CONVERGED
         live = live[~done]
 
-    usable = np.flatnonzero([fit is None for fit in fits])
+    fits = status <= NOT_CONVERGED
     covariance, failed = _each_matrix(
-        np.linalg.inv, _weighted_gram(x, t[usable] * (mu[usable] * (1.0 - mu[usable]))))
-    std_errors = np.sqrt(np.clip(np.diagonal(covariance, axis1=1, axis2=2), 0.0, None))
-    std_errors[failed] = np.inf
-    for r, se in zip(usable, std_errors):
-        fits[r] = FitResult(
-            coefficients=beta[r],
-            std_errors=se,
-            converged=bool(converged[r]),
-            iterations=int(iterations[r]),
-            log_likelihood=float(ll[r]),
-            separation_detected=bool(separated[r]),
-            names=names,
-        )
-    return fits
+        np.linalg.inv, _weighted_gram(x, t[fits] * (mu[fits] * (1.0 - mu[fits]))))
+    variances = np.where(failed[:, None], np.inf, np.diagonal(covariance, axis1=1, axis2=2))
+    std_errors = np.full((n_rows, m), np.nan)
+    std_errors[fits] = np.sqrt(np.clip(variances, 0.0, None))
+    beta[~fits], ll[~fits] = np.nan, np.nan
+    return FitBatch(beta, std_errors, iterations, ll, status)
 
 
 def _probabilities_pinned(mu: np.ndarray, ones: np.ndarray, zeros: np.ndarray) -> np.ndarray:

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.dtypes import StringDType
 
-from .glm import (DesignMatrix, confidence_interval, fit_logistic, one_hot,
-                  relative_risk)
+from .glm import (DesignMatrix, _sorted_distinct, confidence_interval,
+                  fit_logistic, one_hot, relative_risk)
 
 __all__ = [
     "MappingParseError",
@@ -539,11 +539,7 @@ def apply_mappings(table: SurveyTable, specs: list[ColumnSpec]) -> SurveyTable:
         if spec.kind == CAT:
             # relabel to consecutive codes from 0 in value order
             present = ~table.missing[:, j]
-            # the distinct values by a sort and a neighbour comparison:
-            # np.unique would import numpy.ma on its first call in a process
-            ordered = np.sort(col[present])
-            distinct = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
-            col[present] = np.searchsorted(distinct, col[present])
+            col[present] = np.searchsorted(_sorted_distinct(col[present]), col[present])
         values[:, j] = col
     return replace(table, values=values, kinds=kinds)
 

@@ -114,10 +114,14 @@ class ResponseMatrix:
             raise ValueError(f"responses must have shape {(n, k + 1)}, got {resp.shape}")
         if lat.shape != (n,):
             raise ValueError(f"latent must have shape {(n,)}, got {lat.shape}")
-        if not ((lat == -1) | (lat == 1)).all():
+        # integers in [-1, 1] with no zero are -1 or +1, and in [0, 1] are 0 or 1;
+        # min, max and count_nonzero make no N-sized temporaries, as == tests would
+        if lat.dtype.kind in "biu":
+            plus_minus = lat.min() >= -1 and lat.max() <= 1 and np.count_nonzero(lat) == n
+        else:
+            plus_minus = ((lat == -1) | (lat == 1)).all()
+        if not plus_minus:
             raise ValueError("latent entries must be -1 or +1")
-        # integers and bools in [0, 1] are 0 or 1; min and max make no
-        # N x (k + 1) temporaries, which the elementwise test would
         if resp.dtype.kind in "biu":
             binary = resp.min() >= 0 and resp.max() <= 1
         else:
@@ -184,7 +188,7 @@ def draw_population(params: ModelParams, column_count: int) -> ResponseMatrix:
         if params.causal_increment != 0.0:
             shift = params.causal_increment * block[:, 1]
             block[:, 0] = uniforms[:, 0] < inverse_logit(logit(p_i) + shift)
-
+    del buffer, uniforms  # freed before the table's checks allocate
     return ResponseMatrix(latent=latent, responses=responses, params=params)
 
 

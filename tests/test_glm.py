@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -179,9 +181,8 @@ class TestFitLogistic:
                 trials = np.ones((1, n)) if tri is None else tri
                 grad = np.matmul(x.T, (succ.reshape(trials.shape) - trials * 0.5)[:, :, None])
                 step = np.linalg.solve(glm._weighted_gram(x, trials * 0.25), grad)[:, :, 0]
-                fits = fit_logistic(succ, x, max_iter=1, trials=tri)
-                for fit, want in zip(fits if tri is not None else [fits], step):
-                    assert np.array_equal(fit.coefficients, want)
+                fit = fit_logistic(succ, x, max_iter=1, trials=tri)
+                assert np.array_equal(np.atleast_2d(fit.coefficients), step)
 
     def test_log_likelihood_non_decreasing_over_iterations(self):
         rng = np.random.default_rng(7)
@@ -434,19 +435,62 @@ class TestFrequencyWeights:
             fit_logistic(y, x, trials=np.full(4, 0.5))
 
 
-def _fit_bits(fit):
-    """Everything a fit or batch entry reports, as exact values."""
-    if isinstance(fit, ValueError):
-        return type(fit), str(fit)
-    return (fit.coefficients.tobytes(), fit.std_errors.tobytes(), fit.converged,
-            fit.iterations, fit.log_likelihood, fit.separation_detected, fit.names)
+# the exception a one-table call raises for a table that is no fit, by the
+# status its row of a batch reports
+_NO_FIT = {
+    glm.TOO_FEW_OBSERVATIONS: (ValueError, "need more observations ("),
+    glm.RANK_DEFICIENT: (SingularDesignError, "design matrix is rank deficient"),
+    glm.SINGULAR_NORMAL: (SingularDesignError, "weighted normal equations are singular"),
+}
+
+
+class Outcome(NamedTuple):
+    """One table's fit: values are None for a table that is no fit."""
+
+    status: int
+    iterations: int | None
+    coefficients: np.ndarray | None
+    std_errors: np.ndarray | None
+    log_likelihood: float | None
+
+    def bits(self):
+        """Everything the outcome reports, as exact values."""
+        return tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in self)
+
+
+def _row(batch, r):
+    """Row r of a FitBatch; a row that is no fit must hold NaN values."""
+    status = int(batch.status[r])
+    values = (batch.coefficients[r], batch.std_errors[r], batch.log_likelihood[r])
+    if status in _NO_FIT:
+        assert all(np.isnan(v).all() for v in values)
+        return Outcome(status, None, None, None, None)
+    return Outcome(status, int(batch.iterations[r]), *values[:2], float(values[2]))
+
+
+def _one(fit):
+    """A one-table call's FitResult or exception as the Outcome of its row."""
+    if isinstance(fit, FitResult):
+        status = (glm.SEPARATED if fit.separation_detected
+                  else glm.CONVERGED if fit.converged else glm.NOT_CONVERGED)
+        return Outcome(status, fit.iterations, fit.coefficients, fit.std_errors,
+                       fit.log_likelihood)
+    [status] = [code for code, (kind, message) in _NO_FIT.items()
+                if type(fit) is kind and str(fit).startswith(message)]
+    return Outcome(status, None, None, None, None)
+
+
+def _batch_bits(batch, rows=slice(None)):
+    """Every array of a FitBatch, restricted to rows, as exact bytes."""
+    return [getattr(batch, f.name)[rows].tobytes() for f in dataclasses.fields(batch)]
 
 
 def _one_fit(y, x, **kwargs):
+    """The Outcome of a one-table call, which returns a fit or raises."""
     try:
-        return fit_logistic(y, x, **kwargs)
+        return _one(fit_logistic(y, x, **kwargs))
     except ValueError as exc:
-        return exc
+        return _one(exc)
 
 
 def _batch_case(data, patterns=None):
@@ -474,16 +518,12 @@ def _batch_case(data, patterns=None):
 
 
 def _assert_same_outcome(got, want, rtol=1e-12, atol=1e-12):
-    """Equal errors, or equal flags and iterations and values within tolerance."""
-    if isinstance(want, ValueError):
-        assert type(got) is type(want) and str(got) == str(want)
-        return
-    assert isinstance(got, FitResult)
-    assert (got.converged, got.separation_detected, got.iterations) == (
-        want.converged, want.separation_detected, want.iterations)
-    if want.separation_detected:
-        # the iterates of a separated fit run off toward infinity
-        # along a flat ridge, so their last digits are no estimate
+    """Equal status and iterations, and values within tolerance."""
+    assert (got.status, got.iterations) == (want.status, want.iterations)
+    if got.status in _NO_FIT or got.status == glm.SEPARATED:
+        # no values to compare; the iterates of a separated fit run off
+        # toward infinity along a flat ridge, so their last digits are no
+        # estimate
         return
     for a, b in ((got.coefficients, want.coefficients),
                  (got.std_errors, want.std_errors),
@@ -491,12 +531,10 @@ def _assert_same_outcome(got, want, rtol=1e-12, atol=1e-12):
         assert np.allclose(a, b, rtol=rtol, atol=atol)
 
 
-def _no_estimate(fit):
+def _no_estimate(outcome):
     """Whether a fit stopped unconverged: separated, at max_iter or on
     singular normal equations."""
-    if isinstance(fit, FitResult):
-        return not fit.converged
-    return str(fit) == "weighted normal equations are singular"
+    return outcome.status in (glm.SEPARATED, glm.NOT_CONVERGED, glm.SINGULAR_NORMAL)
 
 
 class TestBatchedWeights:
@@ -507,23 +545,21 @@ class TestBatchedWeights:
     def test_single_row_stack_is_the_one_dimensional_call(self, data):
         x, successes, trials = _batch_case(data)
         # zero trials included, as the 1-D call keeps them too
-        [stacked] = fit_logistic(successes[:1], x, trials=trials[:1])
-        assert _fit_bits(stacked) == _fit_bits(
-            _one_fit(successes[0], x, trials=trials[0]))
+        stacked = fit_logistic(successes[:1], x, trials=trials[:1])
+        assert _row(stacked, 0).bits() == _one_fit(successes[0], x, trials=trials[0]).bits()
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_rows_do_not_depend_on_the_rest_of_the_batch(self, data):
         x, successes, trials = _batch_case(data)
-        whole = [_fit_bits(fit) for fit in fit_logistic(successes, x, trials=trials)]
+        whole = fit_logistic(successes, x, trials=trials)
         order = data.draw(st.permutations(range(len(trials))), label="order")
         permuted = fit_logistic(successes[order], x, trials=trials[order])
-        assert [_fit_bits(fit) for fit in permuted] == [whole[i] for i in order]
+        assert _batch_bits(permuted) == _batch_bits(whole, order)
         cut = data.draw(st.integers(0, len(trials)), label="cut")
-        split = ((fit_logistic(successes[:cut], x, trials=trials[:cut]) if cut else [])
-                 + (fit_logistic(successes[cut:], x, trials=trials[cut:])
-                    if cut < len(trials) else []))
-        assert [_fit_bits(fit) for fit in split] == whole
+        parts = [_batch_bits(fit_logistic(successes[rows], x, trials=trials[rows]))
+                 for rows in (slice(None, cut), slice(cut, None)) if len(trials[rows])]
+        assert [b"".join(field) for field in zip(*parts)] == _batch_bits(whole)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -531,9 +567,9 @@ class TestBatchedWeights:
         x, successes, trials = _batch_case(data)
         max_iter = data.draw(st.sampled_from([2, 100]), label="max_iter")
         batch = fit_logistic(successes, x, trials=trials, max_iter=max_iter)
-        assert len(batch) == len(trials)
-        for got, s, t in zip(batch, successes, trials):
-            _assert_same_outcome(got, _one_fit(s, x, trials=t, max_iter=max_iter))
+        assert len(batch.status) == len(trials)
+        for r, (s, t) in enumerate(zip(successes, trials)):
+            _assert_same_outcome(_row(batch, r), _one_fit(s, x, trials=t, max_iter=max_iter))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -547,7 +583,7 @@ class TestBatchedWeights:
         cx, cs, ct = _cell_expansion(x, successes, trials)
         batch = fit_logistic(successes, x, trials=trials, max_iter=max_iter)
         cells = fit_logistic(cs, cx, trials=ct, max_iter=max_iter)
-        pairs = list(zip(batch, cells)) + [
+        pairs = [(_row(batch, r), _row(cells, r)) for r in range(len(trials))] + [
             (_one_fit(successes[0], x, trials=trials[0], max_iter=max_iter),
              _one_fit(cs[0], cx, trials=ct[0], max_iter=max_iter))]
         for got, want in pairs:
@@ -574,20 +610,22 @@ class TestBatchedWeights:
             balanced, strong, empty, separated, too_few))
         # the separated row is flagged at iteration 15; the strong one
         # would converge at iteration 18
-        fits = fit_logistic(successes, x, trials=trials, max_iter=16)
-        assert fits[0].converged and fits[0].iterations == 1
-        assert not fits[1].converged and not fits[1].separation_detected
-        assert fits[1].iterations == 16
-        assert isinstance(fits[2], SingularDesignError)
-        assert fits[3].separation_detected and not fits[3].converged
-        assert type(fits[4]) is ValueError and "more observations" in str(fits[4])
-        for got, s, t in zip(fits, successes, trials):
+        batch = fit_logistic(successes, x, trials=trials, max_iter=16)
+        assert batch.status.tolist() == [
+            glm.CONVERGED, glm.NOT_CONVERGED, glm.RANK_DEFICIENT, glm.SEPARATED,
+            glm.TOO_FEW_OBSERVATIONS]
+        assert batch.iterations[0] == 1 and batch.iterations[1] == 16
+        for r in (2, 4):
+            # a row that is no fit holds NaN values
+            assert np.isnan(batch.coefficients[r]).all()
+            assert np.isnan(batch.std_errors[r]).all()
+            assert np.isnan(batch.log_likelihood[r])
+        for r, (s, t) in enumerate(zip(successes, trials)):
+            # the 1-D call's exception class and message give the row's status
             want = _one_fit(s, x, trials=t, max_iter=16)
-            if isinstance(got, ValueError):
-                assert type(got) is type(want)
-            else:
-                assert (got.converged, got.separation_detected, got.iterations) == (
-                    want.converged, want.separation_detected, want.iterations)
+            got = _row(batch, r)
+            assert (got.status, got.iterations) == (want.status, want.iterations)
+            if got.status not in _NO_FIT:
                 assert np.allclose(got.coefficients, want.coefficients,
                                    rtol=1e-12, atol=1e-12)
         with pytest.raises(SingularDesignError):

@@ -177,7 +177,12 @@ class TestResponseValidation:
         write_population_csv(m, buf)
         assert buf.getvalue() == "Q,R0,R1\n1,0,1\n-1,1,1\n"
 
-    @pytest.mark.parametrize("latent", [(1, 0), (1, 2), (-1, 0.5)])
+    @pytest.mark.parametrize("latent", [
+        (1, 0), (1, 2), (-1, 0.5),
+        np.array([1, 0], dtype=np.int8),
+        np.array([-1, 2], dtype=np.int64),
+        np.array([1, 255], dtype=np.uint8),
+    ])
     def test_latent_other_than_plus_minus_one_rejected(self, latent):
         with pytest.raises(ValueError, match="latent entries"):
             self._matrix(np.zeros((2, 2), dtype=np.int8), latent=latent)
