@@ -24,7 +24,7 @@ import json
 import math
 import sys
 from collections.abc import Iterator
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from typing import TextIO
 
 import numpy as np
@@ -291,7 +291,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                         columns=study.columns())
 
     mapped = apply_mappings(table, specs)
-    results = staged_analysis(mapped, study, unit_change=args.unit_change)
+    if args.unit_change is not None:
+        study = replace(study, unit_change=args.unit_change)
+    results = staged_analysis(mapped, study)
     if all(r.error is not None for r in results):
         for r in results:
             print(f"error: stage {r.stage}: {r.error}", file=sys.stderr)
@@ -299,9 +301,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
     config = {"command": "ingest", "data": args.data, "mappings": args.mappings,
               "study": args.study, "delimiter": args.delimiter,
-              "unit_change": args.unit_change
-              if args.unit_change is not None else study.unit_change,
-              "format": args.format}
+              "unit_change": study.unit_change, "format": args.format}
     rows = [_stage_row(r) for r in results]
     _write_output(args.out, format_rows(rows, config, args.format))
     return EXIT_OK

@@ -68,18 +68,15 @@ def logit(p):
 def inverse_logit(x):
     """Logistic sigmoid 1 / (1 + exp(-x)), clamped at |x| = 36.
 
-    The clamp keeps exp() in range; past it the result is within one part
-    in 1e15 of 0 or 1 anyway.  Accepts scalars or arrays.
+    exp(-|x|) cannot overflow; below zero it gives exp(x) / (1 + exp(x)).
+    The clamp fixes the values past |x| = 36, within 1e-15 of 0 or 1, that
+    every fit has read.  Accepts scalars or arrays.
     """
     scalar = np.ndim(x) == 0
-    arr = np.atleast_1d(
-        np.clip(np.asarray(x, dtype=np.float64), -_LOGIT_CLAMP, _LOGIT_CLAMP))
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ex = np.exp(arr[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return float(out[0]) if scalar else out
+    arr = np.clip(np.asarray(x, dtype=np.float64), -_LOGIT_CLAMP, _LOGIT_CLAMP)
+    e = np.exp(-np.abs(arr))
+    out = np.where(arr >= 0, 1.0, e) / (1.0 + e)
+    return float(out) if scalar else out
 
 
 @dataclass(frozen=True)
@@ -142,7 +139,6 @@ class FitResult:
     iterations: int
     log_likelihood: float
     separation_detected: bool
-    names: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -268,7 +264,7 @@ def fit_logistic(y, X, tol: float = 1e-8, max_iter: int = 100,
     return FitResult(coefficients=fit.coefficients[0], std_errors=fit.std_errors[0],
                      converged=bool(status == CONVERGED), iterations=int(fit.iterations[0]),
                      log_likelihood=float(fit.log_likelihood[0]),
-                     separation_detected=bool(status == SEPARATED), names=design.names)
+                     separation_detected=bool(status == SEPARATED))
 
 
 def _irls(x: np.ndarray, s: np.ndarray, t: np.ndarray, tol: float,
@@ -302,9 +298,8 @@ def _irls(x: np.ndarray, s: np.ndarray, t: np.ndarray, tol: float,
     ones, zeros = s > 0.0, t - s > 0.0
     n_terms = ones.sum(axis=1) + zeros.sum(axis=1)
     beta = np.zeros((n_rows, m))
-    eta = np.zeros(t.shape)
-    mu = inverse_logit(eta)
-    ll, rounding = _log_likelihood(s, eta, t, n_terms)
+    mu = np.full(t.shape, 0.5)  # inverse_logit(0), exactly
+    ll, rounding = _log_likelihood(s, np.zeros(t.shape), t, n_terms)
     iterations = np.zeros(n_rows, dtype=int)
 
     for iteration in range(1, max_iter + 1):
@@ -327,25 +322,22 @@ def _irls(x: np.ndarray, s: np.ndarray, t: np.ndarray, tol: float,
         # Newton step with halving whenever the log-likelihood would drop; a
         # drop within the rounding of the current sum is no drop, so near the
         # optimum, where a step's gain is below that rounding, the full step
-        # is taken.  Each row halves its own step until it accepts it.
-        old = beta[rows].copy()
+        # is taken.  Each row halves its own step, down to 2**-30; its bits
+        # do not depend on the rows beside it, and 1.0 * delta is exact.
+        old = beta[rows]
+        floor = ll[rows] - rounding[rows]
         step = np.ones(live.size)
-        cand = old + delta
-        eta_cand = np.matmul(x, cand[:, :, None])[:, :, 0]
-        ll_cand, rounding_cand = _log_likelihood(s[rows], eta_cand, t[rows], n_terms[rows])
-        short = np.flatnonzero(~(ll_cand >= ll[rows] - rounding[rows]))
-        while short.size:
+        while True:
+            cand = old + step[:, None] * delta
+            eta_cand = np.matmul(x, cand[:, :, None])[:, :, 0]
+            ll_cand, rounding_cand = _log_likelihood(s[rows], eta_cand, t[rows], n_terms[rows])
+            short = ~(ll_cand >= floor) & (step > 2.0**-30)
+            if not short.any():
+                break
             step[short] *= 0.5
-            at = live[short]
-            cand[short] = old[short] + step[short, None] * delta[short]
-            eta_cand[short] = np.matmul(x, cand[short][:, :, None])[:, :, 0]
-            ll_cand[short], rounding_cand[short] = _log_likelihood(
-                s[at], eta_cand[short], t[at], n_terms[at])
-            short = short[~((ll_cand[short] >= ll[at] - rounding[at])
-                            | (step[short] <= 2.0**-30))]
 
         update = np.abs(cand - old).max(axis=1)
-        beta[rows], eta[rows], ll[rows], rounding[rows] = cand, eta_cand, ll_cand, rounding_cand
+        beta[rows], ll[rows], rounding[rows] = cand, ll_cand, rounding_cand
         mu[rows] = inverse_logit(eta_cand)
         sep = ((np.abs(cand) > _SEPARATION_COEF).any(axis=1)
                | _probabilities_pinned(mu[rows], ones[rows], zeros[rows]))

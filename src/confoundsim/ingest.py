@@ -618,20 +618,16 @@ class StageResult:
     error: str | None = None
 
 
-def staged_analysis(table: SurveyTable, study: StudySpec,
-                    unit_change: float | None = None) -> list[StageResult]:
+def staged_analysis(table: SurveyTable, study: StudySpec) -> list[StageResult]:
     """Fit every cumulative stage and report per-unit-change relative risks.
 
-    The fitted per-unit coefficient is rescaled by `unit_change` (for
+    The fitted per-unit coefficient is rescaled by `study.unit_change` (for
     example 52.18 turns a days-per-year coefficient into the effect of one
     additional day per week) and converted to a relative risk at the
     dependent column's observed prevalence.  Failures in one stage do not
     stop later stages; a stage that fails after its design was built keeps
     its row counts.
     """
-    scale = study.unit_change if unit_change is None else unit_change
-    if not (math.isfinite(scale) and scale > 0):
-        raise ValueError("unit_change must be a positive finite number")
     results: list[StageResult] = []
     nan = math.nan
     for stage_name, _ in study.stages:
@@ -645,8 +641,8 @@ def staged_analysis(table: SurveyTable, study: StudySpec,
             if not fit.converged:
                 raise IngestError(f"fit did not converge in stage {stage_name}")
             prevalence = float(y.mean())
-            beta = float(fit.coefficients[1]) * scale
-            sigma = float(fit.std_errors[1]) * scale
+            beta = float(fit.coefficients[1]) * study.unit_change
+            sigma = float(fit.std_errors[1]) * study.unit_change
             low, high = confidence_interval(beta, sigma)
             results.append(StageResult(
                 stage=stage_name,

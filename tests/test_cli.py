@@ -504,6 +504,30 @@ class TestIngest:
         first = json.loads(json_out.read_text())["results"][0]
         assert first["r"] is None and first["error"] is None
 
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "1e400"])
+    def test_invalid_unit_change_exits_2_and_writes_nothing(self, tmp_path, capsys, value):
+        data_file, study_file = synthetic_nsduh(tmp_path, n=50)
+        out = tmp_path / "stages.csv"
+        assert run(["ingest", "--data", str(data_file),
+                    "--mappings", str(DATA_DIR / "nsduh2023_mappings.txt"),
+                    "--study", str(study_file), f"--unit-change={value}",
+                    "--out", str(out)]) == 2
+        assert "error: unit_change must be a positive finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unit_change_flag_overrides_the_study_spec(self, tmp_path):
+        data_file, study_file = synthetic_nsduh(tmp_path)
+        argv = ["ingest", "--data", str(data_file),
+                "--mappings", str(DATA_DIR / "nsduh2023_mappings.txt"),
+                "--study", str(study_file), "--format", "json"]
+        base, scaled = tmp_path / "base.json", tmp_path / "scaled.json"
+        assert run(argv + ["--out", str(base)]) == 0
+        assert run(argv + ["--unit-change", "1", "--out", str(scaled)]) == 0
+        base, scaled = json.loads(base.read_text()), json.loads(scaled.read_text())
+        assert scaled["metadata"]["config"]["unit_change"] == 1.0
+        for b, s in zip(base["results"], scaled["results"]):
+            assert s["mean_beta1"] * 52.18 == pytest.approx(b["mean_beta1"], rel=1e-12)
+
     def test_missing_mapping_file_exits_2(self, tmp_path, capsys):
         data_file, study_file = synthetic_nsduh(tmp_path, n=50)
         assert run(["ingest", "--data", str(data_file),

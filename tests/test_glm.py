@@ -48,6 +48,19 @@ class TestLinks:
         assert abs(inverse_logit(1000.0) - 1.0) < 1e-15
         assert abs(inverse_logit(-1000.0)) < 1e-15
 
+    def test_same_bits_as_the_two_branch_sigmoid(self):
+        # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, on
+        # the clamped input: signed zeros, infinities, subnormals, huge values
+        tiny = np.finfo(np.float64).smallest_subnormal
+        edges = [0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 1e-300, -1e-300,
+                 36.0, -36.0, 35.9999, -35.9999, 1e308, -1e308, 0.5, -0.5]
+        xs = np.concatenate([edges, np.random.default_rng(3).normal(scale=12.0, size=2000)])
+        c = np.clip(xs, -36.0, 36.0)
+        want = np.where(c >= 0, 1.0 / (1.0 + np.exp(-c)), np.exp(c) / (1.0 + np.exp(c)))
+        assert inverse_logit(xs).tobytes() == want.tobytes()
+        assert np.array([inverse_logit(float(v)) for v in xs]).tobytes() == want.tobytes()
+        assert inverse_logit(xs.reshape(4, -1)).tobytes() == want.tobytes()
+
     def test_array_input(self):
         xs = np.array([-2.0, 0.0, 2.0])
         out = inverse_logit(xs)
@@ -641,6 +654,112 @@ class TestBatchedWeights:
         assert np.isnan(out[2]).all()
         for r in (0, 1, 3):
             assert out[r].tobytes() == np.linalg.solve(a[r], b[r]).tobytes()
+
+
+# a design on which iteration 6's full Newton step lowers the
+# log-likelihood, so the fit halves that step (twice): an intercept and two
+# Cauchy draws rounded to one decimal, 8 rows, found by search
+HALVING_X = np.column_stack([np.ones(8), [
+    [0.4, 1.3], [-1.9, 4.2], [-0.5, 0.1], [-0.5, -0.1],
+    [-0.1, 0.0], [-0.6, -6.4], [-1.0, -1.3], [28.0, 2.9]]])
+HALVING_Y = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0])
+HALVING_AT = 6
+# two tables of successes out of trials on that design whose fits take the
+# full Newton step at each of their 9 iterations
+STEADY_SUCCESSES = np.array([[3.0, 4, 0, 1, 2, 1, 0, 2], [0.0, 1, 0, 3, 1, 1, 1, 0]])
+STEADY_TRIALS = np.array([[4.0, 5, 2, 1, 3, 5, 5, 2], [1.0, 2, 2, 4, 2, 3, 5, 2]])
+
+
+def _halving_batch():
+    """The halving table between the two steady ones, as a (3, 8) stack."""
+    successes = np.stack([STEADY_SUCCESSES[0], HALVING_Y, STEADY_SUCCESSES[1]])
+    trials = np.stack([STEADY_TRIALS[0], np.ones(8), STEADY_TRIALS[1]])
+    return successes, trials
+
+
+def _log_likelihood(y, x, beta):
+    eta = x @ beta
+    return float(y @ eta - np.logaddexp(0.0, eta).sum())
+
+
+class TestStepHalving:
+    def test_a_step_that_lowers_the_likelihood_is_halved(self):
+        x, y, j = HALVING_X, HALVING_Y, HALVING_AT
+        b = fit_logistic(y, x, max_iter=j - 1).coefficients
+        mu = inverse_logit(x @ b)
+        d = np.linalg.solve(x.T @ ((mu * (1.0 - mu))[:, None] * x), x.T @ (y - mu))
+        assert _log_likelihood(y, x, b + d) < _log_likelihood(y, x, b)
+        fit = fit_logistic(y, x, max_iter=j)
+        assert fit.iterations == j
+        h = round(-math.log2(np.abs(fit.coefficients - b).max() / np.abs(d).max()))
+        assert h >= 1
+        assert np.allclose(fit.coefficients, b + 2.0**-h * d, rtol=1e-10, atol=0.0)
+        assert _log_likelihood(y, x, fit.coefficients) >= _log_likelihood(y, x, b)
+        final = fit_logistic(y, x)
+        assert final.converged and not final.separation_detected
+
+    def test_a_halving_row_of_a_batch_has_the_one_dimensional_bits(self):
+        # the steady rows are still iterating when the middle row halves
+        successes, trials = _halving_batch()
+        for max_iter in (HALVING_AT, 100):
+            batch = fit_logistic(successes, HALVING_X, trials=trials, max_iter=max_iter)
+            assert _row(batch, 1).bits() == _one_fit(HALVING_Y, HALVING_X,
+                                                     max_iter=max_iter).bits()
+            for r in (0, 2):
+                assert _row(batch, r).bits() == _one_fit(
+                    successes[r], HALVING_X, trials=trials[r], max_iter=max_iter).bits()
+        assert batch.status.tolist() == [glm.CONVERGED] * 3
+        assert batch.iterations.tolist() == [9, 13, 9]
+
+
+def _inverse_failing_on(monkeypatch, fit, row):
+    """fit() again, with np.linalg.inv raising on row `row` of the stack of
+    final weighted Gram matrices that fit() inverts for its standard errors."""
+    real_inv = np.linalg.inv
+    stacks = []
+    monkeypatch.setattr(np.linalg, "inv", lambda a: stacks.append(a) or real_inv(a))
+    fit()
+    [stack] = stacks
+    target = stack[row].copy()
+
+    def failing_inv(a):
+        if any(np.array_equal(mat, target) for mat in np.reshape(a, (-1, *target.shape))):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", failing_inv)
+    return fit()
+
+
+class TestSingularCovariance:
+    """A fit whose final weighted Gram matrix cannot be inverted keeps its
+    estimate and reports infinite standard errors."""
+
+    def test_batch_row_gets_infinite_standard_errors(self, monkeypatch):
+        successes, trials = _halving_batch()
+
+        def fit():
+            return fit_logistic(successes, HALVING_X, trials=trials)
+
+        want = fit()
+        got = _inverse_failing_on(monkeypatch, fit, 1)
+        assert np.isinf(got.std_errors[1]).all() and (got.std_errors[1] > 0).all()
+        assert np.isfinite(want.std_errors[1]).all()
+        for name in ("coefficients", "iterations", "log_likelihood", "status"):
+            assert getattr(got, name)[1].tobytes() == getattr(want, name)[1].tobytes()
+        assert _batch_bits(got, [0, 2]) == _batch_bits(want, [0, 2])
+
+    def test_one_dimensional_fit_gets_infinite_standard_errors(self, monkeypatch):
+        def fit():
+            return fit_logistic(HALVING_Y, HALVING_X)
+
+        want = fit()
+        got = _inverse_failing_on(monkeypatch, fit, 0)
+        assert np.isinf(got.std_errors).all() and (got.std_errors > 0).all()
+        assert got.coefficients.tobytes() == want.coefficients.tobytes()
+        assert (got.converged, got.iterations, got.log_likelihood,
+                got.separation_detected) == (want.converged, want.iterations,
+                                             want.log_likelihood, want.separation_detected)
 
 
 class TestRelativeRisk:

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -702,7 +703,8 @@ class TestStagedAnalysis:
         study = StudySpec(dependent="R0", independent="R1",
                           stages=(("A", ()), ("B", ("R2",))))
         # a per-unit coefficient near 1 rescaled by 1e4 is past exp's range
-        results = staged_analysis(apply_mappings(table, []), study, unit_change=1e4)
+        results = staged_analysis(apply_mappings(table, []),
+                                  replace(study, unit_change=1e4))
         assert [r.error is not None for r in results] == [True, True]
         assert all("math range error" in r.error for r in results)
 
@@ -710,8 +712,8 @@ class TestStagedAnalysis:
         table, _ = _metamodel_survey(n=5000, seed=55)
         mapped = apply_mappings(table, [])
         study = StudySpec(dependent="R0", independent="R1", stages=(("A", ()),))
-        base = staged_analysis(mapped, study, unit_change=1.0)[0]
-        scaled = staged_analysis(mapped, study, unit_change=52.18)[0]
+        base = staged_analysis(mapped, replace(study, unit_change=1.0))[0]
+        scaled = staged_analysis(mapped, replace(study, unit_change=52.18))[0]
         assert scaled.beta1 == pytest.approx(base.beta1 * 52.18, rel=1e-12)
         assert scaled.sigma1 == pytest.approx(base.sigma1 * 52.18, rel=1e-12)
 
