@@ -16,6 +16,7 @@ associations are usually published.
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
 import re
@@ -329,10 +330,16 @@ _ASCII_BREAKS = (b"\n", b"\r", b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
 _LINE_BREAKS = _ASCII_BREAKS + tuple(c.encode() for c in "\x85\u2028\u2029")
 # bytes searched for line breaks at a time
 _SCAN_BYTES = 1 << 20
+# bytes checked as UTF-8 at a time; a span decodes to up to four times its
+# bytes, held only while it is checked
+_CHECK_BYTES = 1 << 16
 # a block whose widest loaded cell has more bytes than this is decoded cell
 # by cell: copying cells out pads every one of them to the widest, so one
 # long run of padding would cost a block's cells times its length
 _GATHER_BYTES = 64
+# a block of plain-digit cells no wider than this is parsed in int64
+# arithmetic: 18 digits are below 2**63, so no value can overflow
+_DIGIT_BYTES = 18
 
 
 def _find(buf: np.ndarray, pattern: bytes) -> np.ndarray:
@@ -381,18 +388,57 @@ def _decoded(buf: np.ndarray, starts: np.ndarray,
             for row_starts, row_ends in zip(starts.tolist(), ends.tolist())]
 
 
-def _cells(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """The cells at buf[starts:ends] as a StringDType array of their shape."""
+def _check_utf8(data: bytes) -> None:
+    """Raise data.decode()'s UnicodeDecodeError, if any, one span at a time."""
+    view = memoryview(data)
+    lo = 0
+    while lo < len(data):
+        # a character starting in a span is decoded whole; a partial one at
+        # the span's end is left for the next span
+        hi = lo + _CHECK_BYTES + 3
+        try:
+            _, used = codecs.utf_8_decode(view[lo:hi], "strict", hi >= len(data))
+        except UnicodeDecodeError as exc:
+            raise UnicodeDecodeError("utf-8", data, lo + exc.start, lo + exc.end,
+                                     exc.reason) from None
+        lo += used
+
+
+def _integers(buf: np.ndarray, starts: np.ndarray,
+              ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cells at buf[starts:ends], a (rows, cells) table, as int64
+    values, and which of them are blank.  A bad cell raises ValueError or
+    OverflowError.
+    """
     lengths = ends - starts
     width = max(int(lengths.max(initial=0)), 1)
     if width > _GATHER_BYTES:
-        return np.array(_decoded(buf, starts, ends),
-                        dtype=StringDType()).reshape(starts.shape)
-    offsets = np.arange(width)
-    grabbed = buf.take(starts[..., None] + offsets, mode="clip")
-    # the zero padding is dropped by the S dtype; the file holds no NUL
-    grabbed[offsets >= lengths[..., None]] = 0
-    return grabbed.view(f"S{width}")[..., 0].astype(StringDType())
+        cells = np.array(_decoded(buf, starts, ends),
+                         dtype=StringDType()).reshape(starts.shape)
+    else:
+        # byte k of every cell is grabbed[k], so one column of bytes is
+        # one contiguous table
+        offsets = np.arange(width)[:, None, None]
+        grabbed = buf.take(starts + offsets, mode="clip")
+        pad = offsets >= lengths
+        if width <= _DIGIT_BYTES:
+            digits = grabbed - np.uint8(ord("0"))
+            digits *= ~pad
+            if digits.max(initial=0) < 10:
+                # Horner's rule; a padding byte leaves the value as it is
+                values = np.zeros(starts.shape, dtype=np.int64)
+                for column, scale in zip(digits, np.where(pad, 1, 10)):
+                    values *= scale
+                    values += column
+                return values, lengths == 0
+        # the zero padding is dropped by the S dtype; the file holds no NUL
+        grabbed[pad] = 0
+        cells = np.moveaxis(grabbed, 0, -1).copy().view(f"S{width}")[..., 0]
+        cells = cells.astype(StringDType())
+    cells = np.strings.strip(cells)
+    blank = cells == ""
+    cells[blank] = "0"
+    return cells.astype(np.int64), blank
 
 
 def _raise_first_bad_cell(rows: list[tuple[str, ...]], names: tuple[str, ...],
@@ -429,11 +475,14 @@ def load_survey(data: bytes, delimiter: str = "\t",
     The body is read in blocks of lines, each once: numpy finds a block's
     delimiters, which give every line's width, and copies out only the
     loaded cells, so the cost follows the file's bytes plus the cells
-    loaded, not the cells the file has.
+    loaded, not the cells the file has.  A block whose loaded cells are
+    all plain digits, none longer than 18, is parsed in integer arithmetic;
+    any other block (signs, `_`, whitespace, longer or bad cells) goes
+    through numpy's string parsing.  Both give the same table.
     """
     is_ascii = data.isascii()
     if not is_ascii:
-        data.decode("utf-8")  # UnicodeDecodeError names the first bad byte
+        _check_utf8(data)
     if not delimiter:
         raise IngestError("the delimiter must be non-empty")
     # numpy's strip drops trailing NULs, which Python's int() would reject
@@ -462,6 +511,12 @@ def load_survey(data: bytes, delimiter: str = "\t",
     names = tuple(header[j] for j in index)
 
     n_cols = len(header)
+    # the delimiters each loaded cell starts after and ends before; the
+    # first and last columns have a line edge in place of one
+    first_loaded = int(len(index) > 0 and index[0] == 0)
+    last_loaded = int(len(index) > 0 and index[-1] == n_cols - 1)
+    after = index[first_loaded:] - 1
+    before = index[:len(index) - last_loaded]
     pattern = delimiter.encode()
     # a delimiter holding a line break is in no line
     splits = delimiter.splitlines() == [delimiter]
@@ -493,19 +548,19 @@ def load_survey(data: bytes, delimiter: str = "\t",
         n_rows = rows.stop
         if bad is not None:
             continue
-        # a row's cell j runs from its delimiter j - 1 to its delimiter j,
-        # with a delimiter taken to sit just before the line and at its end
-        edges = np.empty((len(starts), n_cols + 1), dtype=np.intp)
-        edges[:, 0] = starts - len(pattern)
-        edges[:, 1:-1] = at.reshape(len(starts), n_cols - 1)
-        edges[:, -1] = ends
-        cell_starts, cell_ends = edges[:, index] + len(pattern), edges[:, index + 1]
-        cells = np.strings.strip(_cells(chunk, cell_starts, cell_ends))
-        blank = cells == ""
-        missing[rows] = blank
-        cells[blank] = "0"
+        # a row's cell j runs from its delimiter j - 1 to its delimiter j;
+        # the first cell starts with the line and the last ends with it
+        inner = at.reshape(len(starts), n_cols - 1)
+        cell_starts = np.empty((len(starts), len(index)), dtype=np.intp)
+        cell_ends = np.empty_like(cell_starts)
+        cell_starts[:, first_loaded:] = inner[:, after] + len(pattern)
+        cell_ends[:, :len(index) - last_loaded] = inner[:, before]
+        if first_loaded:
+            cell_starts[:, 0] = starts
+        if last_loaded:
+            cell_ends[:, -1] = ends
         try:
-            values[rows] = cells.astype(np.int64)
+            values[rows], missing[rows] = _integers(chunk, cell_starts, cell_ends)
         except (ValueError, OverflowError) as exc:
             # reported once every row's width has been checked
             bad = exc, _decoded(chunk, cell_starts, cell_ends), rows.start + 1

@@ -678,28 +678,33 @@ class TestExitCodes:
 class TestFreshProcess:
     def test_no_command_imports_numpy_ma(self, tmp_path):
         # np.unique imports numpy.ma on its first call, ~12 ms that every
-        # command, a process of its own, would pay; none of them needs it
+        # command, a process of its own, would pay; none of them needs it.
+        # numpy.random loads OpenSSL through `secrets`, ~14 ms and 6 MB of
+        # memory, which only the commands that draw need
         data_file, study_file = synthetic_nsduh(tmp_path, n=300)
         pop_csv = tmp_path / "pop.csv"
         assert run(["simulate", "--p", "0.7", "--k", "3", "--n", "400",
                     "--seed", "2", "--out", str(pop_csv)]) == 0
         commands = [
-            ["ingest", "--data", str(data_file), "--mappings",
-             str(DATA_DIR / "nsduh2023_mappings.txt"), "--study", str(study_file)],
-            ["fit", str(pop_csv), "--dependent", "R0", "--regressors", "R1,R2,R3"],
+            (["ingest", "--data", str(data_file), "--mappings",
+              str(DATA_DIR / "nsduh2023_mappings.txt"), "--study", str(study_file)],
+             "[]"),
+            (["fit", str(pop_csv), "--dependent", "R0", "--regressors", "R1,R2,R3"],
+             "[]"),
             # k = 9 at N = 30 draws and counts rows: the row path
-            ["scan", "--r-list", "0.1", "--n-list", "8", "--N", "30", "--reps", "3",
-             "--seed", "4"],
+            (["scan", "--r-list", "0.1", "--n-list", "8", "--N", "30", "--reps", "3",
+              "--seed", "4"], "['numpy.random']"),
         ]
         script = ("import sys\n"
                   "from confoundsim.cli import main\n"
                   "assert main(sys.argv[1:]) == 0\n"
-                  "print('numpy.ma' in sys.modules, file=sys.stderr)\n")
+                  "print([m for m in ('numpy.ma', 'numpy.random') if m in sys.modules],"
+                  " file=sys.stderr)\n")
         package_root = str(Path(confoundsim.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (package_root, os.environ.get("PYTHONPATH")) if p)}
-        for argv in commands:
+        for argv, imported in commands:
             proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
                                   capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
-            assert proc.stderr.splitlines()[-1] == "False", argv[0]
+            assert proc.stderr.splitlines()[-1] == imported, argv[0]

@@ -353,14 +353,55 @@ class TestLoadSurvey:
         n = len(text.splitlines())
         outcomes = []
         # a block size of n - 1, n or n + 5 lines puts the whole body in one
-        # block; gathering cells of at most 0 bytes decodes every cell alone
-        for block_lines, gather_bytes in ((1, 64), (3, 64), (max(n - 1, 1), 64),
-                                          (n, 64), (n + 5, 64), (3, 0)):
+        # block; gathering cells of at most 0 bytes decodes every cell alone,
+        # and parsing digits of at most 0 bytes sends every block through
+        # the string path
+        for block_lines, gather_bytes, digit_bytes in (
+                (1, 64, 18), (3, 64, 18), (max(n - 1, 1), 64, 18), (n, 64, 18),
+                (n + 5, 64, 18), (3, 0, 18), (1, 64, 0), (n + 5, 64, 0)):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(ingest, "_BLOCK_LINES", block_lines)
                 mp.setattr(ingest, "_GATHER_BYTES", gather_bytes)
+                mp.setattr(ingest, "_DIGIT_BYTES", digit_bytes)
                 outcomes.append(load_outcome(data, delimiter, columns))
         assert outcomes == [reference_load(text, delimiter, columns)] * len(outcomes)
+
+    @pytest.mark.parametrize("text", [
+        # 18 and 19 digits, the int64 maximum, and cells past it
+        "A\tB\n999999999999999999\t1\n1000000000000000000\t9223372036854775807\n",
+        "A\tB\n1\t2\n3\t9223372036854775808\n",
+        "A\tB\n1\t2\n3\t12345678901234567890\n",
+        # leading zeros past 18 bytes
+        "A\tB\n0000000000000000000000042\t000000000000000000007\n00\t0\n",
+        # blank and whitespace-only cells, a row of blanks among them
+        "A\tB\n\t \n1\t\n\t\n \t2\n3\t4\n",
+        # plain-digit rows among padded, signed and grouped ones
+        "A\tB\tC\n1\t22\t333\n 4\t5\t6\n7\t8\t9\n+10\t-11\t1_2\n"
+        "13\t14\t15\n16\t\u300017\t\n18\t19\t20\n",
+        "A\tB\tC\n1\t22\t333\n4\t5\t6x\n7\t8\t9\n",
+        # one column
+        "A\n1\n\n 2\n30\n",
+        "A\n5\n66\n",
+    ])
+    def test_digit_cells_match_the_reference(self, text):
+        for block_lines in (1, 2, 256):
+            for columns in (None, ["A"]):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(ingest, "_BLOCK_LINES", block_lines)
+                    assert (load_outcome(text.encode(), "\t", columns)
+                            == reference_load(text, "\t", columns))
+
+    def test_plain_digit_blocks_skip_the_string_path(self, monkeypatch):
+        # with no StringDType the string path fails, as the last load shows
+        monkeypatch.setattr(ingest, "StringDType", None)
+        table = load_survey(b"A\tB\tC\n1\t\t999999999999999999\n\t\t\n0042\t7\t0\n")
+        assert table.values.tolist() == [[1, 0, 999999999999999999], [0, 0, 0],
+                                         [42, 7, 0]]
+        assert table.missing.tolist() == [[False, True, False], [True, True, True],
+                                          [False, False, False]]
+        assert load_survey(b"A\n1\n2\n").values.tolist() == [[1], [2]]
+        with pytest.raises(TypeError):
+            load_survey(b"A\tB\n1\t 2\n")
 
     @pytest.mark.parametrize("body", [
         ["1\t2", "", "3\t4", " \xa0", "5\t6", "", "", "7\t8", "\t", "9\t10"],
@@ -409,6 +450,56 @@ class TestLoadSurvey:
     def test_bytes_not_utf8_rejected_at_the_first_bad_byte(self):
         with pytest.raises(UnicodeDecodeError, match="position 8: invalid start"):
             load_survey(b"Y\tX\tC\n1\t\xff\t3\n")
+
+    def test_bad_byte_past_the_first_span_keeps_its_offset(self):
+        data = b"Y\tX\n" + b"1\t2\n" * 20 + b"3\t\xff\n"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_CHECK_BYTES", 8)
+            with pytest.raises(UnicodeDecodeError,
+                               match="byte 0xff in position 86: invalid start"):
+                load_survey(data)
+
+    @pytest.mark.parametrize("data", [
+        "A\tB\n1\t\u3000 2\n\U0001f600\t\xa03\n".encode(),
+        # a character cut short, by a bad byte or by the end of the file
+        b"A\tB\n1\t\xe3\x80 2\n",
+        b"A\tB\n1\t\xf0\x9f\x98\n",
+        b"A\tB\n1\t2\xe3\x80",
+        # a byte that can start no character, amid or after a valid one
+        b"A\tB\n1\t\xe3\x80\x80\x80\n",
+        b"A\tB\n1\t\xc0\xaf\n",
+    ])
+    def test_characters_across_span_cuts_check_as_in_one_piece(self, data):
+        try:
+            expected = reference_load(data.decode(), "\t")
+        except UnicodeDecodeError as exc:
+            expected = str(exc)
+        for check_bytes in range(1, len(data) + 2):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ingest, "_CHECK_BYTES", check_bytes)
+                try:
+                    outcome = load_outcome(data, "\t")
+                except UnicodeDecodeError as exc:
+                    outcome = str(exc)
+            assert outcome == expected, check_bytes
+
+    def test_one_non_ascii_cell_costs_no_decoded_copy_of_the_file(self):
+        # survey-shaped: many short cells a row, 2 MB in all
+        rng = np.random.default_rng(19)
+        cols = [rng.integers(0, 1000, 2000) for _ in range(250)]
+        plain = survey_bytes([f"C{j}" for j in range(250)], cols)
+        # a line start is a cell start, and an ideographic space pads a cell
+        mid = plain.index(b"\n", len(plain) // 2) + 1
+        wide = plain[:mid] + "\u3000".encode() + plain[mid:]
+        peaks = []
+        for data in (plain, wide):
+            tracemalloc.start()
+            try:
+                load_survey(data, columns=["C3"])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 class TestStudySpec:
