@@ -30,7 +30,7 @@ from typing import TextIO
 import numpy as np
 
 from . import __version__
-from .ensemble import EnsembleError, GridSpec, scan_grid
+from .ensemble import EnsembleError, GridCell, GridSpec, scan_grid
 from .glm import (DesignMatrix, SingularDesignError, confidence_interval,
                   fit_logistic, relative_risk)
 from .ingest import (apply_mappings, load_survey, parse_mapping_file,
@@ -140,7 +140,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _scan_row(cell) -> dict:
+def _scan_row(cell: GridCell) -> dict:
     # the GridCell fields in declaration order, n_respondents written as N
     return {("N" if name == "n_respondents" else name): value
             for name, value in asdict(cell).items()}

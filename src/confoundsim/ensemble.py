@@ -19,8 +19,12 @@ three cells: (0.55, 9) with +19.1%, (0.6, 9) with +16.4% and (0.8, 2) with
 
 A replication is drawn as its counts over the 2^(k+1) response cells where
 those are no more than the N rows, and as its N rows otherwise; either way
-it becomes successes out of trials per regressor pattern, and one loop fits
-every replication's table with the batched IRLS of `glm.fit_logistic`.
+it becomes successes out of trials per regressor pattern.  One engine fits
+these tables with the batched IRLS of `glm.fit_logistic`: the table-path
+replications of every cell with the same k share one design, the 2^k
+patterns, and are fitted together in blocks, and a row-path replication
+is a block of one.  `run_ensemble` is the engine's one-cell call, and
+`scan_grid` hands it the whole grid.
 
 Grid scans sweep pairwise correlation r against confounder count n and
 return one plot-ready cell per pair (relative risk with 95% intervals),
@@ -59,9 +63,6 @@ _CODE_BITS = 63
 
 # replication x regressor-pattern trials fitted in one batched call, at most
 _FIT_BLOCK_WEIGHTS = 4096
-
-# (bits, p_plus, p_minus) of every response pattern; see _cell_table
-_CellTable = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class EnsembleError(RuntimeError):
@@ -175,95 +176,116 @@ class EnsembleSummary:
     excluded: int
 
 
-def _cell_table(params: ModelParams) -> _CellTable | None:
-    """Every 0/1 pattern of the k + 1 columns and its probability given Q.
+def _cell_bits(width: int) -> np.ndarray:
+    """bits[c, j] = bit j of c, for every 0/1 pattern c of `width` columns.
 
-    Returns (bits, p_plus, p_minus): bits[c, j] is column j's value in cell c,
-    bit j of c, so y is bit 0 and cells 2i and 2i + 1 are regressor pattern
-    i's cells of y = 0 and y = 1, and p_plus / p_minus are the
-    cell's probabilities given latent trait +1 / -1 under the model
-    draw_population samples: every regressor is 1 with probability p_Q, the
-    dependent column with inverse_logit(logit(p_Q) + causal_increment * x1).
-    None when the 2^(k+1) cells outnumber the N rows: the table would then
-    be bigger than the rows, so a replication draws the rows instead.
+    With y as column 0, cells 2i and 2i + 1 are regressor pattern i's cells
+    of y = 0 and y = 1.
     """
-    width = params.k + 1
-    if 2**width > params.n_respondents:
-        return None
-    bits = (np.arange(2**width)[:, None] >> np.arange(width)) & 1
+    return (np.arange(2**width)[:, None] >> np.arange(width)) & 1
+
+
+def _cell_probabilities(params: ModelParams,
+                        bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p_plus, p_minus): each cell's probability given latent trait +1 / -1.
+
+    `bits` is _cell_bits(k + 1).  The model is the one draw_population
+    samples: every regressor is 1 with probability p_Q, the dependent column
+    with inverse_logit(logit(p_Q) + causal_increment * x1).
+    """
     probabilities = []
     for agree in (params.p, 1.0 - params.p):
         p_y = inverse_logit(logit(agree) + params.causal_increment * bits[:, 1])
         prob = np.where(bits[:, 0] == 1, p_y, 1.0 - p_y)
         prob *= np.where(bits[:, 1:] == 1, agree, 1.0 - agree).prod(axis=1)
         probabilities.append(prob)
-    return bits.astype(np.float64), *probabilities
+    return probabilities[0], probabilities[1]
 
 
 def _draw_cell_counts(params: ModelParams, rep_index: int,
-                      cells: _CellTable) -> np.ndarray:
+                      probabilities: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """How many of replication rep_index's N respondents fall in each cell.
 
     A binomial latent split of the N respondents, then one multinomial over
-    the cells per latent class, on the replication's own stream.
+    the cells per latent class (`probabilities` is _cell_probabilities'
+    pair), on the replication's own stream.
     """
-    _, p_plus, p_minus = cells
+    p_plus, p_minus = probabilities
     n = params.n_respondents
     rng = stream_generator(derive_seed(params.seed, rep_index))
     plus = rng.binomial(n, 0.5)
     return rng.multinomial(plus, p_plus) + rng.multinomial(n - plus, p_minus)
 
 
-def _tables(params: ModelParams, replications: int
-            ) -> Iterator[tuple[range, np.ndarray, np.ndarray, np.ndarray]]:
-    """Every replication's pattern table, in index order, in blocks to fit.
+def _tables(cells: list[ModelParams], replications: int
+            ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Every (cell, replication) pair's pattern table, in blocks to fit.
 
-    Yields (indices, design, successes, trials): the replications of
-    `indices`, their shared design of regressor patterns, and their
-    (len(indices), patterns) successes out of trials.  Where the 2^(k+1)
-    response cells are no more than the N rows, every replication draws its
-    cell counts from one cell table built here; they pair up into successes
-    out of trials for each of the 2^k regressor patterns, and each block of
-    replications is drawn just before it is fitted, which bounds the fit's
-    (block, patterns, k) temporaries.  Otherwise a replication draws its N
-    rows and is a block of one on its own table of the patterns that occur.
+    Yields (cell_at, rep_at, design, successes, trials): the pairs of a
+    block as two index arrays, their shared design of regressor patterns,
+    and their (pairs, patterns) successes out of trials.  A cell whose
+    2^(k+1) response cells outnumber its N rows is on the row path: each
+    replication draws its N rows and is a block of one on its own table of
+    the patterns that occur.  The other cells are on the table path, where
+    every cell with the same k fits one design, the 2^k regressor patterns:
+    their (cell, replication) pairs, in index order, are cut into blocks of
+    at most _FIT_BLOCK_WEIGHTS pair x pattern trials.  A block's pairs draw
+    their cell counts, which pair up into successes out of trials per
+    pattern, just before it is fitted, which bounds the fit's
+    (block, patterns, k) temporaries.
     """
-    cells = _cell_table(params)
-    if cells is None:
+    groups: dict[int, list[int]] = {}
+    for c, params in enumerate(cells):
+        if 2 ** (params.k + 1) <= params.n_respondents:
+            groups.setdefault(params.k, []).append(c)
+            continue
         for i in range(replications):
             rep_params = replace(params, seed=derive_seed(params.seed, i))
             population = draw_population(rep_params, params.k + 1)
             regressors, successes, trials = _pattern_table(population.responses)
-            yield range(i, i + 1), regressors, successes[None], trials[None]
-        return
-    patterns = cells[0][0::2, 1:]
-    block = max(1, _FIT_BLOCK_WEIGHTS // len(patterns))
-    for start in range(0, replications, block):
-        indices = range(start, min(start + block, replications))
-        counts = np.array([_draw_cell_counts(params, i, cells) for i in indices],
-                          dtype=np.float64).reshape(len(indices), len(patterns), 2)
-        yield indices, patterns, counts[:, :, 1], counts.sum(axis=2)
+            yield (np.array([c]), np.array([i]), regressors,
+                   successes[None], trials[None])
+    for k, members in groups.items():
+        bits = _cell_bits(k + 1)
+        probabilities = {c: _cell_probabilities(cells[c], bits) for c in members}
+        patterns = bits[0::2, 1:].astype(np.float64)
+        # only the patterns and each cell's probabilities outlive the bits
+        del bits
+        block = max(1, _FIT_BLOCK_WEIGHTS // 2**k)
+        pairs = len(members) * replications
+        for start in range(0, pairs, block):
+            at = np.arange(start, min(start + block, pairs))
+            cell_at, rep_at = np.asarray(members)[at // replications], at % replications
+            counts = np.array([_draw_cell_counts(cells[c], i, probabilities[c])
+                               for c, i in zip(cell_at.tolist(), rep_at.tolist())],
+                              dtype=np.float64).reshape(len(at), 2**k, 2)
+            yield cell_at, rep_at, patterns, counts[:, :, 1], counts.sum(axis=2)
 
 
-def run_ensemble(params: ModelParams, replications: int) -> EnsembleSummary:
-    """Generate and fit `replications` independent populations.
+def _run_ensembles(cells: list[ModelParams], replications: int
+                   ) -> list[EnsembleSummary | EnsembleError]:
+    """Generate and fit `replications` independent populations of every cell.
 
-    Replication streams are keyed by (params.seed, replication index) and
-    results are reduced in index order.  Non-converged, separated or
+    Replication streams are keyed by (cell seed, replication index) and each
+    cell's results are reduced in index order, so a cell's summary does not
+    depend on the cells beside it.  Non-converged, separated or
     rank-deficient fits are excluded and counted, never retried.  Each
-    block of replications that _tables yields is one batched fit, read
-    through masks over its status.
+    block that _tables yields is one batched fit, read through masks over
+    its status.  A cell whose every replication failed gets an
+    EnsembleError in place of its summary.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
-    if params.n_respondents <= params.k:
-        raise ValueError(
-            f"n_respondents ({params.n_respondents}) must exceed the regressor "
-            f"count k = {params.k}: a fit needs more observations than regressors")
-    betas = np.full(replications, math.nan)
-    sigmas = np.full(replications, math.nan)
-    separated = 0
-    for indices, design, successes, trials in _tables(params, replications):
+    for params in cells:
+        if params.n_respondents <= params.k:
+            raise ValueError(
+                f"n_respondents ({params.n_respondents}) must exceed the regressor "
+                f"count k = {params.k}: a fit needs more observations than regressors")
+    betas = np.full((len(cells), replications), math.nan)
+    sigmas = np.full((len(cells), replications), math.nan)
+    separated = np.zeros(len(cells), dtype=np.int64)
+    null = np.array([params.causal_increment == 0.0 for params in cells])
+    for cell_at, rep_at, design, successes, trials in _tables(cells, replications):
         try:
             # the survey regressions this models fit raw response columns with
             # no constant term; the scaling laws above describe exactly those fits
@@ -272,30 +294,48 @@ def run_ensemble(params: ModelParams, replications: int) -> EnsembleSummary:
             # a row-path draw with an all-zero regressor column, which the
             # design rejects before any fit: the block's one fit is unusable
             continue
-        separated += int(np.count_nonzero(batch.status == SEPARATED))
+        np.add.at(separated, cell_at, batch.status == SEPARATED)
         usable = batch.status == CONVERGED
-        if params.causal_increment == 0.0:
-            beta, sigma = batch.coefficients.mean(axis=1), batch.std_errors.mean(axis=1)
-        else:
-            beta, sigma = batch.coefficients[:, 0], batch.std_errors[:, 0]
-        at = np.asarray(indices)[usable]
+        beta = np.where(null[cell_at], batch.coefficients.mean(axis=1),
+                        batch.coefficients[:, 0])
+        sigma = np.where(null[cell_at], batch.std_errors.mean(axis=1),
+                         batch.std_errors[:, 0])
+        at = cell_at[usable], rep_at[usable]
         betas[at], sigmas[at] = beta[usable], sigma[usable]
+    summaries: list[EnsembleSummary | EnsembleError] = []
+    for params, cell_betas, cell_sigmas, n_separated in zip(cells, betas, sigmas,
+                                                            separated):
+        kept = ~np.isnan(cell_betas)
+        n_kept = int(kept.sum())
+        if n_kept == 0:
+            summaries.append(EnsembleError(
+                f"all {replications} replications failed to converge "
+                f"({n_separated} flagged as separated; "
+                f"p={params.p}, k={params.k}, N={params.n_respondents})"))
+            continue
+        mc_error = (float(np.std(cell_betas[kept], ddof=1)) / math.sqrt(n_kept)
+                    if n_kept >= 2 else math.inf)
+        summaries.append(EnsembleSummary(
+            mean_beta1=float(np.mean(cell_betas[kept])),
+            mean_sigma1=float(np.mean(cell_sigmas[kept])),
+            mc_error_beta1=mc_error,
+            excluded=replications - n_kept,
+        ))
+    return summaries
 
-    kept = ~np.isnan(betas)
-    n_kept = int(kept.sum())
-    if n_kept == 0:
-        raise EnsembleError(
-            f"all {replications} replications failed to converge "
-            f"({separated} flagged as separated; "
-            f"p={params.p}, k={params.k}, N={params.n_respondents})")
-    mc_error = (float(np.std(betas[kept], ddof=1)) / math.sqrt(n_kept)
-                if n_kept >= 2 else math.inf)
-    return EnsembleSummary(
-        mean_beta1=float(np.mean(betas[kept])),
-        mean_sigma1=float(np.mean(sigmas[kept])),
-        mc_error_beta1=mc_error,
-        excluded=replications - n_kept,
-    )
+
+def run_ensemble(params: ModelParams, replications: int) -> EnsembleSummary:
+    """Generate and fit `replications` independent populations.
+
+    The one-cell call of the engine scan_grid runs: replication streams are
+    keyed by (params.seed, replication index) and results are reduced in
+    index order.  Non-converged, separated or rank-deficient fits are
+    excluded and counted, never retried; EnsembleError when all are.
+    """
+    summary, = _run_ensembles([params], replications)
+    if isinstance(summary, EnsembleError):
+        raise summary
+    return summary
 
 
 def _agreement_p(r: float) -> float:
@@ -382,28 +422,30 @@ class GridCell:
 def scan_grid(spec: GridSpec) -> list[GridCell]:
     """Run every (r, n) cell of the grid; failed cells are kept, flagged.
 
-    Deterministic for a fixed spec seed.
+    Every cell is handed to one run of the ensemble engine, so the table-path
+    cells of one confounder count share their fits' blocks.  Deterministic
+    for a fixed spec seed.
     """
-    grid = itertools.product(spec.correlations, spec.confounder_counts)
-    return [_run_cell(spec, r, n_conf, index)
-            for index, (r, n_conf) in enumerate(grid)]
-
-
-def _run_cell(spec: GridSpec, r: float, n_conf: int, index: int) -> GridCell:
-    p = _agreement_p(r)
-    k = n_conf + 1
-    predicted_beta = empirical_beta_formula(p, k)
-    predicted_sigma = empirical_sigma_formula(p, k, spec.n_respondents)
-    params = ModelParams(p=p, k=k, n_respondents=spec.n_respondents,
+    grid = list(itertools.product(spec.correlations, spec.confounder_counts))
+    cells = [ModelParams(p=_agreement_p(r), k=n_conf + 1,
+                         n_respondents=spec.n_respondents,
                          seed=derive_seed(spec.seed, index),
                          causal_increment=spec.causal_increment)
-    try:
-        summary = run_ensemble(params, spec.replications)
-    except EnsembleError as exc:
+             for index, (r, n_conf) in enumerate(grid)]
+    summaries = _run_ensembles(cells, spec.replications)
+    return [_grid_cell(spec, r, n_conf, params, summary)
+            for (r, n_conf), params, summary in zip(grid, cells, summaries)]
+
+
+def _grid_cell(spec: GridSpec, r: float, n_conf: int, params: ModelParams,
+               summary: EnsembleSummary | EnsembleError) -> GridCell:
+    predicted_beta = empirical_beta_formula(params.p, params.k)
+    predicted_sigma = empirical_sigma_formula(params.p, params.k, spec.n_respondents)
+    if isinstance(summary, EnsembleError):
         nan = math.nan
         return GridCell(r, n_conf, spec.n_respondents, spec.replications,
                         nan, nan, nan, nan, nan, spec.replications,
-                        predicted_beta, predicted_sigma, nan, error=str(exc))
+                        predicted_beta, predicted_sigma, nan, error=str(summary))
 
     ci_n = spec.ci_n_respondents or spec.n_respondents
     sigma_scaled = summary.mean_sigma1 * math.sqrt(spec.n_respondents / ci_n)

@@ -367,7 +367,9 @@ def _line_bounds(data: bytes, buf: np.ndarray,
     """Start and end offsets of every line of `data`, empty lines included."""
     ends, gaps = [np.array([len(buf)])], [np.array([0])]
     for brk in _ASCII_BREAKS if is_ascii else _LINE_BREAKS:
-        if brk not in data:
+        # a search for one byte is a memchr, for several bytes much slower,
+        # so a multi-byte break is looked for only where its lead byte is
+        if brk[:1] not in data or brk not in data:
             continue
         # one span of _SCAN_BYTES start offsets at a time, so no mask is as
         # long as the file; a break starting in a span is matched whole

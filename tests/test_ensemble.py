@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
-from dataclasses import replace
+from collections import Counter
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -165,10 +167,28 @@ def _model_cell_probability(p, increment, y, x):
     return total
 
 
+def _draws(base):
+    """The names of the draw functions run_ensemble(base, 3) calls."""
+    called = set()
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("draw_population", "_draw_cell_counts"):
+            def spy(*args, _name=name, _real=getattr(ensemble, name)):
+                called.add(_name)
+                return _real(*args)
+            mp.setattr(ensemble, name, spy)
+        try:
+            run_ensemble(base, 3)
+        except EnsembleError:
+            pass
+    return called
+
+
 class TestCellTable:
     def test_table_only_where_the_cells_are_no_more_than_the_rows(self):
-        assert ensemble._cell_table(params(k=2, n=7)) is None
-        bits, plus, minus = ensemble._cell_table(params(k=2, n=8))
+        assert _draws(params(k=2, n=7)) == {"draw_population"}
+        assert _draws(params(k=2, n=8)) == {"_draw_cell_counts"}
+        bits = ensemble._cell_bits(3)
+        plus, minus = ensemble._cell_probabilities(params(k=2, n=8), bits)
         # cell c holds the row whose code is c, bit j being column j
         assert (bits @ (1 << np.arange(3)) == np.arange(8)).all()
         assert plus.sum() == pytest.approx(1.0, abs=1e-15)
@@ -179,7 +199,8 @@ class TestCellTable:
         # of 1 over the 2^(k+1) cells, gives every coefficient the limit
         for p in (0.55, 0.6, 0.7, 0.8, 0.9):
             for k in range(1, 10):
-                bits, plus, minus = ensemble._cell_table(params(p=p, k=k, n=2**(k + 1)))
+                bits = ensemble._cell_bits(k + 1)
+                plus, minus = ensemble._cell_probabilities(params(p=p, k=k), bits)
                 counts = (plus + minus) * 2**k
                 fit = fit_logistic(bits[:, 0] * counts, bits[:, 1:], trials=counts)
                 assert fit.converged and not fit.separation_detected
@@ -189,11 +210,13 @@ class TestCellTable:
     @pytest.mark.parametrize("increment", [0.0, 0.4])
     def test_pooled_cell_counts_follow_the_model(self, increment):
         base = params(p=0.7, k=3, n=1000, seed=31, beta_prime=increment)
-        cells = ensemble._cell_table(base)
-        pooled = sum(ensemble._draw_cell_counts(base, i, cells) for i in range(200))
+        bits = ensemble._cell_bits(4)
+        probabilities = ensemble._cell_probabilities(base, bits)
+        pooled = sum(ensemble._draw_cell_counts(base, i, probabilities)
+                     for i in range(200))
         total = 200 * 1000
         assert pooled.sum() == total
-        for row, count in zip(cells[0].astype(int), pooled):
+        for row, count in zip(bits, pooled):
             prob = _model_cell_probability(0.7, increment, row[0], row[1:])
             sd = math.sqrt(total * prob * (1.0 - prob))
             assert abs(count - total * prob) <= 5 * sd, (row, count, total * prob, sd)
@@ -201,15 +224,16 @@ class TestCellTable:
 
 def _one_dimensional_loop(params, replications):
     """(excluded, usable betas) of a loop of 1-D fits on the occurring patterns."""
-    cells = ensemble._cell_table(params)
+    bits = ensemble._cell_bits(params.k + 1)
+    probabilities = ensemble._cell_probabilities(params, bits)
     betas = []
     for i in range(replications):
-        counts = ensemble._draw_cell_counts(params, i, cells)
+        counts = ensemble._draw_cell_counts(params, i, probabilities)
         # y is bit 0 of a cell's code: cells 2i and 2i + 1 share pattern i
         trials = counts[0::2] + counts[1::2]
         occurs = trials > 0
         try:
-            fit = fit_logistic(counts[1::2][occurs], cells[0][0::2, 1:][occurs],
+            fit = fit_logistic(counts[1::2][occurs], bits[0::2, 1:][occurs],
                                trials=trials[occurs])
         except SingularDesignError:
             continue
@@ -271,7 +295,7 @@ class TestBatchedReplications:
     def test_row_path_equals_a_loop_of_one_dimensional_fits(self, k, n, increment):
         # blocks of one replication give the bits of one 1-D fit each
         base = params(p=0.6, k=k, n=n, seed=21, beta_prime=increment)
-        assert ensemble._cell_table(base) is None
+        assert 2 ** (k + 1) > n
         summary = run_ensemble(base, 12)
         excluded, betas, sigmas = _row_path_loop(base, 12)
         assert len(betas) >= 2
@@ -297,7 +321,69 @@ class TestBatchedReplications:
         assert seen == [((8, 512), (512, 9), (8, 512)), ((2, 512), (512, 9), (2, 512))]
 
 
+def _per_cell_loop(spec):
+    """scan_grid's rows as a loop of one run_ensemble call per cell gives them."""
+    rows = []
+    grid = itertools.product(spec.correlations, spec.confounder_counts)
+    for index, (r, n_conf) in enumerate(grid):
+        cell = ModelParams(p=ensemble._agreement_p(r), k=n_conf + 1,
+                           n_respondents=spec.n_respondents,
+                           seed=derive_seed(spec.seed, index),
+                           causal_increment=spec.causal_increment)
+        try:
+            summary = run_ensemble(cell, spec.replications)
+        except EnsembleError as exc:
+            summary = exc
+        rows.append(ensemble._grid_cell(spec, r, n_conf, cell, summary))
+    return rows
+
+
+GRIDS = {
+    # k = 2 and 3 on the table path, k = 6 and 7 on the row path
+    "mixed": dict(correlations=(0.05, 0.3), confounder_counts=(1, 5, 2, 6),
+                  n_respondents=60, replications=7, seed=41),
+    "causal": dict(correlations=(0.05, 0.15), confounder_counts=(1, 2, 6),
+                   n_respondents=100, replications=9, seed=42, causal_increment=0.3),
+    # the second cell fails, the first does not; both are k = 2 table cells,
+    # and the failing one's error counts its own separated fits
+    "failing": dict(correlations=(0.05, 0.98), confounder_counts=(1,),
+                    n_respondents=30, replications=3, seed=6),
+}
+
+
 class TestScanGrid:
+    @pytest.mark.parametrize("block_weights", [1, 12, 40, 4096, 10**6])
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_equals_a_loop_of_per_cell_ensembles(self, grid, block_weights):
+        # the table cells of one k share blocks, which at these weights hold
+        # 1, 3 and 10 replications of k = 2 and cut across cells
+        spec = GridSpec(**GRIDS[grid])
+        expected = [repr(astuple(row)) for row in _per_cell_loop(spec)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ensemble, "_FIT_BLOCK_WEIGHTS", block_weights)
+            rows = scan_grid(spec)
+        assert [repr(astuple(row)) for row in rows] == expected
+        if grid == "failing":
+            assert rows[0].error is None and "(2 flagged as separated;" in rows[1].error
+
+    def test_default_grid_fits_each_k_in_shared_blocks(self, monkeypatch):
+        # 5 cells x 20 replications per k: 100 replications of 4, 8 or 32
+        # patterns fit in one block; of 512 patterns, in blocks of 8
+        spec = GridSpec(correlations=(0.01, 0.02, 0.05, 0.1, 0.15),
+                        confounder_counts=(1, 2, 4, 8), n_respondents=10_000,
+                        replications=20, seed=7)
+        seen = []
+        real = ensemble.fit_logistic
+
+        def spy(y, x, **kwargs):
+            seen.append((x.shape[1], y.size))
+            return real(y, x, **kwargs)
+
+        monkeypatch.setattr(ensemble, "fit_logistic", spy)
+        scan_grid(spec)
+        assert Counter(k for k, _ in seen) == {2: 1, 3: 1, 5: 1, 9: 13}
+        assert max(trials for _, trials in seen) <= 4096
+
     def small_spec(self, **kw):
         base = dict(correlations=(0.02, 0.1), confounder_counts=(1, 2),
                     n_respondents=1500, replications=10, seed=123)
@@ -316,13 +402,13 @@ class TestScanGrid:
             assert cell.error is None
 
     def test_relative_risk_overflow_flags_only_its_cell(self, monkeypatch):
-        real = ensemble.run_ensemble
+        real = ensemble._run_ensembles
 
-        def huge_sigma_at_k3(p, replications, **kwargs):
-            summary = real(p, replications, **kwargs)
-            return replace(summary, mean_sigma1=1e3) if p.k == 3 else summary
+        def huge_sigma_at_k3(cells, replications):
+            return [replace(summary, mean_sigma1=1e3) if p.k == 3 else summary
+                    for p, summary in zip(cells, real(cells, replications))]
 
-        monkeypatch.setattr(ensemble, "run_ensemble", huge_sigma_at_k3)
+        monkeypatch.setattr(ensemble, "_run_ensembles", huge_sigma_at_k3)
         cells = scan_grid(self.small_spec())
         for cell in cells:
             if cell.n_confounders == 2:

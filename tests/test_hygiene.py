@@ -1,8 +1,9 @@
 """Source hygiene checks that stand in for a linter.
 
 Every `__all__` must name only what its module defines, no module may
-import a name it never uses, and no module-level private name may go
-unreferenced by the whole package.
+import a name it never uses, no module-level private name may go
+unreferenced by the whole package, and no public dataclass field or
+property may go unread by it.
 """
 
 import ast
@@ -91,3 +92,66 @@ def test_no_dead_private_helpers():
     package = Path(confoundsim.__file__).parent
     assert dead_private_helpers({path.stem: path.read_text(encoding="utf-8")
                                  for path in sorted(package.glob("*.py"))}) == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in node.decorator_list)
+
+
+def unread_public_attributes(sources: dict[str, str]) -> list[str]:
+    """Public dataclass fields and properties that no module of the sources reads.
+
+    A read is an attribute load `obj.name` anywhere in any module.  Every
+    field of a class whose instances are written whole through `asdict`
+    counts as read; such a class is the annotation of the argument that a
+    function hands to `asdict`.  `sources` maps module names to their text.
+    """
+    defined, read, whole = [], set(), set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for item in cls.body:
+                if (_is_dataclass(cls) and isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)):
+                    defined.append((module, cls.name, item.target.id, item.lineno))
+                elif (isinstance(item, ast.FunctionDef)
+                      and any(isinstance(d, ast.Name) and d.id == "property"
+                              for d in item.decorator_list)):
+                    defined.append((module, cls.name, item.name, item.lineno))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                annotations = {a.arg: a.annotation for a in node.args.args
+                               + node.args.kwonlyargs}
+                for call in ast.walk(node):
+                    if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                            and call.func.id == "asdict" and call.args
+                            and isinstance(call.args[0], ast.Name)):
+                        annotation = annotations.get(call.args[0].id)
+                        if isinstance(annotation, ast.Name):
+                            whole.add(annotation.id)
+    return [f"{module}.{cls}.{name} (line {line})" for module, cls, name, line in defined
+            if not name.startswith("_") and name not in read and cls not in whole]
+
+
+def test_unread_attribute_detector_bites():
+    sources = {"a": "from dataclasses import dataclass\n"
+                    "@dataclass(frozen=True)\nclass Point:\n    x: int\n    y: int\n"
+                    "    @property\n    def norm(self):\n        return self.x\n"
+                    "@dataclass\nclass Row:\n    z: int\n"
+                    "class Plain:\n    w: int\n",
+               "b": "from dataclasses import asdict\nfrom a import Point, Row\n"
+                    "def dump(row: Row, point):\n    return asdict(row), asdict(point)\n"}
+    assert unread_public_attributes(sources) == ["a.Point.y (line 5)",
+                                                 "a.Point.norm (line 7)"]
+
+
+def test_no_unread_public_attributes():
+    package = Path(confoundsim.__file__).parent
+    assert unread_public_attributes({path.stem: path.read_text(encoding="utf-8")
+                                     for path in sorted(package.glob("*.py"))}) == []

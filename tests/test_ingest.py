@@ -447,6 +447,19 @@ class TestLoadSurvey:
         assert set(ingest._LINE_BREAKS) == breaks
         assert set(ingest._ASCII_BREAKS) == {b for b in breaks if b.isascii()}
 
+    @pytest.mark.parametrize("text", [
+        # the lead bytes of the multi-byte breaks, \xc2 in "\xa3" and \xe2 in
+        # "\u2014", with no multi-byte break
+        "A\tB\n\xe9\u2014\t\xa31\r2\t3",
+        # a real \u2028 break among them
+        "A\tB\n\xe9\u2014\t1\u20282\t\xa33\n4\t5",
+    ])
+    def test_line_bounds_match_splitlines(self, text):
+        data = text.encode()
+        starts, ends = ingest._line_bounds(data, np.frombuffer(data, dtype=np.uint8),
+                                           data.isascii())
+        assert [data[a:b].decode() for a, b in zip(starts, ends)] == text.splitlines()
+
     def test_bytes_not_utf8_rejected_at_the_first_bad_byte(self):
         with pytest.raises(UnicodeDecodeError, match="position 8: invalid start"):
             load_survey(b"Y\tX\tC\n1\t\xff\t3\n")
