@@ -206,9 +206,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
         raise ValueError(f"dependent column {args.dependent!r} not in {header}")
     y = data[:, header.index(args.dependent)]
     regressors = [t.strip() for t in (args.regressors or "").split(",") if t.strip()]
-    for name in regressors:
+    for i, name in enumerate(regressors):
         if name not in header:
             raise ValueError(f"regressor {name!r} not in {header}")
+        if name == args.dependent:
+            raise ValueError(f"regressor {name!r} is the dependent column")
+        if name in regressors[:i]:
+            raise ValueError(f"regressor {name!r} is given twice")
     columns = [data[:, header.index(name)] for name in regressors]
     intercept = not args.no_intercept
     if not columns and not intercept:

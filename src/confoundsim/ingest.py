@@ -24,7 +24,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.dtypes import StringDType
 
 from .glm import (DesignMatrix, _sorted_distinct, confidence_interval,
                   fit_logistic, one_hot, relative_risk)
@@ -320,7 +319,6 @@ class SurveyTable:
             raise IngestError("no such column", column=name) from None
 
 
-_INT64 = np.iinfo(np.int64)
 # body lines per block: one block's delimiter positions and cells are held
 # at a time
 _BLOCK_LINES = 256
@@ -333,10 +331,6 @@ _SCAN_BYTES = 1 << 20
 # bytes checked as UTF-8 at a time; a span decodes to up to four times its
 # bytes, held only while it is checked
 _CHECK_BYTES = 1 << 16
-# a block whose widest loaded cell has more bytes than this is decoded cell
-# by cell: copying cells out pads every one of them to the widest, so one
-# long run of padding would cost a block's cells times its length
-_GATHER_BYTES = 64
 # a block of plain-digit cells no wider than this is parsed in int64
 # arithmetic: 18 digits are below 2**63, so no value can overflow
 _DIGIT_BYTES = 18
@@ -383,13 +377,6 @@ def _line_bounds(data: bytes, buf: np.ndarray,
     return starts, ends[order]
 
 
-def _decoded(buf: np.ndarray, starts: np.ndarray,
-             ends: np.ndarray) -> list[tuple[str, ...]]:
-    """The text of buf[start:end] for each cell, one tuple per row."""
-    return [tuple(buf[a:b].tobytes().decode() for a, b in zip(row_starts, row_ends))
-            for row_starts, row_ends in zip(starts.tolist(), ends.tolist())]
-
-
 def _check_utf8(data: bytes) -> None:
     """Raise data.decode()'s UnicodeDecodeError, if any, one span at a time."""
     view = memoryview(data)
@@ -406,59 +393,47 @@ def _check_utf8(data: bytes) -> None:
         lo += used
 
 
-def _integers(buf: np.ndarray, starts: np.ndarray,
-              ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The cells at buf[starts:ends], a (rows, cells) table, as int64
-    values, and which of them are blank.  A bad cell raises ValueError or
-    OverflowError.
+def _integers(data: bytes, starts: np.ndarray, ends: np.ndarray, names: tuple[str, ...],
+              first_row: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cells at data[starts:ends], a (rows, cells) table of the columns
+    `names` from row `first_row` on, as int64 values, and which of them are
+    blank.  The first bad cell, row by row, raises an IngestError.
     """
     lengths = ends - starts
     width = max(int(lengths.max(initial=0)), 1)
-    if width > _GATHER_BYTES:
-        cells = np.array(_decoded(buf, starts, ends),
-                         dtype=StringDType()).reshape(starts.shape)
-    else:
+    if width <= _DIGIT_BYTES:
         # byte k of every cell is grabbed[k], so one column of bytes is
         # one contiguous table
         offsets = np.arange(width)[:, None, None]
-        grabbed = buf.take(starts + offsets, mode="clip")
+        grabbed = np.frombuffer(data, np.uint8).take(starts + offsets, mode="clip")
         pad = offsets >= lengths
-        if width <= _DIGIT_BYTES:
-            digits = grabbed - np.uint8(ord("0"))
-            digits *= ~pad
-            if digits.max(initial=0) < 10:
-                # Horner's rule; a padding byte leaves the value as it is
-                values = np.zeros(starts.shape, dtype=np.int64)
-                for column, scale in zip(digits, np.where(pad, 1, 10)):
-                    values *= scale
-                    values += column
-                return values, lengths == 0
-        # the zero padding is dropped by the S dtype; the file holds no NUL
-        grabbed[pad] = 0
-        cells = np.moveaxis(grabbed, 0, -1).copy().view(f"S{width}")[..., 0]
-        cells = cells.astype(StringDType())
-    cells = np.strings.strip(cells)
-    blank = cells == ""
-    cells[blank] = "0"
-    return cells.astype(np.int64), blank
-
-
-def _raise_first_bad_cell(rows: list[tuple[str, ...]], names: tuple[str, ...],
-                          first_row: int) -> None:
-    """Raise an IngestError at the first cell, row by row, not a 64-bit integer."""
-    for i, cells in enumerate(rows, start=first_row):
-        for name, cell in zip(names, cells):
-            cell = cell.strip()
-            if not cell:
-                continue
+        digits = grabbed - np.uint8(ord("0"))
+        digits *= ~pad
+        if digits.max(initial=0) < 10:
+            # Horner's rule; a padding byte leaves the value as it is
+            values = np.zeros(starts.shape, dtype=np.int64)
+            for column, scale in zip(digits, np.where(pad, 1, 10)):
+                values *= scale
+                values += column
+            return values, lengths == 0
+    # any other block: each cell alone, stripped and read by int()
+    cells = [data[a:b].decode().strip()
+             for a, b in zip(starts.ravel().tolist(), ends.ravel().tolist())]
+    try:
+        values = np.array([int(cell) if cell else 0 for cell in cells],
+                          dtype=np.int64)
+    except (ValueError, OverflowError):
+        for k, cell in enumerate(cells):
+            where = dict(row=first_row + k // len(names), column=names[k % len(names)])
             try:
-                value = int(cell)
+                value = int(cell) if cell else 0
             except ValueError:
-                raise IngestError(f"non-integer cell {cell!r}",
-                                  row=i, column=name) from None
-            if not _INT64.min <= value <= _INT64.max:
+                raise IngestError(f"non-integer cell {cell!r}", **where) from None
+            if not -(2**63) <= value < 2**63:
                 raise IngestError(f"cell {cell!r} is outside the 64-bit integer range",
-                                  row=i, column=name)
+                                  **where)
+    blank = np.array(cells, dtype=object) == ""
+    return values.reshape(starts.shape), blank.reshape(starts.shape)
 
 
 def load_survey(data: bytes, delimiter: str = "\t",
@@ -479,15 +454,16 @@ def load_survey(data: bytes, delimiter: str = "\t",
     loaded cells, so the cost follows the file's bytes plus the cells
     loaded, not the cells the file has.  A block whose loaded cells are
     all plain digits, none longer than 18, is parsed in integer arithmetic;
-    any other block (signs, `_`, whitespace, longer or bad cells) goes
-    through numpy's string parsing.  Both give the same table.
+    any other block (signs, `_`, whitespace, longer or bad cells) is read
+    cell by cell: `str.strip`, then Python's `int` in the int64 range, which
+    names the first bad cell row by row.  Both give the same table.
     """
     is_ascii = data.isascii()
     if not is_ascii:
         _check_utf8(data)
     if not delimiter:
         raise IngestError("the delimiter must be non-empty")
-    # numpy's strip drops trailing NULs, which Python's int() would reject
+    # a NUL byte is an error even in a column that is not loaded
     if b"\0" in data:
         raise IngestError("survey file contains a NUL character")
     buf = np.frombuffer(data, dtype=np.uint8)
@@ -562,14 +538,13 @@ def load_survey(data: bytes, delimiter: str = "\t",
         if last_loaded:
             cell_ends[:, -1] = ends
         try:
-            values[rows], missing[rows] = _integers(chunk, cell_starts, cell_ends)
-        except (ValueError, OverflowError) as exc:
+            values[rows], missing[rows] = _integers(
+                data, cell_starts + base, cell_ends + base, names, rows.start + 1)
+        except IngestError as exc:
             # reported once every row's width has been checked
-            bad = exc, _decoded(chunk, cell_starts, cell_ends), rows.start + 1
+            bad = exc
     if bad is not None:
-        exc, cells, first_row = bad
-        _raise_first_bad_cell(cells, names, first_row)
-        raise exc
+        raise bad
     return SurveyTable(names=names, values=values[:n_rows],
                        missing=missing[:n_rows], header=header)
 

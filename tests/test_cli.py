@@ -358,6 +358,21 @@ class TestFit:
         assert run(["fit", str(data), "--dependent", "Y", "--regressors", "X"]) == 2
         assert "duplicate column name 'X'" in capsys.readouterr().err
 
+    def test_regressor_that_is_the_dependent_exits_2_naming_it(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        x = np.array([0, 1, 1, 0, 1, 0])
+        self._write_matrix(data, ["Y", "X"], [x[::-1], x])
+        assert run(["fit", str(data), "--dependent", "X", "--regressors", "X"]) == 2
+        assert capsys.readouterr().err == (
+            "error: regressor 'X' is the dependent column\n")
+
+    def test_repeated_regressor_exits_2_naming_it(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        x = np.array([0, 1, 1, 0, 1, 0])
+        self._write_matrix(data, ["Y", "X"], [x[::-1], x])
+        assert run(["fit", str(data), "--dependent", "Y", "--regressors", "X,X"]) == 2
+        assert capsys.readouterr().err == "error: regressor 'X' is given twice\n"
+
     def test_relative_risk_overflow_leaves_the_term_out_and_exits_0(
             self, tmp_path, capsys):
         # a well-determined slope on a 1e-3 scale reads as separated, and its
@@ -408,6 +423,44 @@ class TestFit:
         data.write_text("A,B\n" + body)
         assert run(["fit", str(data), "--dependent", "A", "--regressors", "B"]) == 2
         assert f"expected 2 cells, found {found} (row 2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, files, message", [
+    (["scan", "--seed", "1", "--ci-N", "0"], {}, "ci_n_respondents must be >= 1"),
+    (["scan", "--seed", "1", "--rr-baseline", "1"], {},
+     "rr_baseline must be in [0, 1)"),
+    (["fit", "{m}", "--dependent", "y"], {"m": "# a\n# b\n"}, "contains no data"),
+    (["fit", "{m}", "--dependent", "y"], {"m": "y,x\n0,a\n"},
+     "contains non-numeric cells"),
+    (["fit", "{m}", "--dependent", "y", "--regressors", "z"],
+     {"m": "y,x\n0,1\n1,0\n"}, "regressor 'z' not in"),
+    (["fit", "{m}", "--dependent", "y", "--no-intercept"],
+     {"m": "y,x\n0,1\n1,0\n"}, "need at least one regressor or an intercept"),
+    (["ingest", "--data", "{d}", "--mappings", "{m}", "--study", "{s}"],
+     {"d": "Y\tX\tC\n1\t2\t3\n", "m": "Y ORD\n", "s": "[1]"},
+     "must be a JSON object"),
+    (["ingest", "--data", "{d}", "--mappings", "{m}", "--study", "{s}"],
+     {"d": "Y\tX\tC\n1\t2\t3\n", "m": "Y ORD\n", "s": "{"}, "is not valid JSON"),
+    (["ingest", "--data", "{d}", "--mappings", "{m}", "--study", "{s}"],
+     {"d": "Y\tX\tC\n1\t2\t3\n", "m": "Y ORD\n",
+      "s": '{"dependent": "Y", "independent": "X", "stages": []}'},
+     "stages must be a non-empty object"),
+    (["ingest", "--data", "{d}", "--mappings", "{m}", "--study", "{s}"],
+     {"d": "Y\tX\tC\n1\t2\t3\n", "m": "NEWRACE2\n",
+      "s": '{"dependent": "Y", "independent": "X", "stages": {"A": ["C"]}}'},
+     "expected 'COLUMN KIND rules...'"),
+], ids=["scan-ci-N", "scan-rr-baseline", "fit-comments-only", "fit-non-numeric",
+        "fit-unknown-regressor", "fit-no-terms", "ingest-study-not-object",
+        "ingest-study-not-json", "ingest-no-stages", "ingest-mapping-no-kind"])
+def test_invalid_configuration_exits_2_saying_why(tmp_path, capsys, argv, files,
+                                                  message):
+    paths = {}
+    for key, text in files.items():
+        paths[key] = tmp_path / key
+        paths[key].write_text(text)
+    assert run([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def synthetic_nsduh(tmp_path, n=1500, seed=42):

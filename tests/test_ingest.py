@@ -353,15 +353,13 @@ class TestLoadSurvey:
         n = len(text.splitlines())
         outcomes = []
         # a block size of n - 1, n or n + 5 lines puts the whole body in one
-        # block; gathering cells of at most 0 bytes decodes every cell alone,
-        # and parsing digits of at most 0 bytes sends every block through
-        # the string path
-        for block_lines, gather_bytes, digit_bytes in (
-                (1, 64, 18), (3, 64, 18), (max(n - 1, 1), 64, 18), (n, 64, 18),
-                (n + 5, 64, 18), (3, 0, 18), (1, 64, 0), (n + 5, 64, 0)):
+        # block; parsing digits of at most 0 bytes sends every block through
+        # the per-cell rule
+        for block_lines, digit_bytes in (
+                (1, 18), (3, 18), (max(n - 1, 1), 18), (n, 18), (n + 5, 18),
+                (1, 0), (3, 0), (n + 5, 0)):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(ingest, "_BLOCK_LINES", block_lines)
-                mp.setattr(ingest, "_GATHER_BYTES", gather_bytes)
                 mp.setattr(ingest, "_DIGIT_BYTES", digit_bytes)
                 outcomes.append(load_outcome(data, delimiter, columns))
         assert outcomes == [reference_load(text, delimiter, columns)] * len(outcomes)
@@ -392,16 +390,43 @@ class TestLoadSurvey:
                             == reference_load(text, "\t", columns))
 
     def test_plain_digit_blocks_skip_the_string_path(self, monkeypatch):
-        # with no StringDType the string path fails, as the last load shows
-        monkeypatch.setattr(ingest, "StringDType", None)
+        # with an int() that reads no text the per-cell rule fails, as the
+        # last load shows
+        def no_text(value, *args):
+            if isinstance(value, str):
+                raise TypeError(f"int({value!r}) reached the per-cell rule")
+            return int(value, *args)
+
+        monkeypatch.setattr(ingest, "int", no_text, raising=False)
         table = load_survey(b"A\tB\tC\n1\t\t999999999999999999\n\t\t\n0042\t7\t0\n")
         assert table.values.tolist() == [[1, 0, 999999999999999999], [0, 0, 0],
                                          [42, 7, 0]]
         assert table.missing.tolist() == [[False, True, False], [True, True, True],
                                           [False, False, False]]
         assert load_survey(b"A\n1\n2\n").values.tolist() == [[1], [2]]
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="per-cell rule"):
             load_survey(b"A\tB\n1\t 2\n")
+
+    @pytest.mark.parametrize("body, bad", [
+        # out of range, then not an integer: in one row, then in two
+        ("1\t2\t3\n4\t{big}\tx\n", "'{big}' is outside the 64-bit integer "
+                                        "range (row 2, column B)"),
+        ("1\t2\t3\n4\tx\t{big}\n", "non-integer cell 'x' (row 2, column B)"),
+        ("1\t{big}\t3\n4\tx\t6\n", "'{big}' is outside the 64-bit integer "
+                                        "range (row 1, column B)"),
+        ("1\tx\t3\n4\t{big}\t6\n", "non-integer cell 'x' (row 1, column B)"),
+    ])
+    def test_first_bad_cell_is_the_first_of_either_kind(self, body, bad):
+        big = str(2**63)
+        text = "A\tB\tC\n" + body.format(big=big)
+        # one block, then a block edge between every two rows
+        for block_lines in (256, 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ingest, "_BLOCK_LINES", block_lines)
+                with pytest.raises(IngestError) as info:
+                    load_survey(text.encode())
+            assert str(info.value).endswith(bad.format(big=big))
+            assert str(info.value) == reference_load(text, "\t")
 
     @pytest.mark.parametrize("body", [
         ["1\t2", "", "3\t4", " \xa0", "5\t6", "", "", "7\t8", "\t", "9\t10"],
