@@ -439,27 +439,24 @@ def scan_grid(spec: GridSpec) -> list[GridCell]:
 
 def _grid_cell(spec: GridSpec, r: float, n_conf: int, params: ModelParams,
                summary: EnsembleSummary | EnsembleError) -> GridCell:
-    predicted_beta = empirical_beta_formula(params.p, params.k)
-    predicted_sigma = empirical_sigma_formula(params.p, params.k, spec.n_respondents)
+    beta = sigma = mc_error = rr = ci_low = ci_high = math.nan
+    excluded, error = spec.replications, None
     if isinstance(summary, EnsembleError):
-        nan = math.nan
-        return GridCell(r, n_conf, spec.n_respondents, spec.replications,
-                        nan, nan, nan, nan, nan, spec.replications,
-                        predicted_beta, predicted_sigma, nan, error=str(summary))
-
-    ci_n = spec.ci_n_respondents or spec.n_respondents
-    sigma_scaled = summary.mean_sigma1 * math.sqrt(spec.n_respondents / ci_n)
-    low, high = confidence_interval(summary.mean_beta1, sigma_scaled)
-    error = None
-    try:
-        rr = relative_risk(summary.mean_beta1, spec.rr_baseline)
-        ci_low = relative_risk(low, spec.rr_baseline)
-        ci_high = relative_risk(high, spec.rr_baseline)
-    except OverflowError:
-        rr = ci_low = ci_high = math.nan
-        error = (f"relative risk overflows: interval [{low!r}, {high!r}] on "
-                 f"the logit scale")
-    return GridCell(r, n_conf, spec.n_respondents, spec.replications,
-                    summary.mean_beta1, summary.mean_sigma1, rr, ci_low, ci_high,
-                    summary.excluded, predicted_beta, predicted_sigma,
-                    summary.mc_error_beta1, error=error)
+        error = str(summary)
+    else:
+        beta, sigma = summary.mean_beta1, summary.mean_sigma1
+        excluded, mc_error = summary.excluded, summary.mc_error_beta1
+        ci_n = spec.ci_n_respondents or spec.n_respondents
+        sigma_scaled = sigma * math.sqrt(spec.n_respondents / ci_n)
+        low, high = confidence_interval(beta, sigma_scaled)
+        try:
+            rr, ci_low, ci_high = [relative_risk(x, spec.rr_baseline)
+                                   for x in (beta, low, high)]
+        except OverflowError:
+            error = (f"relative risk overflows: interval [{low!r}, {high!r}] on "
+                     f"the logit scale")
+    return GridCell(r, n_conf, spec.n_respondents, spec.replications, beta, sigma,
+                    rr, ci_low, ci_high, excluded,
+                    empirical_beta_formula(params.p, params.k),
+                    empirical_sigma_formula(params.p, params.k, spec.n_respondents),
+                    mc_error, error=error)

@@ -424,14 +424,17 @@ def _integers(data: bytes, starts: np.ndarray, ends: np.ndarray, names: tuple[st
                           dtype=np.int64)
     except (ValueError, OverflowError):
         for k, cell in enumerate(cells):
-            where = dict(row=first_row + k // len(names), column=names[k % len(names)])
             try:
                 value = int(cell) if cell else 0
             except ValueError:
-                raise IngestError(f"non-integer cell {cell!r}", **where) from None
-            if not -(2**63) <= value < 2**63:
-                raise IngestError(f"cell {cell!r} is outside the 64-bit integer range",
-                                  **where)
+                # int() refuses an integer of over 4,300 digits: out of range
+                value = 2**63 if re.fullmatch(r"[+-]?\d+(?:_\d+)*", cell) else None
+            if value is None or not -(2**63) <= value < 2**63:
+                quoted = repr(cell) if len(cell) <= 40 else f"{cell[:40]!r}..."
+                raise IngestError(
+                    f"non-integer cell {quoted}" if value is None
+                    else f"cell {quoted} is outside the 64-bit integer range",
+                    row=first_row + k // len(names), column=names[k % len(names)])
     blank = np.array(cells, dtype=object) == ""
     return values.reshape(starts.shape), blank.reshape(starts.shape)
 
@@ -489,12 +492,6 @@ def load_survey(data: bytes, delimiter: str = "\t",
     names = tuple(header[j] for j in index)
 
     n_cols = len(header)
-    # the delimiters each loaded cell starts after and ends before; the
-    # first and last columns have a line edge in place of one
-    first_loaded = int(len(index) > 0 and index[0] == 0)
-    last_loaded = int(len(index) > 0 and index[-1] == n_cols - 1)
-    after = index[first_loaded:] - 1
-    before = index[:len(index) - last_loaded]
     pattern = delimiter.encode()
     # a delimiter holding a line break is in no line
     splits = delimiter.splitlines() == [delimiter]
@@ -527,16 +524,13 @@ def load_survey(data: bytes, delimiter: str = "\t",
         if bad is not None:
             continue
         # a row's cell j runs from its delimiter j - 1 to its delimiter j;
-        # the first cell starts with the line and the last ends with it
-        inner = at.reshape(len(starts), n_cols - 1)
-        cell_starts = np.empty((len(starts), len(index)), dtype=np.intp)
-        cell_ends = np.empty_like(cell_starts)
-        cell_starts[:, first_loaded:] = inner[:, after] + len(pattern)
-        cell_ends[:, :len(index) - last_loaded] = inner[:, before]
-        if first_loaded:
-            cell_starts[:, 0] = starts
-        if last_loaded:
-            cell_ends[:, -1] = ends
+        # the line's start and end stand in for the first and last column's
+        # (a one-column file has no delimiters: its gathers go unused)
+        inner = at.reshape(len(starts), n_cols - 1) if n_cols > 1 else starts[:, None]
+        cell_starts = np.where(index == 0, starts[:, None],
+                               inner[:, index - 1] + len(pattern))
+        cell_ends = np.where(index == n_cols - 1, ends[:, None],
+                             inner[:, np.minimum(index, n_cols - 2)])
         try:
             values[rows], missing[rows] = _integers(
                 data, cell_starts + base, cell_ends + base, names, rows.start + 1)
@@ -661,10 +655,10 @@ def staged_analysis(table: SurveyTable, study: StudySpec) -> list[StageResult]:
     its row counts.
     """
     results: list[StageResult] = []
-    nan = math.nan
     for stage_name, _ in study.stages:
-        confounders = study.cumulative_confounders(stage_name)
         info = BuildInfo(n_used=0, n_dropped=0)
+        # beta1, sigma1, relative_risk, ci_low, ci_high, baseline_prevalence
+        statistics, error = (math.nan,) * 6, None
         try:
             y, design, info = build_design(table, study, stage_name)
             fit = fit_logistic(y, design)
@@ -676,22 +670,11 @@ def staged_analysis(table: SurveyTable, study: StudySpec) -> list[StageResult]:
             beta = float(fit.coefficients[1]) * study.unit_change
             sigma = float(fit.std_errors[1]) * study.unit_change
             low, high = confidence_interval(beta, sigma)
-            results.append(StageResult(
-                stage=stage_name,
-                n_confounders=len(confounders),
-                n_used=info.n_used,
-                n_dropped=info.n_dropped,
-                beta1=beta,
-                sigma1=sigma,
-                relative_risk=relative_risk(beta, prevalence),
-                ci_low=relative_risk(low, prevalence),
-                ci_high=relative_risk(high, prevalence),
-                baseline_prevalence=prevalence,
-            ))
+            statistics = (beta, sigma, *[relative_risk(x, prevalence)
+                                         for x in (beta, low, high)], prevalence)
         except (ValueError, OverflowError) as exc:
-            results.append(StageResult(
-                stage=stage_name, n_confounders=len(confounders), n_used=info.n_used,
-                n_dropped=info.n_dropped, beta1=nan, sigma1=nan, relative_risk=nan,
-                ci_low=nan, ci_high=nan, baseline_prevalence=nan,
-                error=str(exc)))
+            error = str(exc)
+        results.append(StageResult(
+            stage_name, len(study.cumulative_confounders(stage_name)), info.n_used,
+            info.n_dropped, *statistics, error=error))
     return results

@@ -43,11 +43,14 @@ def assert_same_rows(csv_text, json_text):
                        for v in record.values()]
 
 
+@pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")
 def test_pyproject_version_is_the_package_version():
-    tomllib = pytest.importorskip("tomllib")
+    # pyproject.toml takes its version from confoundsim.__version__; read it
+    # as setuptools does when it builds the package
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    with open(pyproject, "rb") as fh:
-        assert tomllib.load(fh)["project"]["version"] == __version__
+    config = pyprojecttoml.read_configuration(pyproject)
+    assert config["project"]["version"] == __version__
 
 
 @pytest.mark.parametrize("module", ["confoundsim"] + [

@@ -414,6 +414,8 @@ class TestScanGrid:
             if cell.n_confounders == 2:
                 assert "relative risk overflows" in cell.error
                 assert math.isnan(cell.ci_high) and math.isfinite(cell.mean_beta1)
+                # only ci_high overflows, yet no relative risk is kept
+                assert math.isnan(cell.relative_risk) and math.isnan(cell.ci_low)
             else:
                 assert cell.error is None and math.isfinite(cell.ci_high)
 
@@ -573,3 +575,13 @@ class TestGridSpecValidation:
                             n_respondents=spec.n_respondents,
                             seed=derive_seed(spec.seed, index),
                             causal_increment=spec.causal_increment)
+
+
+@pytest.mark.parametrize("replications, message", [
+    (0, "replications must be >= 1"),
+    (-3, "replications must be >= 1"),
+])
+def test_run_ensemble_rejects_replications_below_one(replications, message):
+    with pytest.raises(ValueError) as info:
+        run_ensemble(params(n=100), replications)
+    assert str(info.value) == message

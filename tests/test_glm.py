@@ -848,3 +848,19 @@ class TestOneHot:
     def test_missing_reference_rejected(self):
         with pytest.raises(ValueError):
             one_hot(np.array([1, 2]), reference=0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: DesignMatrix(np.array([[1.0], [math.nan]])),
+     "design matrix entries must be finite"),
+    (lambda: DesignMatrix(np.ones(3)),
+     "design matrix must be 2-D with at least one column"),
+    (lambda: DesignMatrix(np.ones((3, 2)), names=("a",)),
+     "names length must match column count"),
+    (lambda: fit_logistic([0, 1, 1], np.ones((4, 1))), "y has 3 rows, design has 4"),
+    (lambda: one_hot(np.zeros((2, 2)), reference=0), "one_hot expects a 1-D vector"),
+], ids=["design-nan", "design-1d", "design-names", "fit-rows", "one-hot-2d"])
+def test_invalid_input_is_rejected_saying_why(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

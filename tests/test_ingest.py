@@ -277,6 +277,32 @@ class TestLoadSurvey:
         table = load_survey(b"A\tB\n1\t2\n3\t4\n", columns=[])
         assert table.values.shape == (2, 0)
 
+    def test_one_column_file_loads_with_no_columns_or_whole(self):
+        data = b"A\n1\n\n22\n 3 \n"
+        assert load_survey(data, columns=[]).values.shape == (3, 0)
+        for block_lines in (1, 256):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ingest, "_BLOCK_LINES", block_lines)
+                table = load_survey(data)
+            assert table.values.tolist() == [[1], [22], [3]]
+            assert not table.missing.any()
+
+    @pytest.mark.parametrize("delimiter", [",", "<->"])
+    @pytest.mark.parametrize("columns", [["A"], ["D"], ["A", "D"], ["B", "C"]],
+                             ids=["first", "last", "first-and-last", "middle"])
+    def test_cells_at_the_line_edges(self, delimiter, columns):
+        # the first and last columns end at the line's edges, the others at
+        # delimiters; a signed cell sends its block through the per-cell rule
+        rows = [["A", "B", "C", "D"], ["1", "22", "", "4444"],
+                ["", "6", "77", ""], ["8", "", "-9", "10"], ["11", "12", "13", "14"]]
+        text = "\n".join(delimiter.join(row) for row in rows) + "\n"
+        expected = reference_load(text, delimiter, columns)
+        assert not isinstance(expected, str)
+        for block_lines in (1, 256):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ingest, "_BLOCK_LINES", block_lines)
+                assert load_outcome(text.encode(), delimiter, columns) == expected
+
     def test_ragged_row_reported_whether_or_not_its_columns_are_loaded(self):
         text = b"A\tB\tC\n1\t2\t3\n4\t5\t6\n7\t8\n"
         for columns in (None, ["A"], ["C"], []):
@@ -318,6 +344,24 @@ class TestLoadSurvey:
         lo, hi = -(2**63), 2**63 - 1
         table = load_survey(f"A\tB\n{lo}\t{hi}\n".encode())
         assert table.values.tolist() == [[lo, hi]]
+
+    @pytest.mark.parametrize("cell, problem", [
+        # past the 4,300 digits int() reads: out of range, even zero-padded
+        ("1" * 5000, "is outside the 64-bit integer range"),
+        ("-" + "1_2" * 2000, "is outside the 64-bit integer range"),
+        ("0" * 5000 + "7", "is outside the 64-bit integer range"),
+        ("x" * 5000, "non-integer"),
+        ("1" * 5000 + "x", "non-integer"),
+        ("1" * 5000 + "__2", "non-integer"),
+    ], ids=["digits", "grouped", "zero-padded", "letters", "digits-then-letter",
+            "double-underscore"])
+    def test_long_cell_is_named_by_its_start(self, cell, problem):
+        quoted = repr(cell[:40]) + "..."
+        message = (f"non-integer cell {quoted}" if problem == "non-integer"
+                   else f"cell {quoted} {problem}")
+        with pytest.raises(IngestError) as info:
+            load_survey(f"A\tB\n1\t2\n3\t {cell}\n".encode())
+        assert str(info.value) == f"{message} (row 2, column B)"
 
     def test_requested_column_absent_from_header(self):
         with pytest.raises(IngestError, match=r"absent from the data \(column Z\)"):
@@ -836,6 +880,10 @@ class TestStagedAnalysis:
                                   replace(study, unit_change=1e4))
         assert [r.error is not None for r in results] == [True, True]
         assert all("math range error" in r.error for r in results)
+        # a failed stage keeps none of its statistics, only its row counts
+        assert all(np.isnan([r.beta1, r.sigma1, r.relative_risk, r.ci_low, r.ci_high,
+                             r.baseline_prevalence]).all() and r.n_used > 0
+                   for r in results)
 
     def test_unit_change_rescales_linearly(self):
         table, _ = _metamodel_survey(n=5000, seed=55)
@@ -862,3 +910,25 @@ class TestCrossModuleConsistency:
         fit_direct = fit_logistic(resp[:, 0], design_direct)
         assert np.max(np.abs(fit_ing.coefficients - fit_direct.coefficients)) < 1e-10
         assert np.max(np.abs(fit_ing.std_errors - fit_direct.std_errors)) < 1e-10
+
+
+ALL_X_MISSING = b"Y\tX\n1\t\n0\t\n"
+ONE_STAGE = StudySpec(dependent="Y", independent="X", stages=(("A", ()),))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: load_survey(b""), "empty survey file"),
+    (lambda: load_survey(b"\n  \n"), "empty survey file"),
+    (lambda: build_design(load_survey(ALL_X_MISSING), ONE_STAGE, "A"),
+     "no rows remain after dropping missing values"),
+    (lambda: staged_analysis(load_survey(ALL_X_MISSING), ONE_STAGE)[0].error,
+     "no rows remain after dropping missing values"),
+    (lambda: load_survey(b"A\n1\n").column("nope"), "no such column (column nope)"),
+], ids=["empty-file", "blank-file", "design-no-rows", "stage-no-rows", "no-column"])
+def test_error_says_why(call, message):
+    # each call raises the message, or returns it as a stage's error
+    try:
+        outcome = call()
+    except IngestError as exc:
+        outcome = str(exc)
+    assert outcome == message

@@ -320,3 +320,15 @@ class TestCsvDump:
             mp.setattr(metamodel, "_BLOCK_ROWS", block)
             write_population_csv(m, buf)
         assert buf.getvalue() == savetxt_population(latent, responses)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ResponseMatrix(latent=np.ones(4), responses=np.zeros((4, 3)),
+                            params=params(k=3, n=4)),
+     "responses must have shape (4, 4), got (4, 3)"),
+    (lambda: params(beta_prime=math.nan), "causal_increment must be finite"),
+], ids=["response-shape", "increment-nan"])
+def test_invalid_input_is_rejected_saying_why(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
