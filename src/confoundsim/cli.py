@@ -25,7 +25,7 @@ import math
 import sys
 from collections.abc import Iterator
 from dataclasses import asdict, replace
-from typing import TextIO
+from typing import BinaryIO, TextIO
 
 import numpy as np
 
@@ -104,18 +104,22 @@ def _write_output(path: str | None, text: str) -> None:
         fh.write(text)
 
 
-def _read_bytes(path: str) -> bytes:
-    # unreadable inputs are usage errors (exit 2); only output I/O is exit 1
+@contextlib.contextmanager
+def _input(path: str) -> Iterator[BinaryIO]:
+    # the file at path, opened for reading bytes; unreadable inputs, whether
+    # the open or a later read fails, are usage errors (exit 2): only output
+    # I/O is exit 1
     try:
         with open(path, "rb") as fh:
-            return fh.read()
+            yield fh
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
 def _read_text(path: str) -> str:
     # UTF-8 with "\r\n" and "\r" read as "\n", as text mode reads a file
-    text = _read_bytes(path).decode("utf-8")
+    with _input(path) as fh:
+        text = fh.read().decode("utf-8")
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
@@ -291,8 +295,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     study = parse_study_json(_read_text(args.study))
-    table = load_survey(_read_bytes(args.data), delimiter=args.delimiter,
-                        columns=study.columns())
+    # the survey is read in pieces, never held whole
+    with _input(args.data) as fh:
+        table = load_survey(fh, delimiter=args.delimiter, columns=study.columns())
 
     mapped = apply_mappings(table, specs)
     if args.unit_change is not None:

@@ -17,11 +17,13 @@ associations are usually published.
 from __future__ import annotations
 
 import codecs
+import io
 import json
 import math
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
+from typing import BinaryIO
 
 import numpy as np
 
@@ -326,14 +328,41 @@ _BLOCK_LINES = 256
 # two breaks, and the empty line between them is skipped like any other
 _ASCII_BREAKS = (b"\n", b"\r", b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
 _LINE_BREAKS = _ASCII_BREAKS + tuple(c.encode() for c in "\x85\u2028\u2029")
-# bytes searched for line breaks at a time
-_SCAN_BYTES = 1 << 20
+# bytes read from the file at a time; the unfinished line at the end of a
+# read is carried into the next piece
+_READ_BYTES = 1 << 20
+# bytes searched for line breaks at a time, so no mask is as long as a piece
+_SCAN_BYTES = 1 << 16
 # bytes checked as UTF-8 at a time; a span decodes to up to four times its
 # bytes, held only while it is checked
 _CHECK_BYTES = 1 << 16
 # a block of plain-digit cells no wider than this is parsed in int64
 # arithmetic: 18 digits are below 2**63, so no value can overflow
 _DIGIT_BYTES = 18
+# the errors of a survey file, the highest-ranked first: the file's error is
+# the first of the highest rank it has.  Bytes that are not UTF-8 outrank
+# them all, so the first is raised as soon as it is read
+_DELIMITER, _NUL, _HEADER, _RAGGED, _BAD_CELL, _NO_ERROR = range(6)
+
+
+class _SurveyDecodeError(UnicodeDecodeError):
+    """data.decode()'s error for a file read in pieces: `start` and `end`
+    count from the start of the file, but `object` holds only the bytes
+    checked, which start at file offset `at`."""
+
+    def __init__(self, exc: UnicodeDecodeError, at: int):
+        super().__init__(exc.encoding, exc.object, at + exc.start, at + exc.end,
+                         exc.reason)
+        self.at = at
+
+    def __str__(self) -> str:
+        # the message of the whole file's UnicodeDecodeError
+        if self.end - self.start == 1:
+            byte = self.object[self.start - self.at]
+            return (f"'{self.encoding}' codec can't decode byte 0x{byte:02x} "
+                    f"in position {self.start}: {self.reason}")
+        return (f"'{self.encoding}' codec can't decode bytes in position "
+                f"{self.start}-{self.end - 1}: {self.reason}")
 
 
 def _find(buf: np.ndarray, pattern: bytes) -> np.ndarray:
@@ -365,8 +394,8 @@ def _line_bounds(data: bytes, buf: np.ndarray,
         # so a multi-byte break is looked for only where its lead byte is
         if brk[:1] not in data or brk not in data:
             continue
-        # one span of _SCAN_BYTES start offsets at a time, so no mask is as
-        # long as the file; a break starting in a span is matched whole
+        # one span of _SCAN_BYTES start offsets at a time; a break starting
+        # in a span is matched whole
         for lo in range(0, len(buf), _SCAN_BYTES):
             at = _find(buf[lo:lo + _SCAN_BYTES + len(brk) - 1], brk) + lo
             ends.append(at)
@@ -377,8 +406,40 @@ def _line_bounds(data: bytes, buf: np.ndarray,
     return starts, ends[order]
 
 
-def _check_utf8(data: bytes) -> None:
-    """Raise data.decode()'s UnicodeDecodeError, if any, one span at a time."""
+def _pieces(stream: BinaryIO) -> Iterator[tuple[bytearray, int, np.ndarray, np.ndarray]]:
+    """`stream` in pieces of whole lines: each piece, the file offset it
+    starts at, and the start and end offset of each of its lines.
+
+    A piece is the unfinished line carried from the one before, with a
+    read of _READ_BYTES appended in place, or of as many bytes as that line
+    if it is longer: so a line longer than a read is read in reads that
+    double.  The last piece ends the file and holds its last line, whether
+    or not a line break ends it.  A piece is emptied when the next one is
+    asked for, so one is held at a time.
+    """
+    piece, at = bytearray(), 0
+    while True:
+        carried = len(piece)
+        piece += stream.read(max(_READ_BYTES, carried))
+        starts, ends = _line_bounds(piece, np.frombuffer(piece, np.uint8),
+                                    piece.isascii())
+        if len(piece) == carried:
+            yield piece, at, starts, ends
+            return
+        # the last line may be unfinished: it starts the next piece
+        cut = int(starts[-1])
+        if cut:
+            carry = piece[cut:]
+            del piece[cut:]
+            yield piece, at, starts[:-1], ends[:-1]
+            piece.clear()
+            piece, at = carry, at + cut
+
+
+def _check_utf8(data: bytearray, at: int) -> None:
+    """Raise data.decode()'s UnicodeDecodeError, if any, one span at a time;
+    `data` starts at file offset `at`, and the error's offsets are the
+    file's."""
     view = memoryview(data)
     lo = 0
     while lo < len(data):
@@ -388,9 +449,45 @@ def _check_utf8(data: bytes) -> None:
         try:
             _, used = codecs.utf_8_decode(view[lo:hi], "strict", hi >= len(data))
         except UnicodeDecodeError as exc:
-            raise UnicodeDecodeError("utf-8", data, lo + exc.start, lo + exc.end,
-                                     exc.reason) from None
+            raise _SurveyDecodeError(exc, at + lo) from None
         lo += used
+
+
+def _block_cells(piece: bytearray, starts: np.ndarray, ends: np.ndarray,
+                 delimiter: str, n_cols: int, index: np.ndarray,
+                 rows_before: int) -> tuple[np.ndarray, np.ndarray]:
+    """The start and end offsets in `piece` of the columns `index` of every
+    row among the lines starts:ends, as (rows, columns) tables.  A row
+    without n_cols cells raises an IngestError that counts it after
+    `rows_before` rows.
+    """
+    pattern = delimiter.encode()
+    base = int(starts[0])
+    if delimiter.splitlines() == [delimiter]:
+        at = _find(np.frombuffer(piece, np.uint8, int(ends[-1]) - base, base),
+                   pattern) + base
+    else:
+        # a delimiter holding a line break is in no line
+        at = np.empty(0, dtype=np.intp)
+    # no delimiter sits in a line break, so each line's are the ones before
+    # its end and after the previous line's end
+    counts = np.diff(np.searchsorted(at, ends), prepend=0)
+    kept = counts > 0
+    for i in np.flatnonzero(~kept & (ends > starts)).tolist():
+        kept[i] = bool(piece[starts[i]:ends[i]].decode().strip())
+    ragged = np.flatnonzero(kept & (counts != n_cols - 1))
+    if len(ragged):
+        i = ragged[0]
+        raise IngestError(f"expected {n_cols} cells, found {counts[i] + 1}",
+                          row=rows_before + int(np.count_nonzero(kept[:i])) + 1)
+    starts, ends = starts[kept], ends[kept]
+    # a row's cell j runs from its delimiter j - 1 to its delimiter j; the
+    # line's start and end stand in for the first and last column's (a
+    # one-column file has no delimiters: its gathers go unused)
+    inner = at.reshape(len(starts), n_cols - 1) if n_cols > 1 else starts[:, None]
+    return (np.where(index == 0, starts[:, None], inner[:, index - 1] + len(pattern)),
+            np.where(index == n_cols - 1, ends[:, None],
+                     inner[:, np.minimum(index, n_cols - 2)]))
 
 
 def _integers(data: bytes, starts: np.ndarray, ends: np.ndarray, names: tuple[str, ...],
@@ -439,45 +536,10 @@ def _integers(data: bytes, starts: np.ndarray, ends: np.ndarray, names: tuple[st
     return values.reshape(starts.shape), blank.reshape(starts.shape)
 
 
-def load_survey(data: bytes, delimiter: str = "\t",
-                columns: Iterable[str] | None = None) -> SurveyTable:
-    """Parse a delimited survey file: UTF-8 bytes, header row, integer cells.
-
-    Lines end at any line break `str.splitlines` knows, CRLF included, and
-    a delimiter of any length splits a line left to right without overlap.
-    A line is skipped only when it is whitespace holding no delimiter; any
-    other line is a row, and its blank cells are missing.  Only `columns`
-    (every column when None) are parsed and checked, so a bad cell in a
-    column that is not loaded is not an error, but the width of every row
-    is checked before a bad cell is reported.  Bytes that are not UTF-8,
-    and a NUL byte anywhere, are errors.
-
-    The body is read in blocks of lines, each once: numpy finds a block's
-    delimiters, which give every line's width, and copies out only the
-    loaded cells, so the cost follows the file's bytes plus the cells
-    loaded, not the cells the file has.  A block whose loaded cells are
-    all plain digits, none longer than 18, is parsed in integer arithmetic;
-    any other block (signs, `_`, whitespace, longer or bad cells) is read
-    cell by cell: `str.strip`, then Python's `int` in the int64 range, which
-    names the first bad cell row by row.  Both give the same table.
-    """
-    is_ascii = data.isascii()
-    if not is_ascii:
-        _check_utf8(data)
-    if not delimiter:
-        raise IngestError("the delimiter must be non-empty")
-    # a NUL byte is an error even in a column that is not loaded
-    if b"\0" in data:
-        raise IngestError("survey file contains a NUL character")
-    buf = np.frombuffer(data, dtype=np.uint8)
-    line_starts, line_ends = _line_bounds(data, buf, is_ascii)
-    for first, (a, b) in enumerate(zip(line_starts.tolist(), line_ends.tolist())):
-        line = data[a:b].decode()
-        if line.strip() or delimiter in line:
-            break
-    else:
-        raise IngestError("empty survey file")
-    header = tuple(h.strip() for h in line.split(delimiter))
+def _loaded_columns(header: tuple[str, ...],
+                    columns: Iterable[str] | None) -> tuple[tuple[str, ...], np.ndarray]:
+    """The names and header indices of the columns loaded, in header order;
+    a repeated header name or a requested column absent raises IngestError."""
     present = set(header)
     if len(present) != len(header):
         dup = next(name for i, name in enumerate(header) if name in header[:i])
@@ -489,58 +551,99 @@ def load_survey(data: bytes, delimiter: str = "\t",
     wanted = set(requested)
     index = np.array([j for j, name in enumerate(header) if name in wanted],
                      dtype=np.intp)
-    names = tuple(header[j] for j in index)
+    return tuple(header[j] for j in index), index
 
-    n_cols = len(header)
-    pattern = delimiter.encode()
-    # a delimiter holding a line break is in no line
-    splits = delimiter.splitlines() == [delimiter]
-    line_starts, line_ends = line_starts[first + 1:], line_ends[first + 1:]
-    values = np.zeros((len(line_starts), len(names)), dtype=np.int64)
-    missing = np.zeros((len(line_starts), len(names)), dtype=bool)
+
+def load_survey(data: bytes | BinaryIO, delimiter: str = "\t",
+                columns: Iterable[str] | None = None) -> SurveyTable:
+    """Parse a delimited survey file: UTF-8 bytes, header row, integer cells.
+
+    `data` is the file's bytes or a binary stream open on it.  Lines end at
+    any line break `str.splitlines` knows, CRLF included, and a delimiter of
+    any length splits a line left to right without overlap.  A line is
+    skipped only when it is whitespace holding no delimiter; any other line
+    is a row, and its blank cells are missing.  Only `columns` (every
+    column when None) are parsed and checked, so a bad cell in a column
+    that is not loaded is not an error.
+
+    The file is read once, in pieces of whole lines of about 1 MiB (or
+    one line, if a line is longer), and one piece is held at a time: beside
+    the table it returns, the load holds a piece and one block's work, not
+    the file, so its memory does not grow with the file's length.  Each
+    piece is checked as UTF-8 and for NUL bytes, then split into blocks of
+    lines: numpy finds a block's delimiters, which give every line's width,
+    and copies out only the loaded cells, so the cost follows the file's
+    bytes plus the cells loaded, not the cells the file has.  A block whose
+    loaded cells are all plain digits, none longer than 18, is parsed in
+    integer arithmetic; any other block (signs, `_`, whitespace, longer or
+    bad cells) is read cell by cell: `str.strip`, then Python's `int` in the
+    int64 range.  Both give the same table.
+
+    A file with several errors raises the first of the highest-ranked
+    kind, in this order: bytes that are not UTF-8 (UnicodeDecodeError, at
+    their offset in the file), an empty delimiter, a NUL byte anywhere, a
+    bad header (none, a repeated name, or a requested column it lacks), a
+    row of the wrong width, a bad cell.  So a bad cell is reported only once
+    the whole file has been read.
+    """
+    stream = io.BytesIO(data) if isinstance(data, bytes) else data
+    error, rank = None, _NO_ERROR
+    if not delimiter:
+        error, rank = IngestError("the delimiter must be non-empty"), _DELIMITER
+    header = None
+    values, missing = [], []
     n_rows = 0
-    bad = None
-    for block in range(0, len(line_starts), _BLOCK_LINES):
-        # offsets from here on are into this block's bytes
-        base = line_starts[block]
-        starts = line_starts[block:block + _BLOCK_LINES] - base
-        ends = line_ends[block:block + _BLOCK_LINES] - base
-        chunk = buf[base:base + ends[-1]]
-        at = _find(chunk, pattern) if splits else np.empty(0, dtype=np.intp)
-        # no delimiter sits in a line break, so each line's are the ones
-        # before its end and after the previous line's end
-        counts = np.diff(np.searchsorted(at, ends), prepend=0)
-        kept = counts > 0
-        for i in np.flatnonzero(~kept & (ends > starts)).tolist():
-            kept[i] = bool(chunk[starts[i]:ends[i]].tobytes().decode().strip())
-        ragged = np.flatnonzero(kept & (counts != n_cols - 1))
-        if len(ragged):
-            i = ragged[0]
-            raise IngestError(f"expected {n_cols} cells, found {counts[i] + 1}",
-                              row=n_rows + int(np.count_nonzero(kept[:i])) + 1)
-        starts, ends = starts[kept], ends[kept]
-        rows = slice(n_rows, n_rows + len(starts))
-        n_rows = rows.stop
-        if bad is not None:
+    for piece, at, line_starts, line_ends in _pieces(stream):
+        if not piece.isascii():
+            _check_utf8(piece, at)
+        # a NUL byte is an error even in a column that is not loaded
+        if rank > _NUL and b"\0" in piece:
+            error, rank = IngestError("survey file contains a NUL character"), _NUL
+        if rank <= _RAGGED:
+            # no error of the rows can outrank the one held
             continue
-        # a row's cell j runs from its delimiter j - 1 to its delimiter j;
-        # the line's start and end stand in for the first and last column's
-        # (a one-column file has no delimiters: its gathers go unused)
-        inner = at.reshape(len(starts), n_cols - 1) if n_cols > 1 else starts[:, None]
-        cell_starts = np.where(index == 0, starts[:, None],
-                               inner[:, index - 1] + len(pattern))
-        cell_ends = np.where(index == n_cols - 1, ends[:, None],
-                             inner[:, np.minimum(index, n_cols - 2)])
-        try:
-            values[rows], missing[rows] = _integers(
-                data, cell_starts + base, cell_ends + base, names, rows.start + 1)
-        except IngestError as exc:
-            # reported once every row's width has been checked
-            bad = exc
-    if bad is not None:
-        raise bad
-    return SurveyTable(names=names, values=values[:n_rows],
-                       missing=missing[:n_rows], header=header)
+        if header is None:
+            for first, (a, b) in enumerate(zip(line_starts.tolist(),
+                                               line_ends.tolist())):
+                line = piece[a:b].decode()
+                if line.strip() or delimiter in line:
+                    break
+            else:
+                continue
+            header = tuple(h.strip() for h in line.split(delimiter))
+            try:
+                names, index = _loaded_columns(header, columns)
+            except IngestError as exc:
+                error, rank = exc, _HEADER
+                continue
+            line_starts, line_ends = line_starts[first + 1:], line_ends[first + 1:]
+        for block in range(0, len(line_starts), _BLOCK_LINES):
+            try:
+                cell_starts, cell_ends = _block_cells(
+                    piece, line_starts[block:block + _BLOCK_LINES],
+                    line_ends[block:block + _BLOCK_LINES], delimiter, len(header),
+                    index, n_rows)
+            except IngestError as exc:
+                error, rank = exc, _RAGGED
+                break
+            if rank > _BAD_CELL:
+                try:
+                    block_values, block_missing = _integers(
+                        piece, cell_starts, cell_ends, names, n_rows + 1)
+                except IngestError as exc:
+                    error, rank = exc, _BAD_CELL
+                else:
+                    values.append(block_values)
+                    missing.append(block_missing)
+            n_rows += len(cell_starts)
+    if header is None and error is None:
+        error = IngestError("empty survey file")
+    if error is not None:
+        raise error
+    empty = np.zeros((0, len(names)), dtype=np.int64)
+    return SurveyTable(names=names, values=np.concatenate([empty, *values]),
+                       missing=np.concatenate([empty.astype(bool), *missing]),
+                       header=header)
 
 
 def apply_mappings(table: SurveyTable, specs: list[ColumnSpec]) -> SurveyTable:

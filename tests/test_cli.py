@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import confoundsim
-from confoundsim import __version__, cli, metamodel
+from confoundsim import __version__, cli, ingest, metamodel
 from confoundsim.cli import _header, main
 from confoundsim.glm import DesignMatrix, fit_logistic
 from confoundsim.ingest import parse_mapping_file
@@ -590,6 +590,57 @@ class TestIngest:
                     "--mappings", str(tmp_path / "nope.txt"),
                     "--study", str(study_file)]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    def test_unreadable_data_file_exits_2(self, tmp_path, capsys, target):
+        _, study_file = synthetic_nsduh(tmp_path, n=50)
+        data = tmp_path / "nope.tsv" if target == "missing" else tmp_path
+        assert run(["ingest", "--data", str(data),
+                    "--mappings", str(DATA_DIR / "nsduh2023_mappings.txt"),
+                    "--study", str(study_file)]) == 2
+        assert f"error: cannot read {data}: " in capsys.readouterr().err
+
+    def test_data_file_failing_partway_exits_2(self, tmp_path, capsys, monkeypatch):
+        data_file, study_file = synthetic_nsduh(tmp_path)
+
+        class FailsAfterOneRead(io.BytesIO):
+            reads = 0
+
+            def read(self, size=-1):
+                self.reads += 1
+                if self.reads > 1:
+                    raise OSError(5, "Input/output error")
+                return super().read(size)
+
+        def reading(path, *args, **kwargs):
+            if path == str(data_file):
+                return FailsAfterOneRead(data_file.read_bytes())
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", reading, raising=False)
+        monkeypatch.setattr(ingest, "_READ_BYTES", 4096)
+        out = tmp_path / "stages.csv"
+        assert run(["ingest", "--data", str(data_file),
+                    "--mappings", str(DATA_DIR / "nsduh2023_mappings.txt"),
+                    "--study", str(study_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"\nerror: cannot read {data_file}: [Errno 5] Input/output error\n")
+        assert not out.exists()
+
+    def test_output_bytes_do_not_depend_on_the_read_size(self, tmp_path, monkeypatch):
+        data_file, study_file = synthetic_nsduh(tmp_path)
+        assert data_file.stat().st_size > 50 * 4096
+        outputs = []
+        for read_bytes in (4096, ingest._READ_BYTES):
+            monkeypatch.setattr(ingest, "_READ_BYTES", read_bytes)
+            for fmt in ("csv", "json"):
+                out = tmp_path / f"stages.{fmt}"
+                assert run(["ingest", "--data", str(data_file),
+                            "--mappings", str(DATA_DIR / "nsduh2023_mappings.txt"),
+                            "--study", str(study_file), "--format", fmt,
+                            "--out", str(out)]) == 0
+                outputs.append(out.read_bytes())
+        assert outputs[:2] == outputs[2:]
 
     def test_malformed_mapping_line_exits_2(self, tmp_path, capsys):
         data_file, study_file = synthetic_nsduh(tmp_path, n=50)

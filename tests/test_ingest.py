@@ -1,3 +1,5 @@
+import io
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -65,6 +67,11 @@ def survey_files(draw):
     text += lines[-1] + draw(st.one_of(ends, st.just("")))
     columns = draw(st.lists(st.sampled_from(names), unique=True))
     return text, delimiter, columns
+
+
+# read sizes that cut lines, line breaks and characters at every kind of
+# place, and the loader's own
+READ_BYTES = [1, 2, 7, ingest._READ_BYTES]
 
 
 def reference_load(text, delimiter, columns=None):
@@ -299,9 +306,11 @@ class TestLoadSurvey:
         expected = reference_load(text, delimiter, columns)
         assert not isinstance(expected, str)
         for block_lines in (1, 256):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(ingest, "_BLOCK_LINES", block_lines)
-                assert load_outcome(text.encode(), delimiter, columns) == expected
+            for read_bytes in READ_BYTES:
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(ingest, "_BLOCK_LINES", block_lines)
+                    mp.setattr(ingest, "_READ_BYTES", read_bytes)
+                    assert load_outcome(text.encode(), delimiter, columns) == expected
 
     def test_ragged_row_reported_whether_or_not_its_columns_are_loaded(self):
         text = b"A\tB\tC\n1\t2\t3\n4\t5\t6\n7\t8\n"
@@ -380,14 +389,17 @@ class TestLoadSurvey:
     def test_pruned_load_matches_full_load_and_per_cell_reference(self, case):
         text, delimiter, columns = case
         data = text.encode()
-        pruned = load_outcome(data, delimiter, columns)
-        full = load_outcome(data, delimiter)
-        assert pruned == reference_load(text, delimiter, columns)
-        assert full == reference_load(text, delimiter)
-        if not isinstance(pruned, str) and not isinstance(full, str):
-            keep = [j for j, name in enumerate(full[1]) if name in columns]
-            assert pruned[1] == tuple(full[1][j] for j in keep)
-            assert pruned[2] == [[row[j] for j in keep] for row in full[2]]
+        for read_bytes in READ_BYTES:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ingest, "_READ_BYTES", read_bytes)
+                pruned = load_outcome(data, delimiter, columns)
+                full = load_outcome(data, delimiter)
+            assert pruned == reference_load(text, delimiter, columns)
+            assert full == reference_load(text, delimiter)
+            if not isinstance(pruned, str) and not isinstance(full, str):
+                keep = [j for j, name in enumerate(full[1]) if name in columns]
+                assert pruned[1] == tuple(full[1][j] for j in keep)
+                assert pruned[2] == [[row[j] for j in keep] for row in full[2]]
 
     @settings(max_examples=100, deadline=None)
     @given(survey_files())
@@ -402,10 +414,12 @@ class TestLoadSurvey:
         for block_lines, digit_bytes in (
                 (1, 18), (3, 18), (max(n - 1, 1), 18), (n, 18), (n + 5, 18),
                 (1, 0), (3, 0), (n + 5, 0)):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(ingest, "_BLOCK_LINES", block_lines)
-                mp.setattr(ingest, "_DIGIT_BYTES", digit_bytes)
-                outcomes.append(load_outcome(data, delimiter, columns))
+            for read_bytes in READ_BYTES:
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(ingest, "_BLOCK_LINES", block_lines)
+                    mp.setattr(ingest, "_DIGIT_BYTES", digit_bytes)
+                    mp.setattr(ingest, "_READ_BYTES", read_bytes)
+                    outcomes.append(load_outcome(data, delimiter, columns))
         assert outcomes == [reference_load(text, delimiter, columns)] * len(outcomes)
 
     @pytest.mark.parametrize("text", [
@@ -557,13 +571,117 @@ class TestLoadSurvey:
         except UnicodeDecodeError as exc:
             expected = str(exc)
         for check_bytes in range(1, len(data) + 2):
+            for read_bytes in READ_BYTES:
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(ingest, "_CHECK_BYTES", check_bytes)
+                    mp.setattr(ingest, "_READ_BYTES", read_bytes)
+                    try:
+                        outcome = load_outcome(data, "\t")
+                    except UnicodeDecodeError as exc:
+                        outcome = str(exc)
+                assert outcome == expected, (check_bytes, read_bytes)
+
+    @pytest.mark.parametrize("text", [
+        # some read size ends a piece between the \r and the \n of a CRLF
+        "A\tB\r\n1\t2\r\n\r\n3\t4\r\n",
+        # ... and after the first or the second of the three bytes of \u2028
+        "A\tB\u20281\t2\u2028\u20283\t4\u2028",
+    ], ids=["crlf", "u2028"])
+    def test_line_breaks_cut_between_pieces_end_one_line(self, text):
+        data = text.encode()
+        expected = reference_load(text, "\t")
+        assert not isinstance(expected, str)
+        for read_bytes in range(1, len(data) + 2):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(ingest, "_CHECK_BYTES", check_bytes)
+                mp.setattr(ingest, "_READ_BYTES", read_bytes)
+                assert load_outcome(data, "\t") == expected, read_bytes
+
+    def test_bad_byte_past_the_first_piece_keeps_its_offset(self):
+        data = b"Y\tX\n" + b"1\t2\n" * 20 + b"3\t\xff\n"
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode()
+        for read_bytes in (1, 3, 7, 64):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ingest, "_READ_BYTES", read_bytes)
+                with pytest.raises(UnicodeDecodeError) as info:
+                    load_survey(data)
+            assert str(info.value) == str(whole.value), read_bytes
+            assert (info.value.start, info.value.end) == (86, 87)
+        assert "byte 0xff in position 86: invalid start byte" in str(whole.value)
+
+    def test_line_far_longer_than_a_read_takes_doubling_reads(self):
+        class CountedReads(io.BytesIO):
+            reads = 0
+
+            def read(self, size=-1):
+                self.reads += 1
+                return super().read(size)
+
+        # a row 1,000 reads long: read by read, appending each read to
+        # the carried line, took minutes
+        data = b"A\tB\n" + b" " * 1_024_000 + b"5\t6\n7\t8\n"
+        stream = CountedReads(data)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_READ_BYTES", 1024)
+            start = time.perf_counter()
+            table = load_survey(stream)
+            elapsed = time.perf_counter() - start
+        assert table.values.tolist() == [[5, 6], [7, 8]]
+        assert stream.reads <= 13
+        assert elapsed < 1.0
+
+    def test_memory_is_bounded_by_a_piece_not_the_file(self, tmp_path):
+        # survey-shaped files of 1 MB and 8 MB, read from disk; whole, the
+        # larger one alone held 8 MB
+        rng = np.random.default_rng(19)
+        cols = [rng.integers(0, 1000, 1000) for _ in range(250)]
+        small = survey_bytes([f"C{j}" for j in range(250)], cols)
+        header, body = small.split(b"\n", 1)
+        path = tmp_path / "survey.tsv"
+        peaks = []
+        for data in (small, header + b"\n" + body * 8):
+            path.write_bytes(data)
+            with open(path, "rb") as fh:
+                tracemalloc.start()
                 try:
-                    outcome = load_outcome(data, "\t")
-                except UnicodeDecodeError as exc:
-                    outcome = str(exc)
-            assert outcome == expected, check_bytes
+                    table = load_survey(fh, columns=["C3"])
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert table.values[:1000, 0].tolist() == cols[3].tolist()
+        assert max(peaks) <= 1.25 * min(peaks), peaks
+        assert max(peaks) < 2_500_000, peaks
+
+    @pytest.mark.parametrize("delimiter, header, early, late, message", [
+        # a ragged row or a bad cell in an early piece, bytes that are not
+        # UTF-8 in a later one: the UTF-8 error, at its offset in the file
+        ("\t", b"A\tB", b"1", b"\xff", None),
+        ("\t", b"A\tB", b"1\tx", b"\xff", None),
+        # ... or a NUL in a later one: the NUL
+        ("\t", b"A\tB", b"1", b"\0", "survey file contains a NUL character"),
+        ("\t", b"A\tB", b"1\tx", b"\0", "survey file contains a NUL character"),
+        # a repeated header name, then a NUL
+        ("\t", b"A\tA", b"1\t2", b"\0", "survey file contains a NUL character"),
+        # a bad cell early, a ragged row late: the ragged row
+        ("\t", b"A\tB", b"1\tx", b"3", "expected 2 cells, found 1 (row 10)"),
+        # an empty delimiter, then bytes that are not UTF-8, or a NUL
+        ("", b"A\tB", b"1\t2", b"\xff", None),
+        ("", b"A\tB", b"1\t2", b"\0", "the delimiter must be non-empty"),
+    ], ids=["ragged-utf8", "cell-utf8", "ragged-nul", "cell-nul", "header-nul",
+            "cell-ragged", "delimiter-utf8", "delimiter-nul"])
+    def test_an_error_in_a_later_piece_outranks_one_held(self, delimiter, header,
+                                                         early, late, message):
+        data = header + b"\n" + early + b"\n" + b"1\t2\n" * 8 + late + b"\n"
+        if message is None:
+            with pytest.raises(UnicodeDecodeError) as whole:
+                data.decode()
+            message = str(whole.value)
+        for read_bytes in (1, 8, ingest._READ_BYTES):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ingest, "_READ_BYTES", read_bytes)
+                with pytest.raises(ValueError) as info:
+                    load_survey(data, delimiter=delimiter)
+            assert str(info.value) == message, read_bytes
 
     def test_one_non_ascii_cell_costs_no_decoded_copy_of_the_file(self):
         # survey-shaped: many short cells a row, 2 MB in all
