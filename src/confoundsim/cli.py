@@ -35,7 +35,7 @@ from .glm import (DesignMatrix, SingularDesignError, confidence_interval,
                   fit_logistic, relative_risk)
 from .ingest import (apply_mappings, load_survey, parse_mapping_file,
                      parse_study_json, staged_analysis)
-from .metamodel import ModelParams, draw_population, write_population_csv
+from .metamodel import ModelParams, _population_blocks, write_population_csv
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -133,14 +133,14 @@ def _parse_list(text: str, kind: type, noun: str) -> tuple:
 def cmd_simulate(args: argparse.Namespace) -> int:
     params = ModelParams(p=args.p, k=args.k, n_respondents=args.n,
                          seed=args.seed, causal_increment=args.beta_prime)
-    matrix = draw_population(params, params.k + 1)
     config = {"command": "simulate", "p": args.p, "k": args.k, "n": args.n,
               "beta_prime": args.beta_prime, "seed": args.seed}
-    # the file is opened only after the draw, so invalid parameters create
-    # none, and the rows go to it block by block, never held as one string
+    # the file is opened only after the parameters are checked, so invalid
+    # ones create none; each block of rows is written as it is drawn, and
+    # neither the table nor the CSV is ever held whole
     with _output(args.out) as fh:
         fh.write(_header(config))
-        write_population_csv(matrix, fh)
+        write_population_csv(_population_blocks(params), fh)
     return EXIT_OK
 
 
@@ -299,10 +299,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     with _input(args.data) as fh:
         table = load_survey(fh, delimiter=args.delimiter, columns=study.columns())
 
-    mapped = apply_mappings(table, specs)
+    # the loaded table is dropped for the mapped one before the fits
+    table = apply_mappings(table, specs)
     if args.unit_change is not None:
         study = replace(study, unit_change=args.unit_change)
-    results = staged_analysis(mapped, study)
+    results = staged_analysis(table, study)
     if all(r.error is not None for r in results):
         for r in results:
             print(f"error: stage {r.stage}: {r.error}", file=sys.stderr)

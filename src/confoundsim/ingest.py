@@ -406,9 +406,10 @@ def _line_bounds(data: bytes, buf: np.ndarray,
     return starts, ends[order]
 
 
-def _pieces(stream: BinaryIO) -> Iterator[tuple[bytearray, int, np.ndarray, np.ndarray]]:
+def _pieces(stream: BinaryIO) -> Iterator[tuple[bytearray, int, np.ndarray, np.ndarray, bool]]:
     """`stream` in pieces of whole lines: each piece, the file offset it
-    starts at, and the start and end offset of each of its lines.
+    starts at, the start and end offset of each of its lines, and whether
+    the piece, with the unfinished line it hands on, is ASCII.
 
     A piece is the unfinished line carried from the one before, with a
     read of _READ_BYTES appended in place, or of as many bytes as that line
@@ -421,17 +422,17 @@ def _pieces(stream: BinaryIO) -> Iterator[tuple[bytearray, int, np.ndarray, np.n
     while True:
         carried = len(piece)
         piece += stream.read(max(_READ_BYTES, carried))
-        starts, ends = _line_bounds(piece, np.frombuffer(piece, np.uint8),
-                                    piece.isascii())
+        is_ascii = piece.isascii()
+        starts, ends = _line_bounds(piece, np.frombuffer(piece, np.uint8), is_ascii)
         if len(piece) == carried:
-            yield piece, at, starts, ends
+            yield piece, at, starts, ends, is_ascii
             return
         # the last line may be unfinished: it starts the next piece
         cut = int(starts[-1])
         if cut:
             carry = piece[cut:]
             del piece[cut:]
-            yield piece, at, starts[:-1], ends[:-1]
+            yield piece, at, starts[:-1], ends[:-1], is_ascii
             piece.clear()
             piece, at = carry, at + cut
 
@@ -593,8 +594,8 @@ def load_survey(data: bytes | BinaryIO, delimiter: str = "\t",
     header = None
     values, missing = [], []
     n_rows = 0
-    for piece, at, line_starts, line_ends in _pieces(stream):
-        if not piece.isascii():
+    for piece, at, line_starts, line_ends, is_ascii in _pieces(stream):
+        if not is_ascii:
             _check_utf8(piece, at)
         # a NUL byte is an error even in a column that is not loaded
         if rank > _NUL and b"\0" in piece:

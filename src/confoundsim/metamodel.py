@@ -14,6 +14,7 @@ proportional to the predictor column (column 1).
 from __future__ import annotations
 
 import io
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +35,10 @@ __all__ = [
 
 _SEED_MAX = 2**64
 
-# rows per pass of draw_population and of write_population_csv: each pass
-# holds a block's float64 uniforms or formatted bytes (about 1.3 MB or
-# 0.4 MB at k = 9), so simulate's peak memory is set by the N x (k + 1)
-# int8 table, not by N-sized temporaries
-_BLOCK_ROWS = 16_384
+# rows per block of the draw and of the CSV: a block holds its float64
+# uniforms, its int8 responses and its formatted bytes (about 0.3, 0.04 and
+# 0.1 MB at k = 9), so memory beside the N latent traits does not grow with N
+_BLOCK_ROWS = 4_096
 
 
 def _check_seed(seed: int) -> None:
@@ -152,6 +152,36 @@ def stream_generator(seed: int, *indices: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, *indices))))
 
 
+def _population_blocks(params: ModelParams) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The population of `params`, _BLOCK_ROWS rows at a time, as
+    (latent traits, int8 responses) per block.
+
+    The stream is one `integers` call for the N traits, then the N x (k + 1)
+    uniforms in row order, drawn a block at a time; Philox gives the same
+    doubles in blocks as in one call, so the population does not depend on
+    the block size.  One uniforms buffer and one response block are reused,
+    so a block must be used before the next one is asked for.
+    """
+    n, ncol = params.n_respondents, params.k + 1
+    rng = stream_generator(params.seed)
+    latent = rng.integers(0, 2, size=n, dtype=np.int8)
+    latent *= 2
+    latent -= 1
+    buffer = np.empty((min(n, _BLOCK_ROWS), ncol))
+    responses = np.empty(buffer.shape, dtype=np.int8)
+    for start in range(0, n, _BLOCK_ROWS):
+        q = latent[start:start + _BLOCK_ROWS]
+        uniforms = rng.random(out=buffer[:len(q)])
+        block = responses[:len(q)]
+        # agreement probability per respondent given the latent trait
+        p_i = np.where(q == 1, params.p, 1.0 - params.p)
+        block[:] = uniforms < p_i[:, None]
+        if params.causal_increment != 0.0:
+            shift = params.causal_increment * block[:, 1]
+            block[:, 0] = uniforms[:, 0] < inverse_logit(logit(p_i) + shift)
+        yield q, block
+
+
 def draw_population(params: ModelParams, column_count: int) -> ResponseMatrix:
     """Draw one population of column_count = k + 1 binary response columns.
 
@@ -162,33 +192,21 @@ def draw_population(params: ModelParams, column_count: int) -> ResponseMatrix:
     agreement probability implied by the respondent's trait.  Bit-identical
     output for identical params.
 
-    The stream is one `integers` call for the N traits, then the N x (k + 1)
-    uniforms in row order.  They are drawn _BLOCK_ROWS rows at a time into
-    the preallocated int8 table; Philox gives the same doubles in blocks as
-    in one call, so the population does not depend on the block size.
+    The draw's blocks are copied into one N x (k + 1) int8 table; `simulate`
+    writes them as they are drawn and holds no table.
     """
     if column_count != params.k + 1:
         raise ValueError(
             f"column_count must equal k + 1 = {params.k + 1}, got {column_count}"
         )
     n = params.n_respondents
-    rng = stream_generator(params.seed)
-
-    latent = rng.integers(0, 2, size=n, dtype=np.int8) * 2 - 1
+    latent = np.empty(n, dtype=np.int8)
     responses = np.empty((n, column_count), dtype=np.int8)
-    # one buffer for every block's uniforms, so no two blocks' are alive
-    buffer = np.empty((min(n, _BLOCK_ROWS), column_count))
-    for start in range(0, n, _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        block = responses[rows]
-        uniforms = rng.random(out=buffer[:block.shape[0]])
-        # agreement probability per respondent given the latent trait
-        p_i = np.where(latent[rows] == 1, params.p, 1.0 - params.p)
-        block[:] = uniforms < p_i[:, None]
-        if params.causal_increment != 0.0:
-            shift = params.causal_increment * block[:, 1]
-            block[:, 0] = uniforms[:, 0] < inverse_logit(logit(p_i) + shift)
-    del buffer, uniforms  # freed before the table's checks allocate
+    start = 0
+    for q, block in _population_blocks(params):
+        latent[start:start + len(q)] = q
+        responses[start:start + len(q)] = block
+        start += len(q)
     return ResponseMatrix(latent=latent, responses=responses, params=params)
 
 
@@ -216,28 +234,38 @@ def sample_correlation(m: ResponseMatrix, col_a: int, col_b: int) -> float:
     return float((x @ y) / (np.sqrt(ssx) * np.sqrt(ssy)))
 
 
-def write_population_csv(m: ResponseMatrix, fh: io.TextIOBase) -> None:
+def _csv_rows(latent: np.ndarray, responses: np.ndarray) -> str:
+    # each row as little-endian uint16 pairs of bytes: "-1" or "\0" "1" for
+    # Q, ",0" or ",1" per response, "\n\0"; the NUL pads are then dropped
+    pairs = np.empty((len(latent), responses.shape[1] + 2), dtype="<u2")
+    pairs[:, 0] = np.where(latent < 0, 0x312D, 0x3100)
+    # shifted in a contiguous array: in place in the strided columns is slower
+    cells = responses.astype("<u2")
+    cells <<= 8
+    cells += 0x302C
+    pairs[:, 1:-1] = cells
+    pairs[:, -1] = 0x000A
+    return pairs.tobytes().replace(b"\0", b"").decode("ascii")
+
+
+def write_population_csv(population: ResponseMatrix | Iterable[tuple[np.ndarray, np.ndarray]],
+                         fh: io.TextIOBase) -> None:
     """Dense debugging dump: header Q,R0,...,Rk then one row per respondent.
 
-    The bytes are those of formatting every entry with "%d": Q is -1 or 1,
-    each response 0 or 1, lines end in "\n".  Since those are the only
-    values a ResponseMatrix holds, each row is laid out in numpy as
-    fixed-width bytes: "-1" then ",d" per column then "\n", with the "-"
-    dropped where Q = +1.  Rows go out in blocks of _BLOCK_ROWS, one
-    fh.write each.  Not a stability-guaranteed format.
+    `population` is a ResponseMatrix or an iterable of (latent, responses)
+    row blocks, as the draw yields them.  The bytes are those of formatting
+    every entry with "%d": Q is -1 or 1, each response 0 or 1, lines end in
+    "\n".  Since those are the only values a population holds, each row is
+    laid out in numpy as two-byte pairs, "-1" (or a NUL pad and "1"), ",d"
+    per column and "\n" with a pad, and one `bytes.replace` drops the pads.
+    Rows go out in blocks of _BLOCK_ROWS, one fh.write each.  Not a
+    stability-guaranteed format.
     """
-    ncol = m.n_columns
-    fh.write("Q," + ",".join(f"R{j}" for j in range(ncol)) + "\n")
-    width = 2 * ncol + 3
-    for start in range(0, m.latent.shape[0], _BLOCK_ROWS):
-        q = m.latent[start:start + _BLOCK_ROWS]
-        resp = m.responses[start:start + _BLOCK_ROWS]
-        block = np.empty((q.shape[0], width), dtype=np.uint8)
-        block[:, :2] = np.frombuffer(b"-1", dtype=np.uint8)
-        block[:, 2:-1:2] = ord(",")
-        block[:, 3:-1:2] = resp != 0
-        block[:, 3:-1:2] += ord("0")
-        block[:, -1] = ord("\n")
-        keep = np.ones(block.shape, dtype=bool)
-        keep[:, 0] = q < 0
-        fh.write(block[keep].tobytes().decode("ascii"))
+    if isinstance(population, ResponseMatrix):
+        lat, resp = population.latent, population.responses
+        population = ((lat[s:s + _BLOCK_ROWS], resp[s:s + _BLOCK_ROWS])
+                      for s in range(0, len(lat), _BLOCK_ROWS))
+    for i, (latent, responses) in enumerate(population):
+        if i == 0:
+            fh.write("Q," + ",".join(f"R{j}" for j in range(responses.shape[1])) + "\n")
+        fh.write(_csv_rows(latent, responses))

@@ -8,6 +8,7 @@ import pkgutil
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,48 @@ class TestSimulate:
         assert code == 0
         assert out.stat().st_size > 4_000_000
         assert peak < 8_000_000
+
+    @pytest.mark.parametrize("k, n, bound", [(41, 200_000, 5_000_000),
+                                             (9, 2_000_000, 6_000_000)])
+    def test_memory_is_the_latent_plus_one_block(self, tmp_path, k, n, bound):
+        # the table these would hold is 8.4 MB and 20 MB; drawing it whole
+        # before writing peaked at 15.0 MB and 23.7 MB
+        out = tmp_path / "pop.csv"
+        tracemalloc.start()
+        try:
+            code = run(["simulate", "--p", "0.7", "--k", str(k), "--n", str(n),
+                        "--seed", "3", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert out.stat().st_size > n * (2 * k + 4)
+        assert peak < bound
+
+    @pytest.mark.parametrize("beta_prime", [0.0, 0.4])
+    @pytest.mark.parametrize("block", [1, 3, 7, None], ids=["1", "3", "7", "default"])
+    def test_streamed_bytes_are_savetxt_of_the_draw(self, tmp_path, capsysbinary,
+                                                    block, beta_prime):
+        # N on, beside and past the block edges, to a file and to stdout
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(metamodel, "_BLOCK_ROWS", block)
+            b = metamodel._BLOCK_ROWS
+            for n in sorted({1, max(b - 1, 1), b, b + 1, 2 * b + 3}):
+                config = {"command": "simulate", "p": 0.7, "k": 3, "n": n,
+                          "beta_prime": beta_prime, "seed": 40 + n}
+                m = draw_population(ModelParams(p=0.7, k=3, n_respondents=n,
+                                                seed=40 + n,
+                                                causal_increment=beta_prime), 4)
+                expected = (_header(config)
+                            + savetxt_population(m.latent, m.responses)).encode("ascii")
+                args = ["simulate", "--p", "0.7", "--k", "3", "--n", str(n),
+                        "--beta-prime", str(beta_prime), "--seed", str(40 + n)]
+                out = tmp_path / f"pop{n}.csv"
+                assert run([*args, "--out", str(out)]) == 0
+                assert out.read_bytes() == expected
+                assert run([*args, "--out", "-"]) == 0
+                assert capsysbinary.readouterr().out == expected
 
     def test_seed_flag_is_mandatory(self):
         with pytest.raises(SystemExit) as exc:
@@ -536,6 +579,27 @@ class TestIngest:
         for row in rows:
             assert row["error"] == ""
             assert float(row["relative_risk"]) == float(row["relative_risk"])
+
+    def test_loaded_table_is_freed_before_the_stages(self, tmp_path, monkeypatch):
+        # only the mapped table is alive while the stages are fitted
+        data_file, study_file = synthetic_nsduh(tmp_path)
+        loaded, seen = [], []
+
+        def load_survey(*args, **kwargs):
+            table = ingest.load_survey(*args, **kwargs)
+            loaded.append(weakref.ref(table))
+            return table
+
+        def staged_analysis(table, study):
+            seen.append([ref() for ref in loaded])
+            return ingest.staged_analysis(table, study)
+
+        monkeypatch.setattr(cli, "load_survey", load_survey)
+        monkeypatch.setattr(cli, "staged_analysis", staged_analysis)
+        assert run(["ingest", "--data", str(data_file),
+                    "--mappings", str(DATA_DIR / "nsduh2023_mappings.txt"),
+                    "--study", str(study_file), "--out", str(tmp_path / "s.csv")]) == 0
+        assert seen == [[None]]
 
     def test_json_format(self, tmp_path):
         data_file, study_file = synthetic_nsduh(tmp_path)
