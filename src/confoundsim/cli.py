@@ -30,7 +30,7 @@ from typing import BinaryIO, TextIO
 import numpy as np
 
 from . import __version__
-from .ensemble import EnsembleError, GridCell, GridSpec, scan_grid
+from .ensemble import GridCell, GridSpec, scan_grid
 from .glm import (DesignMatrix, SingularDesignError, confidence_interval,
                   fit_logistic, relative_risk)
 from .ingest import (apply_mappings, load_survey, parse_mapping_file,
@@ -388,7 +388,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SingularDesignError, EnsembleError) as exc:
+    except SingularDesignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -43,8 +43,8 @@ import numpy as np
 from .glm import (CONVERGED, SEPARATED, NotConvergedError, SingularDesignError,
                   confidence_interval, fit_logistic, inverse_logit, logit,
                   relative_risk)
-from .metamodel import (ModelParams, _check_seed, derive_seed, draw_population,
-                        stream_generator)
+from .metamodel import (ModelParams, _check_agreement, _check_seed, _integer,
+                        derive_seed, draw_population, stream_generator)
 
 __all__ = [
     "EnsembleError",
@@ -140,8 +140,7 @@ def population_limit(p: float, k: int) -> float:
     reports with no causal increment.  Deterministic, independent of N,
     and linear in k.
     """
-    if not 0.5 < p < 1.0:
-        raise ValueError(f"p must be in (0.5, 1), got {p}")
+    _check_agreement(p)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     s = np.arange(k + 1, dtype=np.float64)
@@ -274,8 +273,7 @@ def _run_ensembles(cells: list[ModelParams], replications: int
     its status.  A cell whose every replication failed gets an
     EnsembleError in place of its summary.
     """
-    if replications < 1:
-        raise ValueError("replications must be >= 1")
+    replications = _integer("replications", replications, 1)
     for params in cells:
         if params.n_respondents <= params.k:
             raise ValueError(
@@ -365,8 +363,12 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "correlations", tuple(float(r) for r in self.correlations))
-        object.__setattr__(self, "confounder_counts",
-                           tuple(int(n) for n in self.confounder_counts))
+        object.__setattr__(self, "confounder_counts", tuple(
+            _integer("every confounder count", n, 1) for n in self.confounder_counts))
+        for name, low in (("n_respondents", None), ("replications", 1),
+                          ("ci_n_respondents", 1)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _integer(name, getattr(self, name), low))
         if not self.correlations:
             raise ValueError("correlations must be non-empty")
         for r in self.correlations:
@@ -376,21 +378,15 @@ class GridSpec:
                                  f"p = (1 + sqrt(r)) / 2 inside (0.5, 1), got {r!r}")
         if not self.confounder_counts:
             raise ValueError("confounder_counts must be non-empty")
-        if any(n < 1 for n in self.confounder_counts):
-            raise ValueError("every confounder count must be >= 1")
         k_max = max(self.confounder_counts) + 1
         if self.n_respondents <= k_max:
             raise ValueError(
                 f"n_respondents ({self.n_respondents}) must exceed the largest "
                 f"regressor count k = n + 1 = {k_max}: a fit needs more "
                 f"observations than regressors")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        _check_seed(self.seed)
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         if not math.isfinite(self.causal_increment):
             raise ValueError("causal_increment must be finite")
-        if self.ci_n_respondents is not None and self.ci_n_respondents < 1:
-            raise ValueError("ci_n_respondents must be >= 1")
         if not 0.0 <= self.rr_baseline < 1.0:
             raise ValueError("rr_baseline must be in [0, 1)")
 

@@ -95,9 +95,6 @@ class MappingRule:
         if self.low > self.high:
             raise MappingParseError(f"inverted range {self.low}-{self.high}")
 
-    def overlaps(self, other: "MappingRule") -> bool:
-        return self.low <= other.high and other.low <= self.high
-
     def text(self) -> str:
         src = str(self.low) if self.low == self.high else f"{self.low}-{self.high}"
         return f"{src}:{self.target}"
@@ -139,14 +136,6 @@ class ColumnSpec:
         if self.kind not in (ORD, CAT):
             raise ValueError(f"kind must be ORD or CAT, got {self.kind!r}")
 
-    def overlapping_pairs(self) -> list[tuple[MappingRule, MappingRule]]:
-        out = []
-        for i, a in enumerate(self.rules):
-            for b in self.rules[i + 1:]:
-                if a.overlaps(b):
-                    out.append((a, b))
-        return out
-
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Recode a vector, first matching rule wins, else pass through."""
         out = values.copy()
@@ -187,12 +176,13 @@ def parse_mapping_file(text: str) -> tuple[list[ColumnSpec], list[str]]:
         except MappingParseError as exc:
             raise MappingParseError(exc.message, line=lineno,
                                     token_index=exc.token_index) from exc
-        spec = ColumnSpec(name=name, kind=kind, rules=rules)
-        for a, b in spec.overlapping_pairs():
-            warnings.append(
-                f"{name} (line {lineno}): rules {a.text()} and {b.text()} overlap; "
-                "first match wins")
-        specs.append(spec)
+        for i, a in enumerate(rules):
+            for b in rules[i + 1:]:
+                if a.low <= b.high and b.low <= a.high:
+                    warnings.append(
+                        f"{name} (line {lineno}): rules {a.text()} and {b.text()} "
+                        "overlap; first match wins")
+        specs.append(ColumnSpec(name=name, kind=kind, rules=rules))
     return specs, warnings
 
 
@@ -712,7 +702,8 @@ def build_design(table: SurveyTable, study: StudySpec,
             raise IngestError("dependent and independent columns must be ORD",
                               column=name)
 
-    columns = [table.column(study.independent)[keep].astype(np.float64)]
+    # DesignMatrix.build converts every column to float64
+    columns = [table.column(study.independent)[keep]]
     names = [study.independent]
     for name in confounders:
         col = table.column(name)[keep]
@@ -721,11 +712,10 @@ def build_design(table: SurveyTable, study: StudySpec,
                 encoded, kept_codes = one_hot(col, reference=0)
             except ValueError as exc:
                 raise IngestError(str(exc), column=name) from None
-            for code, vec in zip(kept_codes, encoded.T):
-                columns.append(vec)
-                names.append(f"{name}={code}")
+            columns.extend(encoded.T)
+            names.extend(f"{name}={code}" for code in kept_codes)
         else:
-            columns.append(col.astype(np.float64))
+            columns.append(col)
             names.append(name)
     design = DesignMatrix.build(columns, intercept=True, names=names)
     return y, design, BuildInfo(n_used=n_used, n_dropped=n_dropped)

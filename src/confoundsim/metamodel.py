@@ -14,6 +14,7 @@ proportional to the predictor column (column 1).
 from __future__ import annotations
 
 import io
+import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -41,10 +42,31 @@ _SEED_MAX = 2**64
 _BLOCK_ROWS = 4_096
 
 
-def _check_seed(seed: int) -> None:
+def _integer(name: str, value, low: int | None = None,
+             requirement: str = "an integer") -> int:
+    # the one rule for every integer parameter: what operator.index takes, a
+    # Python or numpy integer, is returned as a Python int; a bool, a
+    # non-integer such as 2.0 or "3", or a value below `low` is refused
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be {requirement}, got {value!r}")
+    number = operator.index(value)
+    if low is not None and number < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return number
+
+
+def _check_seed(seed) -> int:
     # the one seed rule for every configuration that takes a master seed
-    if not isinstance(seed, int) or not 0 <= seed < _SEED_MAX:
+    seed = _integer("seed", seed, requirement="an unsigned 64-bit integer")
+    if not 0 <= seed < _SEED_MAX:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    return seed
+
+
+def _check_agreement(p: float) -> None:
+    # the one rule for an agreement probability p
+    if not 0.5 < p < 1.0:
+        raise ValueError(f"p must be in (0.5, 1), got {p}")
 
 
 class UndefinedCorrelationError(ValueError):
@@ -53,8 +75,7 @@ class UndefinedCorrelationError(ValueError):
 
 def theoretical_correlation(p: float) -> float:
     """Pairwise correlation (2p - 1)^2 shared by every pair of responses."""
-    if not 0.5 < p < 1.0:
-        raise ValueError(f"p must be in (0.5, 1), got {p}")
+    _check_agreement(p)
     b = 2.0 * p - 1.0
     return b * b
 
@@ -79,13 +100,10 @@ class ModelParams:
     causal_increment: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.5 < self.p < 1.0:
-            raise ValueError(f"p must be in (0.5, 1), got {self.p}")
-        if not isinstance(self.k, int) or self.k < 1:
-            raise ValueError(f"k must be an integer >= 1, got {self.k}")
-        if not isinstance(self.n_respondents, int) or self.n_respondents < 1:
-            raise ValueError(f"n_respondents must be >= 1, got {self.n_respondents}")
-        _check_seed(self.seed)
+        _check_agreement(self.p)
+        for name in ("k", "n_respondents"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         if not np.isfinite(self.causal_increment):
             raise ValueError("causal_increment must be finite")
 
@@ -132,24 +150,20 @@ class ResponseMatrix:
             object.__setattr__(self, name, arr)
             arr.setflags(write=False)
 
-    @property
-    def n_columns(self) -> int:
-        return self.responses.shape[1]
-
 
 def derive_seed(master: int, *indices: int) -> int:
     """Derive an independent 64-bit stream seed from a master seed.
 
-    Keyed derivation (rather than sequential jumps) keeps parallel work
-    units reproducible no matter the execution order.
+    Keyed derivation (rather than sequential jumps) gives each replication
+    a stream that does not depend on the cells or replications beside it.
     """
     state = np.random.SeedSequence((master, *indices)).generate_state(1, np.uint64)
     return int(state[0])
 
 
-def stream_generator(seed: int, *indices: int) -> np.random.Generator:
-    """Counter-based generator for the stream keyed by (seed, *indices)."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, *indices))))
+def stream_generator(seed: int) -> np.random.Generator:
+    """Counter-based generator for the stream keyed by seed."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
 def _population_blocks(params: ModelParams) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -159,8 +173,8 @@ def _population_blocks(params: ModelParams) -> Iterator[tuple[np.ndarray, np.nda
     The stream is one `integers` call for the N traits, then the N x (k + 1)
     uniforms in row order, drawn a block at a time; Philox gives the same
     doubles in blocks as in one call, so the population does not depend on
-    the block size.  One uniforms buffer and one response block are reused,
-    so a block must be used before the next one is asked for.
+    the block size.  A block's responses are its comparison's own bool
+    array viewed as int8.
     """
     n, ncol = params.n_respondents, params.k + 1
     rng = stream_generator(params.seed)
@@ -168,14 +182,12 @@ def _population_blocks(params: ModelParams) -> Iterator[tuple[np.ndarray, np.nda
     latent *= 2
     latent -= 1
     buffer = np.empty((min(n, _BLOCK_ROWS), ncol))
-    responses = np.empty(buffer.shape, dtype=np.int8)
     for start in range(0, n, _BLOCK_ROWS):
         q = latent[start:start + _BLOCK_ROWS]
         uniforms = rng.random(out=buffer[:len(q)])
-        block = responses[:len(q)]
         # agreement probability per respondent given the latent trait
         p_i = np.where(q == 1, params.p, 1.0 - params.p)
-        block[:] = uniforms < p_i[:, None]
+        block = (uniforms < p_i[:, None]).view(np.int8)
         if params.causal_increment != 0.0:
             shift = params.causal_increment * block[:, 1]
             block[:, 0] = uniforms[:, 0] < inverse_logit(logit(p_i) + shift)
@@ -215,7 +227,7 @@ def sample_correlation(m: ResponseMatrix, col_a: int, col_b: int) -> float:
 
     Raises UndefinedCorrelationError if either column is constant.
     """
-    ncol = m.n_columns
+    ncol = m.responses.shape[1]
     for c in (col_a, col_b):
         if not 0 <= c < ncol:
             raise IndexError(f"column index {c} out of range [0, {ncol})")

@@ -531,6 +531,41 @@ class TestGridSpecValidation:
             GridSpec(correlations=(0.1,), confounder_counts=(1,),
                      n_respondents=10, replications=0, seed=0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("confounder_counts", (), "confounder_counts must be non-empty"),
+        ("confounder_counts", (2.7,), "every confounder count must be an integer, got 2.7"),
+        ("confounder_counts", ("3",), "every confounder count must be an integer, got '3'"),
+        ("confounder_counts", (True,), "every confounder count must be an integer, got True"),
+        ("confounder_counts", (0,), "every confounder count must be >= 1"),
+        ("n_respondents", True, "n_respondents must be an integer, got True"),
+        ("n_respondents", 100.0, "n_respondents must be an integer, got 100.0"),
+        ("replications", np.float64(2),
+         "replications must be an integer, got np.float64(2.0)"),
+        ("replications", 0, "replications must be >= 1"),
+        ("ci_n_respondents", "50", "ci_n_respondents must be an integer, got '50'"),
+        ("seed", True, "seed must be an unsigned 64-bit integer, got True"),
+    ])
+    def test_integer_fields_reject_what_is_not_an_integer(self, field, value, message):
+        spec = dict(correlations=(0.1,), confounder_counts=(1,), n_respondents=10,
+                    replications=1, seed=0)
+        with pytest.raises(ValueError) as info:
+            GridSpec(**{**spec, field: value})
+        assert str(info.value) == message
+
+    def test_numpy_integers_scan_to_the_cells_of_python_ints(self):
+        spec = GridSpec(correlations=(0.05, 0.15), confounder_counts=(1, 3),
+                        n_respondents=400, replications=5, seed=2**63 + 5,
+                        ci_n_respondents=1000)
+        given = GridSpec(correlations=(0.05, 0.15),
+                         confounder_counts=(np.int64(1), np.uint8(3)),
+                         n_respondents=np.int32(400), replications=np.int64(5),
+                         seed=np.uint64(2**63 + 5), ci_n_respondents=np.int16(1000))
+        assert given == spec
+        assert {type(n) for n in (*given.confounder_counts, given.n_respondents,
+                                  given.replications, given.seed,
+                                  given.ci_n_respondents)} == {int}
+        assert [astuple(c) for c in scan_grid(given)] == [astuple(c) for c in scan_grid(spec)]
+
     def test_seed_follows_the_model_seed_rule(self):
         base = dict(correlations=(0.1,), confounder_counts=(1,),
                     n_respondents=10, replications=1)

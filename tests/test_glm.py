@@ -859,7 +859,9 @@ class TestOneHot:
      "names length must match column count"),
     (lambda: fit_logistic([0, 1, 1], np.ones((4, 1))), "y has 3 rows, design has 4"),
     (lambda: one_hot(np.zeros((2, 2)), reference=0), "one_hot expects a 1-D vector"),
-], ids=["design-nan", "design-1d", "design-names", "fit-rows", "one-hot-2d"])
+    (lambda: DesignMatrix.build([], intercept=False), "no columns and no intercept"),
+], ids=["design-nan", "design-1d", "design-names", "fit-rows", "one-hot-2d",
+        "build-nothing"])
 def test_invalid_input_is_rejected_saying_why(call, message):
     with pytest.raises(ValueError) as info:
         call()

@@ -2,12 +2,14 @@
 
 Every `__all__` must name only what its module defines, no module may
 import a name it never uses, no module-level private name may go
-unreferenced by the whole package, and no public dataclass field or
-property may go unread by it.
+unreferenced by the whole package, no public dataclass field, property or
+method may go unread by it, and the README's library tour must run as
+written.
 """
 
 import ast
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -101,9 +103,11 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
 
 
 def unread_public_attributes(sources: dict[str, str]) -> list[str]:
-    """Public dataclass fields and properties that no module of the sources reads.
+    """Public dataclass fields and public methods (properties included) of
+    classes that no module of the sources reads.
 
-    A read is an attribute load `obj.name` anywhere in any module.  Every
+    A read is an attribute load `obj.name` anywhere in any module, so a
+    method call `obj.name()` reads its method.  Every
     field of a class whose instances are written whole through `asdict`
     counts as read; such a class is the annotation of the argument that a
     function hands to `asdict`.  `sources` maps module names to their text.
@@ -118,9 +122,7 @@ def unread_public_attributes(sources: dict[str, str]) -> list[str]:
                 if (_is_dataclass(cls) and isinstance(item, ast.AnnAssign)
                         and isinstance(item.target, ast.Name)):
                     defined.append((module, cls.name, item.target.id, item.lineno))
-                elif (isinstance(item, ast.FunctionDef)
-                      and any(isinstance(d, ast.Name) and d.id == "property"
-                              for d in item.decorator_list)):
+                elif isinstance(item, ast.FunctionDef):
                     defined.append((module, cls.name, item.name, item.lineno))
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
@@ -144,14 +146,25 @@ def test_unread_attribute_detector_bites():
                     "@dataclass(frozen=True)\nclass Point:\n    x: int\n    y: int\n"
                     "    @property\n    def norm(self):\n        return self.x\n"
                     "@dataclass\nclass Row:\n    z: int\n"
-                    "class Plain:\n    w: int\n",
-               "b": "from dataclasses import asdict\nfrom a import Point, Row\n"
-                    "def dump(row: Row, point):\n    return asdict(row), asdict(point)\n"}
+                    "class Plain:\n    w: int\n"
+                    "    def called(self):\n        pass\n"
+                    "    def uncalled(self):\n        pass\n",
+               "b": "from dataclasses import asdict\nfrom a import Plain, Point, Row\n"
+                    "def dump(row: Row, point):\n    return asdict(row), asdict(point)\n"
+                    "Plain().called()\n"}
     assert unread_public_attributes(sources) == ["a.Point.y (line 5)",
-                                                 "a.Point.norm (line 7)"]
+                                                 "a.Point.norm (line 7)",
+                                                 "a.Plain.uncalled (line 16)"]
 
 
 def test_no_unread_public_attributes():
     package = Path(confoundsim.__file__).parent
     assert unread_public_attributes({path.stem: path.read_text(encoding="utf-8")
                                      for path in sorted(package.glob("*.py"))}) == []
+
+
+def test_readme_library_tour_runs_as_written():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    tour = re.search(r"^## Library tour\n\n```python\n(.*?)^```$", readme,
+                     re.MULTILINE | re.DOTALL)
+    exec(compile(tour.group(1), "README.md (Library tour)", "exec"), {})

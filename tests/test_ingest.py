@@ -979,6 +979,25 @@ class TestStagedAnalysis:
         assert dead.error == "column 'DEAD' is all zero"
         assert (dead.n_used, dead.n_dropped) == (0, 0)
 
+    def test_stage_whose_fit_does_not_converge_is_flagged_and_later_stages_run(
+            self, monkeypatch):
+        # data on which the fit stops unconverged without separating is hard
+        # to build, so the first stage's fit result is marked not converged
+        fits = []
+
+        def first_fit_not_converged(y, design):
+            fits.append(fit_logistic(y, design))
+            return replace(fits[-1], converged=len(fits) > 1)
+
+        monkeypatch.setattr(ingest, "fit_logistic", first_fit_not_converged)
+        table, _ = _metamodel_survey(n=2000, seed=57)
+        study = StudySpec(dependent="R0", independent="R1",
+                          stages=(("A", ()), ("B", ("R2",))))
+        first, second = staged_analysis(apply_mappings(table, []), study)
+        assert first.error == "fit did not converge in stage A"
+        assert (first.n_used, first.n_dropped) == (2000, 0)
+        assert second.error is None and second.beta1 == fits[1].coefficients[1]
+
     def test_all_zero_confounder_is_named_in_the_stage_error(self):
         rng = np.random.default_rng(6)
         n = 300
@@ -1042,11 +1061,20 @@ ONE_STAGE = StudySpec(dependent="Y", independent="X", stages=(("A", ()),))
     (lambda: staged_analysis(load_survey(ALL_X_MISSING), ONE_STAGE)[0].error,
      "no rows remain after dropping missing values"),
     (lambda: load_survey(b"A\n1\n").column("nope"), "no such column (column nope)"),
-], ids=["empty-file", "blank-file", "design-no-rows", "stage-no-rows", "no-column"])
+    (lambda: StudySpec("", "X", ONE_STAGE.stages),
+     "dependent and independent column names are required"),
+    (lambda: StudySpec("Y", "Y", ONE_STAGE.stages), "dependent and independent must differ"),
+    (lambda: StudySpec("Y", "X", ()), "at least one stage is required"),
+    (lambda: MappingRule(5, 3, 0), "inverted range 5-3"),
+    (lambda: ColumnSpec("", ORD), "column name must be non-empty"),
+    (lambda: ColumnSpec("A", "NUM"), "kind must be ORD or CAT, got 'NUM'"),
+], ids=["empty-file", "blank-file", "design-no-rows", "stage-no-rows", "no-column",
+        "study-blank-name", "study-same-columns", "study-no-stages", "rule-inverted",
+        "column-blank-name", "column-bad-kind"])
 def test_error_says_why(call, message):
     # each call raises the message, or returns it as a stage's error
     try:
         outcome = call()
-    except IngestError as exc:
+    except ValueError as exc:
         outcome = str(exc)
     assert outcome == message

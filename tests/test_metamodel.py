@@ -46,6 +46,12 @@ class TestModelParams:
         with pytest.raises(ValueError):
             params(p=bad)
 
+    def test_numpy_integers_are_stored_as_python_ints(self):
+        given = ModelParams(p=0.6, k=np.int8(1), n_respondents=np.int64(100),
+                            seed=np.uint64(2**64 - 1))
+        assert given == ModelParams(p=0.6, k=1, n_respondents=100, seed=2**64 - 1)
+        assert {type(v) for v in (given.k, given.n_respondents, given.seed)} == {int}
+
     def test_k_and_n_validation(self):
         with pytest.raises(ValueError):
             params(k=0)
@@ -212,8 +218,8 @@ class TestInvariants:
         # keyed substreams must differ and be reproducible
         assert derive_seed(1, 0) != derive_seed(1, 1)
         assert derive_seed(1, 0) == derive_seed(1, 0)
-        g1 = stream_generator(1, 5).random(4)
-        g2 = stream_generator(1, 5).random(4)
+        g1 = stream_generator(derive_seed(1, 5)).random(4)
+        g2 = stream_generator(derive_seed(1, 5)).random(4)
         assert np.array_equal(g1, g2)
 
 
@@ -272,7 +278,7 @@ class TestCsvDump:
                            params=pr)
         for arr in (m.latent, m.responses):
             assert isinstance(arr, np.ndarray) and not arr.flags.writeable
-        assert m.n_columns == 2
+        assert m.responses.shape == (3, 2)
         assert sample_correlation(m, 0, 1) == pytest.approx(-0.5)
         buf = io.StringIO()
         write_population_csv(m, buf)
@@ -326,8 +332,19 @@ class TestCsvDump:
     (lambda: ResponseMatrix(latent=np.ones(4), responses=np.zeros((4, 3)),
                             params=params(k=3, n=4)),
      "responses must have shape (4, 4), got (4, 3)"),
+    (lambda: ResponseMatrix(latent=np.ones(3), responses=np.zeros((4, 4)),
+                            params=params(k=3, n=4)),
+     "latent must have shape (4,), got (3,)"),
     (lambda: params(beta_prime=math.nan), "causal_increment must be finite"),
-], ids=["response-shape", "increment-nan"])
+    (lambda: params(k=0), "k must be >= 1"),
+    (lambda: params(k=2.0), "k must be an integer, got 2.0"),
+    (lambda: params(n=True), "n_respondents must be an integer, got True"),
+    (lambda: params(n="100"), "n_respondents must be an integer, got '100'"),
+    (lambda: params(seed=True), "seed must be an unsigned 64-bit integer, got True"),
+    (lambda: params(seed=np.float64(5.0)),
+     "seed must be an unsigned 64-bit integer, got np.float64(5.0)"),
+], ids=["response-shape", "latent-shape", "increment-nan", "k-zero", "k-float",
+        "n-bool", "n-string", "seed-bool", "seed-numpy-float"])
 def test_invalid_input_is_rejected_saying_why(call, message):
     with pytest.raises(ValueError) as info:
         call()
