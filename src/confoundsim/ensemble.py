@@ -77,26 +77,24 @@ def empirical_beta_formula(p: float, k: int) -> float:
     acceptance surface cells it is more than 15% off at three: (0.55, 9),
     (0.6, 9) with +16.4% and (0.8, 2) with -16.1%.
     """
-    _check_formula_args(p, k)
+    k = _check_formula_args(p, k)
     b = 2.0 * p - 1.0
     return 3.0 * b * b / k
 
 
 def empirical_sigma_formula(p: float, k: int, n_respondents: int) -> float:
     """Fitted scaling law for the averaged standard error; exact N^(-1/2) decay."""
-    _check_formula_args(p, k)
-    if n_respondents < 1:
-        raise ValueError(f"n_respondents must be >= 1, got {n_respondents}")
+    k = _check_formula_args(p, k)
+    n_respondents = _integer("n_respondents", n_respondents, 1)
     b = 2.0 * p - 1.0
     return (4.0 + 12.0 * b**5) * ((k - (1.0 + b) / 4.0) / k) / math.sqrt(n_respondents)
 
 
-def _check_formula_args(p: float, k: int) -> None:
+def _check_formula_args(p: float, k: int) -> int:
     # p = 0.5 allowed here as the zero-bias boundary of the pure formulas
     if not 0.5 <= p < 1.0:
         raise ValueError(f"p must be in [0.5, 1), got {p}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    return _integer("k", k, 1)
 
 
 def _pattern_table(responses: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -141,8 +139,7 @@ def population_limit(p: float, k: int) -> float:
     and linear in k.
     """
     _check_agreement(p)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = _integer("k", k, 1)
     s = np.arange(k + 1, dtype=np.float64)
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, k + 1)))))
     log_choose = log_fact[k] - log_fact - log_fact[::-1]
@@ -273,7 +270,7 @@ def _run_ensembles(cells: list[ModelParams], replications: int
     its status.  A cell whose every replication failed gets an
     EnsembleError in place of its summary.
     """
-    replications = _integer("replications", replications, 1)
+    replications = _integer("replications", replications, 1, say_value=False)
     for params in cells:
         if params.n_respondents <= params.k:
             raise ValueError(
@@ -364,11 +361,12 @@ class GridSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "correlations", tuple(float(r) for r in self.correlations))
         object.__setattr__(self, "confounder_counts", tuple(
-            _integer("every confounder count", n, 1) for n in self.confounder_counts))
+            _integer("every confounder count", n, 1, say_value=False)
+            for n in self.confounder_counts))
         for name, low in (("n_respondents", None), ("replications", 1),
                           ("ci_n_respondents", 1)):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, _integer(name, getattr(self, name), low))
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, _integer(name, value, low, say_value=False))
         if not self.correlations:
             raise ValueError("correlations must be non-empty")
         for r in self.correlations:

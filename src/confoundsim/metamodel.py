@@ -43,15 +43,18 @@ _BLOCK_ROWS = 4_096
 
 
 def _integer(name: str, value, low: int | None = None,
-             requirement: str = "an integer") -> int:
-    # the one rule for every integer parameter: what operator.index takes, a
-    # Python or numpy integer, is returned as a Python int; a bool, a
-    # non-integer such as 2.0 or "3", or a value below `low` is refused
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+             requirement: str = "an integer", say_value: bool = True) -> int:
+    # the one rule for every integer parameter: a Python or numpy integer is
+    # returned as a Python int; a bool, a non-integer (2.0, "3", an array) or
+    # a value below `low` is refused, without the value if say_value is False
+    if isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be {requirement}, got {value!r}")
-    number = operator.index(value)
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be {requirement}, got {value!r}") from None
     if low is not None and number < low:
-        raise ValueError(f"{name} must be >= {low}")
+        raise ValueError(f"{name} must be >= {low}" + (f", got {number}" if say_value else ""))
     return number
 
 

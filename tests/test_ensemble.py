@@ -620,3 +620,27 @@ def test_run_ensemble_rejects_replications_below_one(replications, message):
     with pytest.raises(ValueError) as info:
         run_ensemble(params(n=100), replications)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: population_limit(0.7, 2.5), "k must be an integer, got 2.5"),
+    (lambda: population_limit(0.7, "3"), "k must be an integer, got '3'"),
+    (lambda: population_limit(0.7, True), "k must be an integer, got True"),
+    (lambda: population_limit(0.7, 0), "k must be >= 1, got 0"),
+    (lambda: empirical_beta_formula(0.7, 2.5), "k must be an integer, got 2.5"),
+    (lambda: empirical_sigma_formula(0.7, 2, 10.0),
+     "n_respondents must be an integer, got 10.0"),
+    (lambda: empirical_sigma_formula(0.7, 2, 0), "n_respondents must be >= 1, got 0"),
+], ids=["limit-float", "limit-string", "limit-bool", "limit-zero", "beta-float",
+        "sigma-n-float", "sigma-n-zero"])
+def test_formulas_take_k_and_n_by_the_integer_rule(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_formulas_take_numpy_integers():
+    assert population_limit(0.7, np.int64(3)) == population_limit(0.7, 3)
+    assert empirical_beta_formula(0.7, np.uint8(3)) == empirical_beta_formula(0.7, 3)
+    assert (empirical_sigma_formula(0.7, np.int32(3), np.int64(100))
+            == empirical_sigma_formula(0.7, 3, 100))

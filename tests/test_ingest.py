@@ -1053,28 +1053,33 @@ ALL_X_MISSING = b"Y\tX\n1\t\n0\t\n"
 ONE_STAGE = StudySpec(dependent="Y", independent="X", stages=(("A", ()),))
 
 
-@pytest.mark.parametrize("call, message", [
-    (lambda: load_survey(b""), "empty survey file"),
-    (lambda: load_survey(b"\n  \n"), "empty survey file"),
-    (lambda: build_design(load_survey(ALL_X_MISSING), ONE_STAGE, "A"),
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: load_survey(b""), IngestError, "empty survey file"),
+    (lambda: load_survey(b"\n  \n"), IngestError, "empty survey file"),
+    (lambda: build_design(load_survey(ALL_X_MISSING), ONE_STAGE, "A"), IngestError,
      "no rows remain after dropping missing values"),
-    (lambda: staged_analysis(load_survey(ALL_X_MISSING), ONE_STAGE)[0].error,
+    # returned as the stage's error, not raised
+    (lambda: staged_analysis(load_survey(ALL_X_MISSING), ONE_STAGE)[0].error, None,
      "no rows remain after dropping missing values"),
-    (lambda: load_survey(b"A\n1\n").column("nope"), "no such column (column nope)"),
-    (lambda: StudySpec("", "X", ONE_STAGE.stages),
+    (lambda: load_survey(b"A\n1\n").column("nope"), IngestError,
+     "no such column (column nope)"),
+    (lambda: StudySpec("", "X", ONE_STAGE.stages), ValueError,
      "dependent and independent column names are required"),
-    (lambda: StudySpec("Y", "Y", ONE_STAGE.stages), "dependent and independent must differ"),
-    (lambda: StudySpec("Y", "X", ()), "at least one stage is required"),
-    (lambda: MappingRule(5, 3, 0), "inverted range 5-3"),
-    (lambda: ColumnSpec("", ORD), "column name must be non-empty"),
-    (lambda: ColumnSpec("A", "NUM"), "kind must be ORD or CAT, got 'NUM'"),
+    (lambda: StudySpec("Y", "Y", ONE_STAGE.stages), ValueError,
+     "dependent and independent must differ"),
+    (lambda: StudySpec("Y", "X", ()), ValueError, "at least one stage is required"),
+    (lambda: MappingRule(5, 3, 0), MappingParseError, "inverted range 5-3"),
+    (lambda: ColumnSpec("", ORD), ValueError, "column name must be non-empty"),
+    (lambda: ColumnSpec("A", "NUM"), ValueError, "kind must be ORD or CAT, got 'NUM'"),
 ], ids=["empty-file", "blank-file", "design-no-rows", "stage-no-rows", "no-column",
         "study-blank-name", "study-same-columns", "study-no-stages", "rule-inverted",
         "column-blank-name", "column-bad-kind"])
-def test_error_says_why(call, message):
-    # each call raises the message, or returns it as a stage's error
+def test_error_says_why(call, error, message):
+    # each call raises the message as exactly `error`, or returns it as a
+    # stage's error
     try:
         outcome = call()
     except ValueError as exc:
+        assert type(exc) is error
         outcome = str(exc)
     assert outcome == message

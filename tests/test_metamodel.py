@@ -336,15 +336,19 @@ class TestCsvDump:
                             params=params(k=3, n=4)),
      "latent must have shape (4,), got (3,)"),
     (lambda: params(beta_prime=math.nan), "causal_increment must be finite"),
-    (lambda: params(k=0), "k must be >= 1"),
+    (lambda: params(k=0), "k must be >= 1, got 0"),
+    (lambda: params(n=-2), "n_respondents must be >= 1, got -2"),
     (lambda: params(k=2.0), "k must be an integer, got 2.0"),
+    (lambda: params(k=np.array([3])), "k must be an integer, got array([3])"),
     (lambda: params(n=True), "n_respondents must be an integer, got True"),
+    (lambda: params(n=np.True_), "n_respondents must be an integer, got np.True_"),
     (lambda: params(n="100"), "n_respondents must be an integer, got '100'"),
     (lambda: params(seed=True), "seed must be an unsigned 64-bit integer, got True"),
     (lambda: params(seed=np.float64(5.0)),
      "seed must be an unsigned 64-bit integer, got np.float64(5.0)"),
-], ids=["response-shape", "latent-shape", "increment-nan", "k-zero", "k-float",
-        "n-bool", "n-string", "seed-bool", "seed-numpy-float"])
+], ids=["response-shape", "latent-shape", "increment-nan", "k-zero", "n-negative",
+        "k-float", "k-array", "n-bool", "n-numpy-bool", "n-string", "seed-bool",
+        "seed-numpy-float"])
 def test_invalid_input_is_rejected_saying_why(call, message):
     with pytest.raises(ValueError) as info:
         call()
