@@ -214,12 +214,15 @@ def fit_logistic(y, X, tol: float = 1e-8, max_iter: int = 100,
     max_iter must be at least 1 and tol a positive finite number.
 
     Trials of shape (R, n), with y of the same shape, fit R tables on the
-    one design together and return a FitBatch, whose row r has the bits of
-    a call with y[r] and trials[r] alone: its FitResult's values, or the
-    status of the ValueError (a SingularDesignError when its trials leave
-    the design rank deficient) that call would raise.  Each table keeps its
-    own step-halving, convergence and separation test, and its bits do not
-    depend on the others.
+    one design together and return a FitBatch.  A check on the arguments or
+    the shared design raises for the whole batch before any fit: a design
+    with an all-zero column raises SingularDesignError.  Only a failure
+    that depends on a row's trials becomes that row's status: row r has the
+    bits of a call with y[r] and trials[r] alone, its FitResult's values or
+    the status of the ValueError (a SingularDesignError when its trials
+    leave the design rank deficient or its normal equations singular) that
+    call would raise.  Each table keeps its own step-halving, convergence
+    and separation test, and its bits do not depend on the others.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -400,6 +403,9 @@ def one_hot(values, reference: int) -> tuple[np.ndarray, list[int]]:
         raise ValueError("one_hot needs at least 2 distinct categories")
     if reference not in cats:
         raise ValueError(f"reference category {reference} not present")
+    for c in cats:
+        if not float(c).is_integer():
+            raise ValueError(f"one_hot expects integer categories, got {c}")
     kept = [int(c) for c in cats if c != reference]
     cols = np.column_stack([(arr == c).astype(np.float64) for c in kept])
     return cols, kept

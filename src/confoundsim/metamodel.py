@@ -154,13 +154,13 @@ class ResponseMatrix:
             arr.setflags(write=False)
 
 
-def derive_seed(master: int, *indices: int) -> int:
-    """Derive an independent 64-bit stream seed from a master seed.
+def derive_seed(master: int, index: int) -> int:
+    """Derive the independent 64-bit seed of stream `index` of a master seed.
 
     Keyed derivation (rather than sequential jumps) gives each replication
     a stream that does not depend on the cells or replications beside it.
     """
-    state = np.random.SeedSequence((master, *indices)).generate_state(1, np.uint64)
+    state = np.random.SeedSequence((master, index)).generate_state(1, np.uint64)
     return int(state[0])
 
 

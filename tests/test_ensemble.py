@@ -14,7 +14,7 @@ from confoundsim.ensemble import (EnsembleError, GridSpec,
                                   empirical_beta_formula,
                                   empirical_sigma_formula, population_limit,
                                   run_ensemble, scan_grid)
-from confoundsim.glm import SingularDesignError, fit_logistic
+from confoundsim.glm import NotConvergedError, SingularDesignError, fit_logistic
 from confoundsim.metamodel import ModelParams, derive_seed, draw_population
 
 
@@ -57,6 +57,13 @@ class TestFormulas:
         # no cap on k: far past the old 2^(k+1) enumeration, the limit is
         # positive and below its value at k = 12
         assert 0.0 < population_limit(0.7, 1000) < population_limit(0.7, 12)
+
+    def test_population_limit_raises_when_its_fit_does_not_converge(self, monkeypatch):
+        monkeypatch.setattr(ensemble, "fit_logistic", lambda *args, **kwargs: replace(
+            fit_logistic(*args, **kwargs), converged=False))
+        with pytest.raises(NotConvergedError) as info:
+            population_limit(0.7, 3)
+        assert str(info.value) == "population limit did not converge at p=0.7, k=3"
 
 
 class TestRunEnsemble:

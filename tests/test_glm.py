@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confoundsim import glm
+from confoundsim import cli, glm
 from confoundsim.glm import (DesignMatrix, FitResult, SingularDesignError,
                              confidence_interval, fit_logistic, inverse_logit,
                              logit, one_hot, relative_risk)
@@ -644,6 +644,13 @@ class TestBatchedWeights:
         with pytest.raises(SingularDesignError):
             fit_logistic(*empty[:1], x, trials=empty[1])
 
+    def test_an_all_zero_design_column_raises_for_the_whole_batch(self):
+        # a check on the shared design is no row status: it raises before any fit
+        x = np.column_stack([np.ones(4), np.zeros(4)])
+        with pytest.raises(SingularDesignError) as info:
+            fit_logistic(np.full((3, 4), 5.0), x, trials=np.full((3, 4), 10.0))
+        assert str(info.value) == "column 1 is all zero"
+
     def test_a_singular_matrix_fails_only_its_own_row(self):
         rng = np.random.default_rng(11)
         a = rng.normal(size=(4, 3, 3))
@@ -712,22 +719,23 @@ class TestStepHalving:
         assert batch.iterations.tolist() == [9, 13, 9]
 
 
-def _inverse_failing_on(monkeypatch, fit, row):
-    """fit() again, with np.linalg.inv raising on row `row` of the stack of
-    final weighted Gram matrices that fit() inverts for its standard errors."""
-    real_inv = np.linalg.inv
+def _linalg_failing_on(monkeypatch, name, fit, row):
+    """fit() again, with np.linalg.<name> raising whenever its matrices
+    include the one at row `row` of the first stack that fit() passes it:
+    for "inv", the final weighted Gram matrices that fit() inverts for its
+    standard errors; for "solve", the first Newton step's Hessians."""
+    real = getattr(np.linalg, name)
     stacks = []
-    monkeypatch.setattr(np.linalg, "inv", lambda a: stacks.append(a) or real_inv(a))
+    monkeypatch.setattr(np.linalg, name, lambda a, *b: stacks.append(a) or real(a, *b))
     fit()
-    [stack] = stacks
-    target = stack[row].copy()
+    target = stacks[0][row].copy()
 
-    def failing_inv(a):
+    def failing(a, *b):
         if any(np.array_equal(mat, target) for mat in np.reshape(a, (-1, *target.shape))):
             raise np.linalg.LinAlgError("Singular matrix")
-        return real_inv(a)
+        return real(a, *b)
 
-    monkeypatch.setattr(np.linalg, "inv", failing_inv)
+    monkeypatch.setattr(np.linalg, name, failing)
     return fit()
 
 
@@ -742,7 +750,7 @@ class TestSingularCovariance:
             return fit_logistic(successes, HALVING_X, trials=trials)
 
         want = fit()
-        got = _inverse_failing_on(monkeypatch, fit, 1)
+        got = _linalg_failing_on(monkeypatch, "inv", fit, 1)
         assert np.isinf(got.std_errors[1]).all() and (got.std_errors[1] > 0).all()
         assert np.isfinite(want.std_errors[1]).all()
         for name in ("coefficients", "iterations", "log_likelihood", "status"):
@@ -754,12 +762,38 @@ class TestSingularCovariance:
             return fit_logistic(HALVING_Y, HALVING_X)
 
         want = fit()
-        got = _inverse_failing_on(monkeypatch, fit, 0)
+        got = _linalg_failing_on(monkeypatch, "inv", fit, 0)
         assert np.isinf(got.std_errors).all() and (got.std_errors > 0).all()
         assert got.coefficients.tobytes() == want.coefficients.tobytes()
         assert (got.converged, got.iterations, got.log_likelihood,
                 got.separation_detected) == (want.converged, want.iterations,
                                              want.log_likelihood, want.separation_detected)
+
+
+class TestSingularNormalEquations:
+    """A Newton solve that fails after the rank check passed stops its own
+    table with status SINGULAR_NORMAL."""
+
+    def test_only_the_failing_table_stops(self, monkeypatch, tmp_path, capsys):
+        successes, trials = _halving_batch()
+
+        def fit():
+            return fit_logistic(successes, HALVING_X, trials=trials)
+
+        # the middle table is HALVING_Y, one trial per row
+        got = _linalg_failing_on(monkeypatch, "solve", fit, 1)
+        assert _row(got, 1) == Outcome(glm.SINGULAR_NORMAL, None, None, None, None)
+        for r in (0, 2):
+            assert _row(got, r).bits() == _one_fit(successes[r], HALVING_X,
+                                                   trials=trials[r]).bits()
+        with pytest.raises(SingularDesignError) as info:
+            fit_logistic(HALVING_Y, HALVING_X)
+        assert str(info.value) == "weighted normal equations are singular"
+        data = tmp_path / "d.csv"
+        data.write_text("Y,X1,X2\n" + "".join(
+            f"{y:g},{a!r},{b!r}\n" for y, (_, a, b) in zip(HALVING_Y, HALVING_X.tolist())))
+        assert cli.main(["fit", str(data), "--dependent", "Y", "--regressors", "X1,X2"]) == 3
+        assert capsys.readouterr().err == "error: weighted normal equations are singular\n"
 
 
 class TestRelativeRisk:
@@ -841,6 +875,13 @@ class TestOneHot:
         # reference rows are all zero
         assert not cols[values == 1].any()
 
+    @pytest.mark.parametrize("values", [np.array([0.0, 2.0, 1.0, 2.0]),
+                                        np.array([False, True, True])])
+    def test_integral_floats_and_bools_code_as_integers(self, values):
+        cols, kept = one_hot(values, reference=0)
+        assert kept == [int(c) for c in np.unique(values) if c != 0]
+        assert np.array_equal(cols, np.column_stack([values == c for c in kept]))
+
     def test_single_category_rejected(self):
         with pytest.raises(ValueError):
             one_hot(np.array([3, 3, 3]), reference=3)
@@ -859,9 +900,13 @@ class TestOneHot:
      "names length must match column count"),
     (lambda: fit_logistic([0, 1, 1], np.ones((4, 1))), "y has 3 rows, design has 4"),
     (lambda: one_hot(np.zeros((2, 2)), reference=0), "one_hot expects a 1-D vector"),
+    (lambda: one_hot(np.array([0, 1.5, 1.5, 2.7]), reference=0),
+     "one_hot expects integer categories, got 1.5"),
+    (lambda: one_hot(np.array([0, 1, math.inf]), reference=0),
+     "one_hot expects integer categories, got inf"),
     (lambda: DesignMatrix.build([], intercept=False), "no columns and no intercept"),
 ], ids=["design-nan", "design-1d", "design-names", "fit-rows", "one-hot-2d",
-        "build-nothing"])
+        "one-hot-fraction", "one-hot-inf", "build-nothing"])
 def test_invalid_input_is_rejected_saying_why(call, message):
     with pytest.raises(ValueError) as info:
         call()

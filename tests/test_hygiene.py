@@ -1,20 +1,24 @@
 """Source hygiene checks that stand in for a linter.
 
-Every `__all__` must name only what its module defines, no module may
-import a name it never uses, no module-level private name may go
-unreferenced by the whole package, no public dataclass field, property or
-method may go unread by it, and the README's library tour must run as
-written.
+Every `__all__` must name only what its module defines, the package must
+export each module's public names once, no module may import a name it
+never uses, no module-level private name may go unreferenced by the whole
+package, no public dataclass field, property or method may go unread by
+it, the README's library tour must run as written and its command lines
+must parse.
 """
 
 import ast
+import dataclasses
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import confoundsim
+from confoundsim import cli
 
 SOURCES = sorted(p for p in Path(confoundsim.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -25,6 +29,15 @@ SOURCES = sorted(p for p in Path(confoundsim.__file__).parent.glob("*.py")
 def test_star_import_resolves_every_exported_name(module):
     # a name left in __all__ after its definition is deleted breaks import *
     exec(f"from {module} import *", {})
+
+
+def test_package_exports_every_public_name_of_its_modules_once():
+    names = ["__version__"] + [
+        name for module in (confoundsim.metamodel, confoundsim.glm,
+                            confoundsim.ensemble, confoundsim.ingest)
+        for name in module.__all__]
+    assert len(set(names)) == len(names)
+    assert sorted(confoundsim.__all__) == sorted(names)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -168,3 +181,20 @@ def test_readme_library_tour_runs_as_written():
     tour = re.search(r"^## Library tour\n\n```python\n(.*?)^```$", readme,
                      re.MULTILINE | re.DOTALL)
     exec(compile(tour.group(1), "README.md (Library tour)", "exec"), {})
+
+
+def test_readme_command_lines_parse_and_name_the_scan_columns():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+    lines = "".join(blocks).replace("\\\n", "").splitlines()
+    commands = [shlex.split(line) for line in lines if line.startswith("confoundsim ")]
+    assert {command[1] for command in commands} == {"simulate", "scan", "fit", "ingest"}
+    parser = cli._build_parser()
+    for command in commands:
+        # argparse exits on a flag it does not know or a missing argument
+        parser.parse_args(command[1:])
+    comment = re.search(r"^# grid sweep; CSV columns:\n((?:#   .*\n)+)", readme,
+                        re.MULTILINE)
+    columns = "".join(line.removeprefix("#   ") for line in comment.group(1).splitlines())
+    assert columns.split(",") == ["N" if field.name == "n_respondents" else field.name
+                                  for field in dataclasses.fields(confoundsim.GridCell)]
