@@ -723,7 +723,8 @@ def _linalg_failing_on(monkeypatch, name, fit, row):
     """fit() again, with np.linalg.<name> raising whenever its matrices
     include the one at row `row` of the first stack that fit() passes it:
     for "inv", the final weighted Gram matrices that fit() inverts for its
-    standard errors; for "solve", the first Newton step's Hessians."""
+    standard errors; for "solve", the first Newton step's Hessians.
+    Returns that fit and the number of calls the first fit() made."""
     real = getattr(np.linalg, name)
     stacks = []
     monkeypatch.setattr(np.linalg, name, lambda a, *b: stacks.append(a) or real(a, *b))
@@ -736,7 +737,7 @@ def _linalg_failing_on(monkeypatch, name, fit, row):
         return real(a, *b)
 
     monkeypatch.setattr(np.linalg, name, failing)
-    return fit()
+    return fit(), len(stacks)
 
 
 class TestSingularCovariance:
@@ -750,7 +751,8 @@ class TestSingularCovariance:
             return fit_logistic(successes, HALVING_X, trials=trials)
 
         want = fit()
-        got = _linalg_failing_on(monkeypatch, "inv", fit, 1)
+        got, inversions = _linalg_failing_on(monkeypatch, "inv", fit, 1)
+        assert inversions == 1  # one stacked inversion for the whole batch
         assert np.isinf(got.std_errors[1]).all() and (got.std_errors[1] > 0).all()
         assert np.isfinite(want.std_errors[1]).all()
         for name in ("coefficients", "iterations", "log_likelihood", "status"):
@@ -762,7 +764,8 @@ class TestSingularCovariance:
             return fit_logistic(HALVING_Y, HALVING_X)
 
         want = fit()
-        got = _linalg_failing_on(monkeypatch, "inv", fit, 0)
+        got, inversions = _linalg_failing_on(monkeypatch, "inv", fit, 0)
+        assert inversions == 1
         assert np.isinf(got.std_errors).all() and (got.std_errors > 0).all()
         assert got.coefficients.tobytes() == want.coefficients.tobytes()
         assert (got.converged, got.iterations, got.log_likelihood,
@@ -781,7 +784,7 @@ class TestSingularNormalEquations:
             return fit_logistic(successes, HALVING_X, trials=trials)
 
         # the middle table is HALVING_Y, one trial per row
-        got = _linalg_failing_on(monkeypatch, "solve", fit, 1)
+        got, _ = _linalg_failing_on(monkeypatch, "solve", fit, 1)
         assert _row(got, 1) == Outcome(glm.SINGULAR_NORMAL, None, None, None, None)
         for r in (0, 2):
             assert _row(got, r).bits() == _one_fit(successes[r], HALVING_X,
