@@ -31,8 +31,8 @@ import numpy as np
 
 from . import __version__
 from .ensemble import GridCell, GridSpec, scan_grid
-from .glm import (DesignMatrix, SingularDesignError, confidence_interval,
-                  fit_logistic, relative_risk)
+from .glm import (DesignMatrix, SingularDesignError, _integer,
+                  confidence_interval, fit_logistic, relative_risk)
 from .ingest import (apply_mappings, load_survey, parse_mapping_file,
                      parse_study_json, staged_analysis)
 from .metamodel import ModelParams, _population_blocks, write_population_csv
@@ -151,8 +151,7 @@ def _scan_row(cell: GridCell) -> dict:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    if args.threads < 1:
-        raise ValueError("threads must be >= 1")
+    _integer("threads", args.threads, 1)
     spec = GridSpec(
         correlations=_parse_list(args.r_list, float, "numbers"),
         confounder_counts=_parse_list(args.n_list, int, "integers"),

@@ -41,10 +41,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .glm import (CONVERGED, SEPARATED, NotConvergedError, SingularDesignError,
-                  confidence_interval, fit_logistic, inverse_logit, logit,
-                  relative_risk)
-from .metamodel import (ModelParams, _check_agreement, _check_seed, _integer,
-                        derive_seed, draw_population, stream_generator)
+                  _integer, confidence_interval, fit_logistic, inverse_logit,
+                  logit, relative_risk)
+from .metamodel import (ModelParams, _check_agreement, _check_seed, derive_seed,
+                        draw_population, stream_generator)
 
 __all__ = [
     "EnsembleError",
@@ -270,7 +270,7 @@ def _run_ensembles(cells: list[ModelParams], replications: int
     its status.  A cell whose every replication failed gets an
     EnsembleError in place of its summary.
     """
-    replications = _integer("replications", replications, 1, say_value=False)
+    replications = _integer("replications", replications, 1)
     for params in cells:
         if params.n_respondents <= params.k:
             raise ValueError(
@@ -361,12 +361,12 @@ class GridSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "correlations", tuple(float(r) for r in self.correlations))
         object.__setattr__(self, "confounder_counts", tuple(
-            _integer("every confounder count", n, 1, say_value=False)
+            _integer("every confounder count", n, 1)
             for n in self.confounder_counts))
         for name, low in (("n_respondents", None), ("replications", 1),
                           ("ci_n_respondents", 1)):
-            if (value := getattr(self, name)) is not None:
-                object.__setattr__(self, name, _integer(name, value, low, say_value=False))
+            if name != "ci_n_respondents" or self.ci_n_respondents is not None:
+                object.__setattr__(self, name, _integer(name, getattr(self, name), low))
         if not self.correlations:
             raise ValueError("correlations must be non-empty")
         for r in self.correlations:

@@ -14,6 +14,7 @@ helpers and the relative-risk conversion used by the reporting layers.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,22 @@ _Z95 = 1.959963984540054
 # FitBatch.status codes; the first three are fits, the others are not
 CONVERGED, SEPARATED, NOT_CONVERGED = 0, 1, 2
 TOO_FEW_OBSERVATIONS, RANK_DEFICIENT, SINGULAR_NORMAL = 3, 4, 5
+
+
+def _integer(name: str, value, low: int | None = None,
+             requirement: str = "an integer") -> int:
+    # the one rule for every integer parameter: a Python or numpy integer is
+    # returned as a Python int; a bool, a non-integer (2.0, "3", an array) or
+    # a value below `low` is refused
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be {requirement}, got {value!r}")
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be {requirement}, got {value!r}") from None
+    if low is not None and number < low:
+        raise ValueError(f"{name} must be >= {low}, got {number}")
+    return number
 
 
 class SingularDesignError(ValueError):
@@ -211,7 +228,7 @@ def fit_logistic(y, X, tol: float = 1e-8, max_iter: int = 100,
     sum; the observation count is the sum of the trials.  Converges when the largest
     absolute coefficient update drops below tol.  Separated fits are
     flagged, not raised; a rank-deficient design raises SingularDesignError.
-    max_iter must be at least 1 and tol a positive finite number.
+    max_iter must be an integer >= 1 and tol a positive finite number.
 
     Trials of shape (R, n), with y of the same shape, fit R tables on the
     one design together and return a FitBatch.  A check on the arguments or
@@ -224,8 +241,7 @@ def fit_logistic(y, X, tol: float = 1e-8, max_iter: int = 100,
     call would raise.  Each table keeps its own step-halving, convergence
     and separation test, and its bits do not depend on the others.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    max_iter = _integer("max_iter", max_iter, 1)
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a positive finite number, got {tol}")
     design = X if isinstance(X, DesignMatrix) else DesignMatrix(

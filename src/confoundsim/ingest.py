@@ -321,11 +321,9 @@ _LINE_BREAKS = _ASCII_BREAKS + tuple(c.encode() for c in "\x85\u2028\u2029")
 # bytes read from the file at a time; the unfinished line at the end of a
 # read is carried into the next piece
 _READ_BYTES = 1 << 20
-# bytes searched for line breaks at a time, so no mask is as long as a piece
-_SCAN_BYTES = 1 << 16
-# bytes checked as UTF-8 at a time; a span decodes to up to four times its
-# bytes, held only while it is checked
-_CHECK_BYTES = 1 << 16
+# bytes searched for line breaks and checked as UTF-8 at a time, so no break
+# mask, and no decoded text (up to four times its bytes), grows with a piece
+_SPAN_BYTES = 1 << 16
 # a block of plain-digit cells no wider than this is parsed in int64
 # arithmetic: 18 digits are below 2**63, so no value can overflow
 _DIGIT_BYTES = 18
@@ -384,10 +382,10 @@ def _line_bounds(data: bytes, buf: np.ndarray,
         # so a multi-byte break is looked for only where its lead byte is
         if brk[:1] not in data or brk not in data:
             continue
-        # one span of _SCAN_BYTES start offsets at a time; a break starting
+        # one span of _SPAN_BYTES start offsets at a time; a break starting
         # in a span is matched whole
-        for lo in range(0, len(buf), _SCAN_BYTES):
-            at = _find(buf[lo:lo + _SCAN_BYTES + len(brk) - 1], brk) + lo
+        for lo in range(0, len(buf), _SPAN_BYTES):
+            at = _find(buf[lo:lo + _SPAN_BYTES + len(brk) - 1], brk) + lo
             ends.append(at)
             gaps.append(np.full(len(at), len(brk)))
     ends, gaps = np.concatenate(ends), np.concatenate(gaps)
@@ -436,7 +434,7 @@ def _check_utf8(data: bytearray, at: int) -> None:
     while lo < len(data):
         # a character starting in a span is decoded whole; a partial one at
         # the span's end is left for the next span
-        hi = lo + _CHECK_BYTES + 3
+        hi = lo + _SPAN_BYTES + 3
         try:
             _, used = codecs.utf_8_decode(view[lo:hi], "strict", hi >= len(data))
         except UnicodeDecodeError as exc:

@@ -14,13 +14,12 @@ proportional to the predictor column (column 1).
 from __future__ import annotations
 
 import io
-import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .glm import inverse_logit, logit
+from .glm import _integer, inverse_logit, logit
 
 __all__ = [
     "ModelParams",
@@ -40,22 +39,6 @@ _SEED_MAX = 2**64
 # uniforms, its int8 responses and its formatted bytes (about 0.3, 0.04 and
 # 0.1 MB at k = 9), so memory beside the N latent traits does not grow with N
 _BLOCK_ROWS = 4_096
-
-
-def _integer(name: str, value, low: int | None = None,
-             requirement: str = "an integer", say_value: bool = True) -> int:
-    # the one rule for every integer parameter: a Python or numpy integer is
-    # returned as a Python int; a bool, a non-integer (2.0, "3", an array) or
-    # a value below `low` is refused, without the value if say_value is False
-    if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be {requirement}, got {value!r}")
-    try:
-        number = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be {requirement}, got {value!r}") from None
-    if low is not None and number < low:
-        raise ValueError(f"{name} must be >= {low}" + (f", got {number}" if say_value else ""))
-    return number
 
 
 def _check_seed(seed) -> int:

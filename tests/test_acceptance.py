@@ -10,7 +10,6 @@ limit on every cell; it is off by more than 15% at three cells, so 20% is
 the accuracy the documentation states for it.
 """
 
-import json
 import math
 import os
 import subprocess
@@ -28,8 +27,7 @@ from confoundsim.ensemble import (GridSpec, empirical_beta_formula,
                                   run_ensemble, scan_grid)
 from confoundsim.glm import DesignMatrix, fit_logistic, inverse_logit
 from confoundsim.ingest import (ColumnSpec, StudySpec, apply_mappings,
-                                build_design, load_survey, parse_mapping_file,
-                                parse_mapping_rule)
+                                build_design, load_survey, parse_mapping_file)
 from confoundsim.metamodel import (ModelParams, derive_seed, draw_population,
                                    sample_correlation)
 

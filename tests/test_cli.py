@@ -1,10 +1,8 @@
 import csv
-import importlib
 import io
 import json
 import math
 import os
-import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -52,14 +50,6 @@ def test_pyproject_version_is_the_package_version():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     config = pyprojecttoml.read_configuration(pyproject)
     assert config["project"]["version"] == __version__
-
-
-@pytest.mark.parametrize("module", ["confoundsim"] + [
-    f"confoundsim.{info.name}" for info in pkgutil.iter_modules(confoundsim.__path__)])
-def test_every_exported_name_resolves(module):
-    mod = importlib.import_module(module)
-    assert [name for name in getattr(mod, "__all__", ())
-            if not hasattr(mod, name)] == []
 
 
 class TestSimulate:

@@ -543,12 +543,14 @@ class TestGridSpecValidation:
         ("confounder_counts", (2.7,), "every confounder count must be an integer, got 2.7"),
         ("confounder_counts", ("3",), "every confounder count must be an integer, got '3'"),
         ("confounder_counts", (True,), "every confounder count must be an integer, got True"),
-        ("confounder_counts", (0,), "every confounder count must be >= 1"),
+        ("confounder_counts", (0,), "every confounder count must be >= 1, got 0"),
         ("n_respondents", True, "n_respondents must be an integer, got True"),
         ("n_respondents", 100.0, "n_respondents must be an integer, got 100.0"),
+        ("n_respondents", None, "n_respondents must be an integer, got None"),
         ("replications", np.float64(2),
          "replications must be an integer, got np.float64(2.0)"),
-        ("replications", 0, "replications must be >= 1"),
+        ("replications", 0, "replications must be >= 1, got 0"),
+        ("replications", None, "replications must be an integer, got None"),
         ("ci_n_respondents", "50", "ci_n_respondents must be an integer, got '50'"),
         ("seed", True, "seed must be an unsigned 64-bit integer, got True"),
     ])
@@ -558,6 +560,7 @@ class TestGridSpecValidation:
         with pytest.raises(ValueError) as info:
             GridSpec(**{**spec, field: value})
         assert str(info.value) == message
+        assert GridSpec(**spec, ci_n_respondents=None).ci_n_respondents is None
 
     def test_numpy_integers_scan_to_the_cells_of_python_ints(self):
         spec = GridSpec(correlations=(0.05, 0.15), confounder_counts=(1, 3),
@@ -620,8 +623,8 @@ class TestGridSpecValidation:
 
 
 @pytest.mark.parametrize("replications, message", [
-    (0, "replications must be >= 1"),
-    (-3, "replications must be >= 1"),
+    (0, "replications must be >= 1, got 0"),
+    (-3, "replications must be >= 1, got -3"),
 ])
 def test_run_ensemble_rejects_replications_below_one(replications, message):
     with pytest.raises(ValueError) as info:

@@ -235,6 +235,9 @@ class TestFitLogistic:
     @pytest.mark.parametrize("setting, message", [
         ({"max_iter": 0}, "max_iter must be >= 1"),
         ({"max_iter": -3}, "max_iter must be >= 1"),
+        ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
+        ({"max_iter": "3"}, "max_iter must be an integer, got '3'"),
+        ({"max_iter": True}, "max_iter must be an integer, got True"),
         ({"tol": -1.0}, "tol must be a positive finite number"),
         ({"tol": 0.0}, "tol must be a positive finite number"),
         ({"tol": math.nan}, "tol must be a positive finite number"),

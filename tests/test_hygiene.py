@@ -1,11 +1,11 @@
 """Source hygiene checks that stand in for a linter.
 
 Every `__all__` must name only what its module defines, the package must
-export each name once, no module may import a name it never uses, no
-module-level private name may go unreferenced by the whole package, no
-public dataclass field, property or method may go unread by it, the
-README's library tour must run as written and its command lines must
-parse.
+export each name once, no module of the package or of its tests may import
+a name it never uses, no module-level private name may go unreferenced by
+the whole package, no public dataclass field, property or method may go
+unread by it, the README's library tour must run as written and its command
+lines must parse.
 """
 
 import ast
@@ -63,7 +63,8 @@ def test_unused_import_detector_bites():
         "os (line 1)", "tau (line 2)"]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + sorted(Path(__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -550,7 +550,7 @@ class TestLoadSurvey:
     def test_bad_byte_past_the_first_span_keeps_its_offset(self):
         data = b"Y\tX\n" + b"1\t2\n" * 20 + b"3\t\xff\n"
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ingest, "_CHECK_BYTES", 8)
+            mp.setattr(ingest, "_SPAN_BYTES", 8)
             with pytest.raises(UnicodeDecodeError,
                                match="byte 0xff in position 86: invalid start"):
                 load_survey(data)
@@ -564,22 +564,24 @@ class TestLoadSurvey:
         # a byte that can start no character, amid or after a valid one
         b"A\tB\n1\t\xe3\x80\x80\x80\n",
         b"A\tB\n1\t\xc0\xaf\n",
+        # two- and three-byte line breaks, which some span sizes cut
+        "A\tB\u20281\t2\x85\r\n3\t4\u20295\t6\n".encode(),
     ])
     def test_characters_across_span_cuts_check_as_in_one_piece(self, data):
         try:
             expected = reference_load(data.decode(), "\t")
         except UnicodeDecodeError as exc:
             expected = str(exc)
-        for check_bytes in range(1, len(data) + 2):
+        for span_bytes in range(1, len(data) + 2):
             for read_bytes in READ_BYTES:
                 with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(ingest, "_CHECK_BYTES", check_bytes)
+                    mp.setattr(ingest, "_SPAN_BYTES", span_bytes)
                     mp.setattr(ingest, "_READ_BYTES", read_bytes)
                     try:
                         outcome = load_outcome(data, "\t")
                     except UnicodeDecodeError as exc:
                         outcome = str(exc)
-                assert outcome == expected, (check_bytes, read_bytes)
+                assert outcome == expected, (span_bytes, read_bytes)
 
     @pytest.mark.parametrize("text", [
         # some read size ends a piece between the \r and the \n of a CRLF
