@@ -11,11 +11,12 @@ the population size N:
 
 Both laws are approximations.  Against the exact population limit of the
 averaged coefficient (`population_limit`: the no-intercept score equations
-solved on expected cell probabilities), the coefficient law is within 20% on p in [0.55, 0.8],
-k in [2, 9], worst +19.1% at (p=0.55, k=9).  On the acceptance surface
-p in {0.55, 0.6, 0.7, 0.8} x k in {2, 3, 5, 9} it is more than 15% off at
-three cells: (0.55, 9) with +19.1%, (0.6, 9) with +16.4% and (0.8, 2) with
--16.1%.
+solved on expected cell probabilities), the coefficient law is within 20%
+on p in [0.55, 0.8] for k <= 9, worst +19.1% at (p=0.55, k=9), and for
+every k only on p in [0.68, 0.8]: at p = 0.55 it is +26.1% at k = 21 and
++31.9% at k = 1000.  On the acceptance surface p in {0.55, 0.6, 0.7, 0.8}
+x k in {2, 3, 5, 9} it is more than 15% off at three cells: (0.55, 9) with
++19.1%, (0.6, 9) with +16.4% and (0.8, 2) with -16.1%.
 
 A replication is drawn as its counts over the 2^(k+1) response cells where
 those are no more than the N rows, and as its N rows otherwise; either way
@@ -72,10 +73,12 @@ class EnsembleError(RuntimeError):
 def empirical_beta_formula(p: float, k: int) -> float:
     """Fitted scaling law 3 b^2 / k for the averaged logit coefficient.
 
-    An approximation: on p in [0.55, 0.8], k in [2, 9] it is within 20% of the
-    exact population limit, worst +19.1% at (p=0.55, k=9).  Of the 16
-    acceptance surface cells it is more than 15% off at three: (0.55, 9),
-    (0.6, 9) with +16.4% and (0.8, 2) with -16.1%.
+    An approximation: on p in [0.55, 0.8] it is within 20% of the exact
+    population limit for k <= 9, worst +19.1% at (p=0.55, k=9), and for
+    every k only on p in [0.68, 0.8]; past k = 9 it runs low at small p, the
+    limit +31.9% above it at (0.55, 1000).  Of the 16 acceptance cells it is
+    more than 15% off at three: (0.55, 9), (0.6, 9) with +16.4% and (0.8, 2)
+    with -16.1%.
     """
     k = _check_formula_args(p, k)
     b = 2.0 * p - 1.0

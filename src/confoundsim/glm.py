@@ -30,7 +30,6 @@ __all__ = [
     "fit_logistic",
     "relative_risk",
     "confidence_interval",
-    "one_hot",
 ]
 
 # |x| beyond this adds nothing to a float64 sigmoid; clamping avoids overflow
@@ -403,35 +402,3 @@ def confidence_interval(b: float, s: float) -> tuple[float, float]:
     The one interval rule of every pipeline; callers check convergence.
     """
     return (b - _Z95 * s, b + _Z95 * s)
-
-
-def one_hot(values, reference: int) -> tuple[np.ndarray, list[int]]:
-    """Indicator columns for every category except the reference.
-
-    Returns (matrix, kept_categories); the reference category encodes as an
-    all-zero row.  Categories are the sorted distinct values observed.
-    """
-    arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise ValueError("one_hot expects a 1-D vector")
-    cats = _sorted_distinct(arr)
-    if cats.size < 2:
-        raise ValueError("one_hot needs at least 2 distinct categories")
-    if reference not in cats:
-        raise ValueError(f"reference category {reference} not present")
-    for c in cats:
-        if not float(c).is_integer():
-            raise ValueError(f"one_hot expects integer categories, got {c}")
-    kept = [int(c) for c in cats if c != reference]
-    cols = np.column_stack([(arr == c).astype(np.float64) for c in kept])
-    return cols, kept
-
-
-def _sorted_distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values of a 1-D array in ascending order.
-
-    A sort and a neighbour comparison: np.unique would import numpy.ma on
-    its first call, a cost every fresh process would pay.
-    """
-    ordered = np.sort(values)
-    return np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))

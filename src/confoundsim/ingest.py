@@ -27,8 +27,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .glm import (DesignMatrix, _sorted_distinct, confidence_interval,
-                  fit_logistic, one_hot, relative_risk)
+from .glm import DesignMatrix, confidence_interval, fit_logistic, relative_risk
 
 __all__ = [
     "MappingParseError",
@@ -635,6 +634,16 @@ def load_survey(data: bytes | BinaryIO, delimiter: str = "\t",
                        header=header)
 
 
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array in ascending order.
+
+    A sort and a neighbour comparison: np.unique would import numpy.ma on
+    its first call, a cost every fresh process would pay.
+    """
+    ordered = np.sort(values)
+    return np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
+
+
 def apply_mappings(table: SurveyTable, specs: list[ColumnSpec]) -> SurveyTable:
     """Recode every loaded column a spec names; others stay ordinal as-is.
 
@@ -675,10 +684,11 @@ def build_design(table: SurveyTable, study: StudySpec,
     """Assemble (y, X) for one cumulative stage.
 
     X is intercept + independent + every confounder up to and including
-    `stage`; CAT confounders expand to indicator columns against category 0.
-    Rows missing any used column are dropped and counted.  A CAT confounder
-    left with one category, or without category 0, raises IngestError naming
-    it.
+    `stage`, written into one float64 table.  A CAT confounder C expands to
+    an indicator `C=code` for each code of its kept rows but the reference
+    0, in ascending order.  Rows missing any used column are dropped and
+    counted.  A CAT confounder left with one category, or without category
+    0, raises IngestError naming it.
     """
     confounders = study.cumulative_confounders(stage)
     used = [study.dependent, study.independent, *confounders]
@@ -700,22 +710,26 @@ def build_design(table: SurveyTable, study: StudySpec,
             raise IngestError("dependent and independent columns must be ORD",
                               column=name)
 
-    # DesignMatrix.build converts every column to float64
-    columns = [table.column(study.independent)[keep]]
-    names = [study.independent]
+    # every column after the intercept: its name, the column it reads and,
+    # for an indicator, the code it marks
+    columns = [(study.independent, study.independent, None)]
     for name in confounders:
-        col = table.column(name)[keep]
-        if table.kinds.get(name) == CAT:
-            try:
-                encoded, kept_codes = one_hot(col, reference=0)
-            except ValueError as exc:
-                raise IngestError(str(exc), column=name) from None
-            columns.extend(encoded.T)
-            names.extend(f"{name}={code}" for code in kept_codes)
-        else:
-            columns.append(col)
-            names.append(name)
-    design = DesignMatrix.build(columns, intercept=True, names=names)
+        if table.kinds.get(name) != CAT:
+            columns.append((name, name, None))
+            continue
+        codes = _sorted_distinct(table.column(name)[keep])
+        if codes.size < 2:
+            raise IngestError("needs at least 2 distinct categories", column=name)
+        if 0 not in codes:
+            raise IngestError("reference category 0 not present", column=name)
+        columns.extend((f"{name}={code}", name, code)
+                       for code in codes[codes != 0].tolist())
+    values = np.empty((n_used, 1 + len(columns)))
+    values[:, 0] = 1.0
+    for j, (_, source, code) in enumerate(columns, start=1):
+        col = table.column(source)[keep]
+        values[:, j] = col if code is None else col == code
+    design = DesignMatrix(values, ("intercept", *(name for name, _, _ in columns)))
     return y, design, BuildInfo(n_used=n_used, n_dropped=n_dropped)
 
 

@@ -1,4 +1,5 @@
 import io
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -95,3 +96,37 @@ def population_limit_beta(p: float, k: int) -> float:
         if np.max(np.abs(step)) < 1e-13:
             return float(beta.mean())
     raise RuntimeError(f"population limit did not converge at p={p}, k={k}")
+
+
+def exact_ensemble_expectation(params) -> tuple[float, float]:
+    """Exact (E[beta | converged], P(excluded)) of one ensemble replication.
+
+    A replication's cell counts are Multinomial(N, (p_plus + p_minus) / 2)
+    over the 2^(k+1) response cells, on the table path and the row path
+    alike.  Every count table is listed (stars and bars), weighted by its
+    multinomial probability and fitted in one `fit_logistic` batch on the
+    2^k regressor patterns; a pattern no respondent has adds nothing to the
+    fit.  beta is what the ensemble reads: the mean coefficient with no
+    causal increment, the predictor's otherwise.  Only for small N and k:
+    there are C(N + 2^(k+1) - 1, N) tables.
+    """
+    from confoundsim.ensemble import _cell_bits, _cell_probabilities
+    from confoundsim.glm import CONVERGED, fit_logistic
+
+    n, bits = params.n_respondents, _cell_bits(params.k + 1)
+    p_plus, p_minus = _cell_probabilities(params, bits)
+    cells = len(bits)
+    bars = np.array(list(itertools.combinations(range(n + cells - 1), cells - 1)))
+    counts = np.diff(bars, prepend=-1, append=n + cells - 1, axis=1) - 1
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, n + 1)))))
+    weights = np.exp(log_fact[n] - log_fact[counts].sum(axis=1)
+                     + counts @ np.log(0.5 * (p_plus + p_minus)))
+    # cells 2i and 2i + 1 are pattern i's cells of y = 0 and y = 1
+    pairs = counts.reshape(len(counts), -1, 2).astype(np.float64)
+    batch = fit_logistic(pairs[:, :, 1], bits[0::2, 1:].astype(np.float64),
+                         trials=pairs.sum(axis=2))
+    beta = (batch.coefficients.mean(axis=1) if params.causal_increment == 0.0
+            else batch.coefficients[:, 0])
+    converged = batch.status == CONVERGED
+    kept = weights[converged].sum()
+    return float(weights[converged] @ beta[converged] / kept), float(1.0 - kept)

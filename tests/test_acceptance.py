@@ -12,6 +12,7 @@ the accuracy the documentation states for it.
 
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -133,6 +134,22 @@ def test_library_population_limit_matches_oracle():
     for p in SURFACE_P:
         for k in SURFACE_K:
             assert abs(population_limit(p, k) - population_limit_beta(p, k)) <= 1e-8, (p, k)
+
+
+def test_readme_law_accuracy_table():
+    # every printed (limit - law) / law of the README's table, to 0.05 points
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Accuracy of the scaling laws\n")[1].split("\n## ")[0]
+    header = re.search(r"^\| k \|(.*)\|$", section, re.MULTILINE).group(1)
+    ps = [float(cell.strip().removeprefix("p = ")) for cell in header.split("|")]
+    rows = re.findall(r"^\| (\d+) \|(.*)\|$", section, re.MULTILINE)
+    assert ps == [0.55, 0.6, 0.7, 0.8]
+    assert [int(k) for k, _ in rows] == [2, 3, 5, 9, 21, 41, 101, 1000]
+    for k, cells in rows:
+        for p, cell in zip(ps, cells.split("|"), strict=True):
+            law = empirical_beta_formula(p, int(k))
+            percent = 100.0 * (population_limit(p, int(k)) - law) / law
+            assert abs(float(cell.strip().removesuffix("%")) - percent) <= 0.05, (p, k)
 
 
 def test_criterion_3_sigma_surface(surface_grid):

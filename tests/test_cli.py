@@ -810,7 +810,7 @@ class TestIngest:
             study='{"dependent": "Y", "independent": "X", "stages": {"a": ["C"]}}')
         assert run(argv) == 3
         assert capsys.readouterr().err == (
-            "error: stage a: one_hot needs at least 2 distinct categories (column C)\n")
+            "error: stage a: needs at least 2 distinct categories (column C)\n")
 
     def test_every_stage_failing_exits_3(self, tmp_path, capsys):
         data = tmp_path / "d.tsv"

@@ -17,6 +17,8 @@ from confoundsim.ensemble import (EnsembleError, GridSpec,
 from confoundsim.glm import NotConvergedError, SingularDesignError, fit_logistic
 from confoundsim.metamodel import ModelParams, derive_seed, draw_population
 
+from conftest import exact_ensemble_expectation
+
 
 def params(p=0.75, k=3, n=10_000, seed=17, beta_prime=0.0):
     return ModelParams(p=p, k=k, n_respondents=n, seed=seed,
@@ -149,6 +151,20 @@ class TestRunEnsemble:
                 # too wide for one code: each row stands for itself
                 assert len(x) == n and (trials == 1).all()
                 assert (successes == responses[:, 0]).all()
+
+    @pytest.mark.parametrize("p, k, n, beta_prime, reps", [
+        (0.7, 1, 40, 0.0, 4000), (0.7, 1, 40, 0.5, 4000),
+        (0.7, 2, 6, 0.0, 1000)], ids=["table", "table-causal", "rows"])
+    def test_small_n_matches_the_exact_expectation(self, p, k, n, beta_prime, reps):
+        # every count table of N respondents listed and fitted: the mean
+        # coefficient within 3 Monte Carlo errors of E[beta | converged], the
+        # excluded share within 3 binomial standard errors of P(excluded)
+        cell = params(p=p, k=k, n=n, seed=2024, beta_prime=beta_prime)
+        mean, p_excluded = exact_ensemble_expectation(cell)
+        summary = run_ensemble(cell, reps)
+        assert abs(summary.mean_beta1 - mean) <= 3.0 * summary.mc_error_beta1
+        assert (abs(summary.excluded / reps - p_excluded)
+                <= 3.0 * math.sqrt(p_excluded * (1.0 - p_excluded) / reps))
 
     def test_single_replication_has_infinite_mc_error(self):
         summary = run_ensemble(params(seed=5, n=500), 1)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from confoundsim import cli, glm
 from confoundsim.glm import (DesignMatrix, FitResult, SingularDesignError,
                              confidence_interval, fit_logistic, inverse_logit,
-                             logit, one_hot, relative_risk)
+                             logit, relative_risk)
 
 from conftest import dataset_from_2x2, log_odds_ratio, log_odds_ratio_se
 
@@ -862,41 +862,6 @@ class TestConfidenceInterval:
         assert hi == pytest.approx(stats.norm.ppf(0.975), abs=1e-9)
 
 
-class TestOneHot:
-    def test_binary_column(self):
-        cols, kept = one_hot(np.array([0, 1, 1, 0]), reference=0)
-        assert kept == [1]
-        assert np.array_equal(cols[:, 0], [0, 1, 1, 0])
-
-    def test_three_categories(self):
-        cols, kept = one_hot(np.array([0, 1, 2]), reference=0)
-        assert kept == [1, 2]
-        assert np.array_equal(cols, [[0, 0], [1, 0], [0, 1]])
-
-    def test_seven_categories_give_six_columns(self):
-        values = np.resize(np.arange(1, 8), 70)
-        cols, kept = one_hot(values, reference=1)
-        assert cols.shape == (70, 6)
-        assert kept == [2, 3, 4, 5, 6, 7]
-        # reference rows are all zero
-        assert not cols[values == 1].any()
-
-    @pytest.mark.parametrize("values", [np.array([0.0, 2.0, 1.0, 2.0]),
-                                        np.array([False, True, True])])
-    def test_integral_floats_and_bools_code_as_integers(self, values):
-        cols, kept = one_hot(values, reference=0)
-        assert kept == [int(c) for c in np.unique(values) if c != 0]
-        assert np.array_equal(cols, np.column_stack([values == c for c in kept]))
-
-    def test_single_category_rejected(self):
-        with pytest.raises(ValueError):
-            one_hot(np.array([3, 3, 3]), reference=3)
-
-    def test_missing_reference_rejected(self):
-        with pytest.raises(ValueError):
-            one_hot(np.array([1, 2]), reference=0)
-
-
 @pytest.mark.parametrize("call, message", [
     (lambda: DesignMatrix(np.array([[1.0], [math.nan]])),
      "design matrix entries must be finite"),
@@ -905,14 +870,8 @@ class TestOneHot:
     (lambda: DesignMatrix(np.ones((3, 2)), names=("a",)),
      "names length must match column count"),
     (lambda: fit_logistic([0, 1, 1], np.ones((4, 1))), "y has 3 rows, design has 4"),
-    (lambda: one_hot(np.zeros((2, 2)), reference=0), "one_hot expects a 1-D vector"),
-    (lambda: one_hot(np.array([0, 1.5, 1.5, 2.7]), reference=0),
-     "one_hot expects integer categories, got 1.5"),
-    (lambda: one_hot(np.array([0, 1, math.inf]), reference=0),
-     "one_hot expects integer categories, got inf"),
     (lambda: DesignMatrix.build([], intercept=False), "no columns and no intercept"),
-], ids=["design-nan", "design-1d", "design-names", "fit-rows", "one-hot-2d",
-        "one-hot-fraction", "one-hot-inf", "build-nothing"])
+], ids=["design-nan", "design-1d", "design-names", "fit-rows", "build-nothing"])
 def test_invalid_input_is_rejected_saying_why(call, message):
     with pytest.raises(ValueError) as info:
         call()

@@ -11,7 +11,7 @@ from confoundsim import ingest
 from confoundsim.glm import DesignMatrix, fit_logistic
 from confoundsim.ingest import (CAT, ORD, ColumnSpec, IngestError,
                                 MappingParseError, MappingRule, StudySpec,
-                                apply_mappings, build_design, load_survey,
+                                SurveyTable, apply_mappings, build_design, load_survey,
                                 parse_mapping_file, parse_mapping_rule,
                                 parse_study_json, staged_analysis)
 from confoundsim.metamodel import ModelParams, draw_population
@@ -831,6 +831,24 @@ class TestBuildDesign:
         study = StudySpec(dependent="Y", independent="X", stages=(("A", ("C",)),))
         _, design, info = build_design(mapped, study, "A")
         assert design.names == ("intercept", "X", "C=1", "C=2")
+        # codes 1, 2, 3 relabel to 0, 1, 2; code 1 is the reference
+        assert np.array_equal(design.values,
+                              np.column_stack([np.ones(n), x, c == 2, c == 3]))
+
+    def test_cat_codes_need_not_be_consecutive_or_nonnegative(self):
+        # a hand-built table is not relabeled: every code but 0 is an
+        # indicator, in ascending order
+        c = np.resize([5, -1, 0, 2, 0], 40)
+        x = np.arange(40) % 7
+        values = np.column_stack([np.arange(40) % 2, x, c])
+        table = SurveyTable(names=("Y", "X", "C"), values=values,
+                            missing=np.zeros(values.shape, dtype=bool),
+                            header=("Y", "X", "C"), kinds={"C": CAT})
+        study = StudySpec(dependent="Y", independent="X", stages=(("A", ("C",)),))
+        _, design, _ = build_design(table, study, "A")
+        assert design.names == ("intercept", "X", "C=-1", "C=2", "C=5")
+        assert np.array_equal(design.values, np.column_stack(
+            [np.ones(40), x, c == -1, c == 2, c == 5]))
 
     def test_non_binary_dependent_rejected(self):
         table = load_survey(survey_bytes(["Y", "X"], [np.array([0, 1, 2]),
