@@ -850,6 +850,54 @@ class TestBuildDesign:
         assert np.array_equal(design.values, np.column_stack(
             [np.ones(40), x, c == -1, c == 2, c == 5]))
 
+    def test_binary_cat_confounder_is_its_own_indicator(self):
+        c = np.resize([0, 1, 1, 0], 20)
+        table = load_survey(survey_bytes(["Y", "X", "C"],
+                                         [np.arange(20) % 2, np.arange(20) % 3, c]))
+        mapped = apply_mappings(table, [ColumnSpec("C", CAT, ())])
+        study = StudySpec(dependent="Y", independent="X", stages=(("A", ("C",)),))
+        _, design, _ = build_design(mapped, study, "A")
+        assert design.names == ("intercept", "X", "C=1")
+        assert np.array_equal(design.values[:, 2], c)
+
+    def test_seven_categories_give_six_columns_zero_on_the_reference(self):
+        c = np.resize(np.arange(1, 8), 70)
+        table = load_survey(survey_bytes(["Y", "X", "C"],
+                                         [np.arange(70) % 2, np.arange(70) % 4, c]))
+        mapped = apply_mappings(table, [ColumnSpec("C", CAT, ())])
+        study = StudySpec(dependent="Y", independent="X", stages=(("A", ("C",)),))
+        _, design, _ = build_design(mapped, study, "A")
+        assert design.values.shape == (70, 8)
+        assert design.names[2:] == tuple(f"C={code}" for code in range(1, 7))
+        # code 1 relabels to the reference 0: its rows carry no indicator
+        assert not design.values[c == 1, 2:].any()
+        assert (design.values[c != 1, 2:].sum(axis=1) == 1).all()
+
+    def test_confounders_keep_stage_order_with_indicators_in_place(self):
+        n = 60
+        a = np.arange(n) % 3
+        b = np.arange(n) % 5
+        d = np.arange(n) % 2
+        table = load_survey(survey_bytes(["Y", "X", "A", "B", "D"],
+                                         [np.arange(n) % 2, np.arange(n) % 7, a, b, d]))
+        mapped = apply_mappings(table, [ColumnSpec("A", CAT, ()), ColumnSpec("D", CAT, ())])
+        study = StudySpec(dependent="Y", independent="X",
+                          stages=(("S1", ("A",)), ("S2", ("B", "D"))))
+        _, design, _ = build_design(mapped, study, "S2")
+        assert design.names == ("intercept", "X", "A=1", "A=2", "B", "D=1")
+        assert np.array_equal(design.values, np.column_stack(
+            [np.ones(n), np.arange(n) % 7, a == 1, a == 2, b, d == 1]))
+
+    def test_a_code_only_in_dropped_rows_gets_no_indicator(self):
+        # code 3 of C appears only where X is blank, so those rows drop
+        rows = [f"{i % 2}\t{'' if i % 4 == 3 else i % 5}\t{i % 4}\n" for i in range(40)]
+        mapped = apply_mappings(load_survey(("Y\tX\tC\n" + "".join(rows)).encode()),
+                                [ColumnSpec("C", CAT, ())])
+        study = StudySpec(dependent="Y", independent="X", stages=(("A", ("C",)),))
+        _, design, info = build_design(mapped, study, "A")
+        assert (info.n_used, info.n_dropped) == (30, 10)
+        assert design.names == ("intercept", "X", "C=1", "C=2")
+
     def test_non_binary_dependent_rejected(self):
         table = load_survey(survey_bytes(["Y", "X"], [np.array([0, 1, 2]),
                                                      np.array([1, 2, 3])]))
