@@ -24,7 +24,7 @@ import json
 import math
 import sys
 from collections.abc import Iterator
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from typing import BinaryIO, TextIO
 
 import numpy as np
@@ -300,8 +300,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
     # the loaded table is dropped for the mapped one before the fits
     table = apply_mappings(table, specs)
-    if args.unit_change is not None:
-        study = replace(study, unit_change=args.unit_change)
     results = staged_analysis(table, study)
     if all(r.error is not None for r in results):
         for r in results:
@@ -375,8 +373,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ing.add_argument("--mappings", required=True, help="column recoding spec file")
     ing.add_argument("--study", required=True, help="study spec (JSON)")
     ing.add_argument("--delimiter", default="\t", help="field delimiter (default tab)")
-    ing.add_argument("--unit-change", type=float, default=None,
-                     help="override the study spec's per-unit rescaling")
     ing.add_argument("--format", choices=("csv", "json"), default="csv")
     ing.add_argument("--out", default="-", help="output path, '-' for stdout")
     ing.set_defaults(func=cmd_ingest)

@@ -24,10 +24,8 @@ from .glm import _integer, inverse_logit, logit
 __all__ = [
     "ModelParams",
     "ResponseMatrix",
-    "UndefinedCorrelationError",
     "theoretical_correlation",
     "draw_population",
-    "sample_correlation",
     "derive_seed",
     "stream_generator",
     "write_population_csv",
@@ -53,10 +51,6 @@ def _check_agreement(p: float) -> None:
     # the one rule for an agreement probability p
     if not 0.5 < p < 1.0:
         raise ValueError(f"p must be in (0.5, 1), got {p}")
-
-
-class UndefinedCorrelationError(ValueError):
-    """A correlation was requested for a column with zero variance."""
 
 
 def theoretical_correlation(p: float) -> float:
@@ -206,30 +200,6 @@ def draw_population(params: ModelParams, column_count: int) -> ResponseMatrix:
         responses[start:start + len(q)] = block
         start += len(q)
     return ResponseMatrix(latent=latent, responses=responses, params=params)
-
-
-def sample_correlation(m: ResponseMatrix, col_a: int, col_b: int) -> float:
-    """Pearson correlation between two response columns.
-
-    Raises UndefinedCorrelationError if either column is constant.
-    """
-    ncol = m.responses.shape[1]
-    for c in (col_a, col_b):
-        if not 0 <= c < ncol:
-            raise IndexError(f"column index {c} out of range [0, {ncol})")
-    if col_a == col_b:
-        raise ValueError("column indices must be distinct")
-    x = m.responses[:, col_a].astype(np.float64)
-    y = m.responses[:, col_b].astype(np.float64)
-    x -= x.mean()
-    y -= y.mean()
-    ssx = float(x @ x)
-    ssy = float(y @ y)
-    if ssx == 0.0 or ssy == 0.0:
-        raise UndefinedCorrelationError(
-            f"correlation undefined: column {col_a if ssx == 0.0 else col_b} is constant"
-        )
-    return float((x @ y) / (np.sqrt(ssx) * np.sqrt(ssy)))
 
 
 def _csv_rows(latent: np.ndarray, responses: np.ndarray) -> str:

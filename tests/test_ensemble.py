@@ -154,7 +154,9 @@ class TestRunEnsemble:
 
     @pytest.mark.parametrize("p, k, n, beta_prime, reps", [
         (0.7, 1, 40, 0.0, 4000), (0.7, 1, 40, 0.5, 4000),
-        (0.7, 2, 6, 0.0, 1000)], ids=["table", "table-causal", "rows"])
+        (0.8, 1, 20, 0.0, 4000), (0.7, 2, 6, 0.0, 1000),
+        (0.8, 2, 7, 0.0, 1000)],
+        ids=["table", "table-causal", "table-excluding", "rows", "rows-p0.8"])
     def test_small_n_matches_the_exact_expectation(self, p, k, n, beta_prime, reps):
         # every count table of N respondents listed and fitted: the mean
         # coefficient within 3 Monte Carlo errors of E[beta | converged], the

@@ -5,10 +5,11 @@ export each name once, no module of the package or of its tests may import
 a name it never uses, no module-level private name may go unreferenced by
 the whole package, no module may import another's private name unless it is
 listed here, no public dataclass field, property or method may go unread by
-it, the README's library tour must run as written and its command lines must
-parse.
+it, the README's library tour must run as written, its command lines must
+parse and it must name every command-line option.
 """
 
+import argparse
 import ast
 import dataclasses
 import pkgutil
@@ -235,3 +236,18 @@ def test_readme_command_lines_parse_and_name_the_scan_columns():
     columns = "".join(line.removeprefix("#   ") for line in comment.group(1).splitlines())
     assert columns.split(",") == ["N" if field.name == "n_respondents" else field.name
                                   for field in dataclasses.fields(confoundsim.GridCell)]
+
+
+def test_readme_names_every_command_line_option():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    parser = cli._build_parser()
+    parsers = [parser] + [sub for action in parser._actions
+                          if isinstance(action, argparse._SubParsersAction)
+                          for sub in action.choices.values()]
+    # argparse gives every parser -h and --help; a name such as --n must not
+    # be found inside --n-list
+    missing = [f"{sub.prog} {option}" for sub in parsers for action in sub._actions
+               for option in action.option_strings
+               if option not in ("-h", "--help")
+               and not re.search(re.escape(option) + r"(?![\w-])", readme)]
+    assert missing == []

@@ -7,10 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confoundsim import metamodel
-from confoundsim.metamodel import (ModelParams, ResponseMatrix,
-                                   UndefinedCorrelationError, derive_seed,
-                                   draw_population, sample_correlation,
-                                   stream_generator,
+from confoundsim.metamodel import (ModelParams, ResponseMatrix, derive_seed,
+                                   draw_population, stream_generator,
                                    theoretical_correlation,
                                    write_population_csv)
 
@@ -84,9 +82,10 @@ class TestDrawPopulation:
         target = (m.latent + 1) // 2
         for j in range(3):
             assert np.mean(m.responses[:, j] == target) > 0.99
+        corr = np.corrcoef(m.responses, rowvar=False)
         for a in range(3):
             for b in range(a + 1, 3):
-                assert sample_correlation(m, a, b) > 0.95
+                assert corr[a, b] > 0.95
 
     def test_column_means_half_near_lower_p_boundary(self):
         m = draw_population(params(p=0.51, k=2, n=100_000, seed=5), 3)
@@ -96,7 +95,8 @@ class TestDrawPopulation:
     def test_pairwise_correlation_approaches_law(self):
         # correlation between any two columns converges to (2p-1)^2 = 0.25
         m = draw_population(params(p=0.75, k=2, n=200_000, seed=11), 3)
-        assert sample_correlation(m, 1, 2) == pytest.approx(0.25, abs=0.01)
+        corr = np.corrcoef(m.responses[:, 1], m.responses[:, 2])[0, 1]
+        assert corr == pytest.approx(0.25, abs=0.01)
 
     def test_determinism_bit_identical(self):
         a = draw_population(params(seed=99), 4)
@@ -202,9 +202,10 @@ class TestInvariants:
         means = m.responses.mean(axis=0)
         assert means.max() - means.min() < tol
         r_theory = theoretical_correlation(0.7)
+        corr = np.corrcoef(m.responses, rowvar=False)
         for a in range(4):
             for b in range(a + 1, 4):
-                assert abs(sample_correlation(m, a, b) - r_theory) < tol
+                assert abs(corr[a, b] - r_theory) < tol
 
     def test_conditional_independence_within_latent_class(self):
         m = draw_population(params(p=0.7, k=2, n=100_000, seed=29), 3)
@@ -224,41 +225,11 @@ class TestInvariants:
 
 
 class TestSampleCorrelation:
-    def _manual_matrix(self, cols):
-        resp = np.column_stack(cols).astype(np.int8)
-        n, width = resp.shape
-        latent = np.resize(np.int8([1, -1]), n)
-        pr = ModelParams(p=0.6, k=width - 1, n_respondents=n, seed=0)
-        return ResponseMatrix(latent=latent, responses=resp, params=pr)
-
-    def test_identical_columns(self):
-        col = np.resize(np.int8([0, 1, 1, 0, 1]), 40)
-        m = self._manual_matrix([col, col.copy(), 1 - col])
-        assert sample_correlation(m, 0, 1) == pytest.approx(1.0, abs=1e-12)
-
-    def test_complement_column(self):
-        col = np.resize(np.int8([0, 1, 1, 0, 1]), 40)
-        m = self._manual_matrix([col, col.copy(), 1 - col])
-        assert sample_correlation(m, 0, 2) == pytest.approx(-1.0, abs=1e-12)
-
     def test_matches_theory_at_large_n(self):
         m = draw_population(params(p=0.8, k=2, n=200_000, seed=31), 3)
         expected = theoretical_correlation(0.8)
-        assert sample_correlation(m, 0, 1) == pytest.approx(expected, abs=0.01)
-
-    def test_constant_column_raises(self):
-        ones = np.ones(40, dtype=np.int8)
-        varying = np.resize(np.int8([0, 1]), 40)
-        m = self._manual_matrix([ones, varying])
-        with pytest.raises(UndefinedCorrelationError):
-            sample_correlation(m, 0, 1)
-
-    def test_index_validation(self):
-        m = draw_population(params(k=2, n=100), 3)
-        with pytest.raises(ValueError):
-            sample_correlation(m, 1, 1)
-        with pytest.raises(IndexError):
-            sample_correlation(m, 0, 5)
+        corr = np.corrcoef(m.responses[:, 0], m.responses[:, 1])[0, 1]
+        assert corr == pytest.approx(expected, abs=0.01)
 
 
 class TestCsvDump:
@@ -279,7 +250,7 @@ class TestCsvDump:
         for arr in (m.latent, m.responses):
             assert isinstance(arr, np.ndarray) and not arr.flags.writeable
         assert m.responses.shape == (3, 2)
-        assert sample_correlation(m, 0, 1) == pytest.approx(-0.5)
+        assert np.corrcoef(m.responses[:, 0], m.responses[:, 1])[0, 1] == pytest.approx(-0.5)
         buf = io.StringIO()
         write_population_csv(m, buf)
         assert buf.getvalue() == "Q,R0,R1\n1,0,1\n-1,1,0\n1,1,1\n"
