@@ -628,6 +628,34 @@ class TestIngest:
         assert "error: unit_change must be a positive finite number" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_study_spec_unit_change_rescales_the_output(self, tmp_path):
+        # the spec is the one source of unit_change: it is embedded as given
+        # and every stage's coefficient is rescaled by it
+        data_file, study_file = synthetic_nsduh(tmp_path)
+        argv = ["ingest", "--data", str(data_file),
+                "--mappings", str(DATA_DIR / "nsduh2023_mappings.txt"),
+                "--study", str(study_file), "--format", "json"]
+        base, scaled = tmp_path / "base.json", tmp_path / "scaled.json"
+        assert run(argv + ["--out", str(base)]) == 0
+        study_file.write_text(study_file.read_text().replace("52.18", "1"))
+        assert run(argv + ["--out", str(scaled)]) == 0
+        base, scaled = json.loads(base.read_text()), json.loads(scaled.read_text())
+        assert scaled["metadata"]["config"]["unit_change"] == 1.0
+        for b, s in zip(base["results"], scaled["results"]):
+            assert s["mean_beta1"] * 52.18 == pytest.approx(b["mean_beta1"], rel=1e-12)
+
+    def test_unit_change_flag_is_refused(self, tmp_path, capsys):
+        data_file, study_file = synthetic_nsduh(tmp_path, n=50)
+        out = tmp_path / "stages.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["ingest", "--data", str(data_file),
+                 "--mappings", str(DATA_DIR / "nsduh2023_mappings.txt"),
+                 "--study", str(study_file), "--unit-change", "1",
+                 "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--unit-change" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_mapping_file_exits_2(self, tmp_path, capsys):
         data_file, study_file = synthetic_nsduh(tmp_path, n=50)
         assert run(["ingest", "--data", str(data_file),

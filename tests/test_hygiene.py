@@ -238,16 +238,29 @@ def test_readme_command_lines_parse_and_name_the_scan_columns():
                                   for field in dataclasses.fields(confoundsim.GridCell)]
 
 
-def test_readme_names_every_command_line_option():
-    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
-    parser = cli._build_parser()
+def options_missing_from(parser: argparse.ArgumentParser, text: str) -> list[str]:
+    """Option strings of the parser and its subparsers that the text never names."""
     parsers = [parser] + [sub for action in parser._actions
                           if isinstance(action, argparse._SubParsersAction)
                           for sub in action.choices.values()]
     # argparse gives every parser -h and --help; a name such as --n must not
     # be found inside --n-list
-    missing = [f"{sub.prog} {option}" for sub in parsers for action in sub._actions
-               for option in action.option_strings
-               if option not in ("-h", "--help")
-               and not re.search(re.escape(option) + r"(?![\w-])", readme)]
-    assert missing == []
+    return [f"{sub.prog} {option}" for sub in parsers for action in sub._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+            and not re.search(re.escape(option) + r"(?![\w-])", text)]
+
+
+def test_readme_option_detector_bites():
+    parser = argparse.ArgumentParser(prog="tool")
+    parser.add_argument("--n-list")
+    sub = parser.add_subparsers().add_parser("run", prog="tool run")
+    sub.add_argument("--n")
+    sub.add_argument("-q", "--quiet", action="store_true")
+    assert options_missing_from(parser, "tool --n-list; tool run -q") == [
+        "tool run --n", "tool run --quiet"]
+
+
+def test_readme_names_every_command_line_option():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    assert options_missing_from(cli._build_parser(), readme) == []
