@@ -216,12 +216,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
             raise ValueError(f"regressor {name!r} is the dependent column")
         if name in regressors[:i]:
             raise ValueError(f"regressor {name!r} is given twice")
-    columns = [data[:, header.index(name)] for name in regressors]
     intercept = not args.no_intercept
-    if not columns and not intercept:
+    columns = [np.ones(len(data))] * intercept
+    columns += [data[:, header.index(name)] for name in regressors]
+    if not columns:
         raise ValueError("need at least one regressor or an intercept")
-    design = DesignMatrix.build(columns, intercept=intercept, names=regressors,
-                                n_rows=data.shape[0])
+    design = DesignMatrix(np.column_stack(columns),
+                          ("intercept",) * intercept + tuple(regressors))
     fit = fit_logistic(y, design, tol=args.tol, max_iter=args.max_iter)
 
     prevalence = float(np.mean(y))

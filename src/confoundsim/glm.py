@@ -99,9 +99,8 @@ def inverse_logit(x):
 class DesignMatrix:
     """Regressor matrix with optional column names.
 
-    Use build() to assemble one from raw columns; it prepends the intercept
-    column when asked.  Degenerate (all-zero) columns raise
-    SingularDesignError, naming the column by its given name if any.
+    Degenerate (all-zero) columns raise SingularDesignError, naming the
+    column by its given name if any.
     """
 
     values: np.ndarray
@@ -124,25 +123,6 @@ class DesignMatrix:
             raise SingularDesignError(f"column {label} is all zero")
         object.__setattr__(self, "values", vals)
         vals.setflags(write=False)
-
-    @classmethod
-    def build(cls, columns, intercept: bool = True, names=None,
-              n_rows: int | None = None) -> "DesignMatrix":
-        """Stack 1-D columns into a design, optionally prepending an intercept.
-
-        n_rows is only needed for an intercept-only design (no columns).
-        """
-        cols = [np.asarray(c, dtype=np.float64).reshape(-1) for c in columns]
-        if not cols and not intercept:
-            raise ValueError("no columns and no intercept")
-        n = len(cols[0]) if cols else n_rows
-        if intercept:
-            if not n:
-                raise ValueError("intercept-only design needs n_rows")
-            cols = [np.ones(n)] + cols
-            if names is not None:
-                names = ("intercept", *names)
-        return cls(np.column_stack(cols), names=tuple(names) if names else ())
 
 
 @dataclass(frozen=True)

@@ -197,7 +197,7 @@ def test_criterion_5_regression_oracle():
     for _ in range(1000):
         a, b, c, d = rng.integers(1, 21, size=4)
         y, x = dataset_from_2x2(int(a), int(b), int(c), int(d))
-        fit = fit_logistic(y, DesignMatrix.build([x], intercept=True))
+        fit = fit_logistic(y, DesignMatrix(np.column_stack([np.ones(len(x)), x])))
         assert fit.converged
         worst_beta = max(worst_beta,
                          abs(fit.coefficients[1] - log_odds_ratio(a, b, c, d)))

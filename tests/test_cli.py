@@ -356,8 +356,7 @@ class TestFit:
         m = draw_population(ModelParams(p=0.7, k=2, n_respondents=2000, seed=11), 3)
         resp = m.responses.astype(np.float64)
         direct = fit_logistic(resp[:, 0],
-                              DesignMatrix.build([resp[:, 1], resp[:, 2]],
-                                                 intercept=True))
+                              DesignMatrix(np.column_stack([np.ones(2000), resp[:, 1:]])))
         got = [t["coefficient"] for t in report["terms"]]
         assert np.allclose(got, direct.coefficients, atol=0, rtol=0)
 

@@ -25,6 +25,33 @@ def params(p=0.75, k=3, n=10_000, seed=17, beta_prime=0.0):
                        causal_increment=beta_prime)
 
 
+# population_limit(p, k).hex() on a (p, k) grid with k up to 10^4, so that
+# a rewrite of its sums keeps every bit
+LIMIT_KS = (1, 2, 3, 5, 9, 21, 41, 101, 1000, 10000)
+LIMIT_BITS = {
+    0.55: ("0x1.47b0e059d057ep-6", "0x1.b37976495f307p-7", "0x1.46108f6b50abep-7",
+          "0x1.b20858edc79b2p-8", "0x1.041308834c7f0p-8", "0x1.d8597c31baabbp-10",
+          "0x1.eea11bdae5684p-11", "0x1.973a72b492d99p-12", "0x1.4be87f164b452p-15",
+          "0x1.09c2c05ffa5d0p-18"),
+    0.6: ("0x1.47dadcbbdba7ap-4", "0x1.af7648fa2d5f2p-5", "0x1.417d756ef5f15p-5",
+          "0x1.a9dd7beeb95a3p-6", "0x1.fc6110010bbf5p-7", "0x1.cc321a28fa055p-8",
+          "0x1.e14b77bef4880p-9", "0x1.8bed4494e7a63p-10", "0x1.4288142849c1dp-13",
+          "0x1.023d43198e3ebp-16"),
+    0.7: ("0x1.4a851baf27b6cp-2", "0x1.a3680557e61c4p-3", "0x1.32f438a517b80p-3",
+          "0x1.8f77504236776p-4", "0x1.d63912d5f61dap-5", "0x1.a4d7d2c335c64p-6",
+          "0x1.b62b03f24d92dp-7", "0x1.676865699944cp-8", "0x1.244041c1f6bb6p-11",
+          "0x1.d3e71f58215bcp-15"),
+    0.8: ("0x1.81ee60afb501ap-1", "0x1.d01d78a2f42a2p-2", "0x1.4b53edbd14c11p-2",
+          "0x1.a513f067156f0p-3", "0x1.e6bd194960bfap-4", "0x1.ad6bfd6d8c138p-5",
+          "0x1.bc9ecf85bf139p-6", "0x1.6b6787148dd5fp-7", "0x1.26d848f6e9026p-10",
+          "0x1.d7f2ea7b9399ap-14"),
+    0.9: ("0x1.842f595c35289p+0", "0x1.b456a15eac687p-1", "0x1.2f03eea4a4d72p-1",
+          "0x1.77d462da11280p-2", "0x1.aaf142e50376dp-3", "0x1.73cfb46451651p-4",
+          "0x1.7f1b3ceda2162p-5", "0x1.382bdb4fcbb39p-6", "0x1.f9997178bc046p-10",
+          "0x1.9492342f02b9cp-13"),
+}
+
+
 class TestFormulas:
     def test_beta_values(self):
         assert empirical_beta_formula(0.5, 3) == 0.0
@@ -66,6 +93,10 @@ class TestFormulas:
         with pytest.raises(NotConvergedError) as info:
             population_limit(0.7, 3)
         assert str(info.value) == "population limit did not converge at p=0.7, k=3"
+
+    def test_population_limit_keeps_its_bits(self):
+        got = {p: tuple(population_limit(p, k).hex() for k in LIMIT_KS) for p in LIMIT_BITS}
+        assert got == LIMIT_BITS
 
 
 class TestRunEnsemble:
@@ -155,8 +186,9 @@ class TestRunEnsemble:
     @pytest.mark.parametrize("p, k, n, beta_prime, reps", [
         (0.7, 1, 40, 0.0, 4000), (0.7, 1, 40, 0.5, 4000),
         (0.8, 1, 20, 0.0, 4000), (0.7, 2, 6, 0.0, 1000),
-        (0.8, 2, 7, 0.0, 1000)],
-        ids=["table", "table-causal", "table-excluding", "rows", "rows-p0.8"])
+        (0.8, 2, 7, 0.0, 1000), (0.7, 2, 12, 0.0, 4000)],
+        ids=["table", "table-causal", "table-excluding", "rows", "rows-p0.8",
+             "table-k2"])
     def test_small_n_matches_the_exact_expectation(self, p, k, n, beta_prime, reps):
         # every count table of N respondents listed and fitted: the mean
         # coefficient within 3 Monte Carlo errors of E[beta | converged], the

@@ -73,34 +73,21 @@ class TestLinks:
 class TestDesignMatrix:
     def test_rejects_all_zero_column(self):
         with pytest.raises(ValueError, match="all zero"):
-            DesignMatrix.build([np.zeros(10), np.ones(10)], intercept=False)
+            DesignMatrix(np.column_stack([np.zeros(10), np.ones(10)]))
 
     def test_all_zero_column_is_a_rank_defect_named_by_its_name(self):
         x = np.arange(1, 11.0)
         with pytest.raises(SingularDesignError, match="column 'DEAD' is all zero"):
-            DesignMatrix.build([x, np.zeros(10)], intercept=True, names=["X", "DEAD"])
+            DesignMatrix(np.column_stack([np.ones(10), x, np.zeros(10)]),
+                         ("intercept", "X", "DEAD"))
         with pytest.raises(SingularDesignError, match="column 2 is all zero"):
-            DesignMatrix.build([x, np.zeros(10)], intercept=True)
-
-    def test_intercept_column_is_exempt(self):
-        dm = DesignMatrix.build([np.arange(1, 6)], intercept=True)
-        assert np.array_equal(dm.values[:, 0], np.ones(5))
-
-    def test_intercept_only_needs_n_rows(self):
-        dm = DesignMatrix.build([], intercept=True, n_rows=7)
-        assert dm.values.shape == (7, 1)
-        with pytest.raises(ValueError):
-            DesignMatrix.build([], intercept=True)
-
-    def test_names_follow_columns(self):
-        dm = DesignMatrix.build([np.arange(1, 4.0)], intercept=True, names=["x"])
-        assert dm.names == ("intercept", "x")
+            DesignMatrix(np.column_stack([np.ones(10), x, np.zeros(10)]))
 
 
 class TestFitLogistic:
     def test_intercept_only_recovers_logit_of_mean(self):
         y = np.concatenate([np.ones(16), np.zeros(48)])  # mean 0.25
-        dm = DesignMatrix.build([], intercept=True, n_rows=64)
+        dm = DesignMatrix(np.ones((64, 1)))
         fit = fit_logistic(y, dm)
         assert fit.converged
         assert fit.coefficients[0] == pytest.approx(logit(0.25), abs=1e-8)
@@ -108,7 +95,7 @@ class TestFitLogistic:
     def test_two_by_two_matches_log_odds_ratio(self):
         a, b, c, d = 14, 6, 5, 19
         y, x = dataset_from_2x2(a, b, c, d)
-        fit = fit_logistic(y, DesignMatrix.build([x], intercept=True))
+        fit = fit_logistic(y, DesignMatrix(np.column_stack([np.ones(len(x)), x])))
         assert fit.converged
         assert fit.coefficients[1] == pytest.approx(log_odds_ratio(a, b, c, d), abs=1e-6)
         assert fit.std_errors[1] == pytest.approx(log_odds_ratio_se(a, b, c, d), abs=1e-6)
@@ -118,7 +105,7 @@ class TestFitLogistic:
            st.integers(1, 20))
     def test_two_by_two_oracle_property(self, a, b, c, d):
         y, x = dataset_from_2x2(a, b, c, d)
-        fit = fit_logistic(y, DesignMatrix.build([x], intercept=True))
+        fit = fit_logistic(y, DesignMatrix(np.column_stack([np.ones(len(x)), x])))
         assert fit.converged
         assert fit.coefficients[1] == pytest.approx(log_odds_ratio(a, b, c, d), abs=1e-6)
         assert fit.std_errors[1] == pytest.approx(log_odds_ratio_se(a, b, c, d), abs=1e-6)
@@ -126,7 +113,7 @@ class TestFitLogistic:
     def test_perfect_predictor_flags_separation(self):
         rng = np.random.default_rng(4)
         x = rng.integers(0, 2, size=200).astype(float)
-        fit = fit_logistic(x.copy(), DesignMatrix.build([x], intercept=True))
+        fit = fit_logistic(x.copy(), DesignMatrix(np.column_stack([np.ones(len(x)), x])))
         assert fit.separation_detected
         assert not fit.converged
 
@@ -135,7 +122,7 @@ class TestFitLogistic:
         x = rng.integers(0, 2, size=100).astype(float)
         y = rng.integers(0, 2, size=100).astype(float)
         with pytest.raises(SingularDesignError):
-            fit_logistic(y, DesignMatrix.build([x, x.copy()], intercept=True))
+            fit_logistic(y, DesignMatrix(np.column_stack([np.ones(100), x, x])))
 
     def test_score_equations_hold_at_solution(self):
         rng = np.random.default_rng(6)
@@ -144,7 +131,7 @@ class TestFitLogistic:
         x2 = rng.integers(0, 2, size=n).astype(float)
         eta = -0.3 + 0.8 * x1 - 0.5 * x2
         y = (rng.random(n) < inverse_logit(eta)).astype(float)
-        dm = DesignMatrix.build([x1, x2], intercept=True)
+        dm = DesignMatrix(np.column_stack([np.ones(n), x1, x2]))
         fit = fit_logistic(y, dm)
         assert fit.converged
         residual = y - inverse_logit(dm.values @ fit.coefficients)
@@ -202,7 +189,7 @@ class TestFitLogistic:
         n = 300
         x = rng.normal(size=(n, 3))
         y = (rng.random(n) < inverse_logit(x @ [1.5, -2.0, 0.7])).astype(float)
-        dm = DesignMatrix.build(list(x.T), intercept=True)
+        dm = DesignMatrix(np.column_stack([np.ones(n), x]))
         # refitting with a growing iteration cap replays the same trajectory
         lls = [fit_logistic(y, dm, max_iter=i).log_likelihood for i in range(1, 12)]
         assert all(b >= a - 1e-12 for a, b in zip(lls, lls[1:]))
@@ -870,8 +857,7 @@ class TestConfidenceInterval:
     (lambda: DesignMatrix(np.ones((3, 2)), names=("a",)),
      "names length must match column count"),
     (lambda: fit_logistic([0, 1, 1], np.ones((4, 1))), "y has 3 rows, design has 4"),
-    (lambda: DesignMatrix.build([], intercept=False), "no columns and no intercept"),
-], ids=["design-nan", "design-1d", "design-names", "fit-rows", "build-nothing"])
+], ids=["design-nan", "design-1d", "design-names", "fit-rows"])
 def test_invalid_input_is_rejected_saying_why(call, message):
     with pytest.raises(ValueError) as info:
         call()

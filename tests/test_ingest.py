@@ -1110,8 +1110,7 @@ class TestCrossModuleConsistency:
         fit_ing = fit_logistic(y_ing, design_ing)
 
         resp = m.responses.astype(np.float64)
-        design_direct = DesignMatrix.build([resp[:, 1], resp[:, 2], resp[:, 3]],
-                                           intercept=True)
+        design_direct = DesignMatrix(np.column_stack([np.ones(len(resp)), resp[:, 1:]]))
         fit_direct = fit_logistic(resp[:, 0], design_direct)
         assert np.max(np.abs(fit_ing.coefficients - fit_direct.coefficients)) < 1e-10
         assert np.max(np.abs(fit_ing.std_errors - fit_direct.std_errors)) < 1e-10
