@@ -15,7 +15,7 @@ import pytest
 import confoundsim
 from confoundsim import __version__, cli, ingest, metamodel
 from confoundsim.cli import _header, main
-from confoundsim.glm import DesignMatrix, fit_logistic
+from confoundsim.glm import DesignMatrix, fit_logistic, inverse_logit
 from confoundsim.ingest import parse_mapping_file
 from confoundsim.metamodel import ModelParams, draw_population
 
@@ -359,6 +359,44 @@ class TestFit:
                               DesignMatrix(np.column_stack([np.ones(2000), resp[:, 1:]])))
         got = [t["coefficient"] for t in report["terms"]]
         assert np.allclose(got, direct.coefficients, atol=0, rtol=0)
+
+    def test_terms_are_the_intercept_then_the_regressors_as_given(self, tmp_path):
+        data, out = tmp_path / "d.csv", tmp_path / "fit.json"
+        rng = np.random.default_rng(3)
+        x1, x2 = rng.integers(0, 2, (2, 300))
+        y = (rng.random(300) < inverse_logit(-0.4 + 0.9 * x1 - 0.6 * x2)).astype(int)
+        self._write_matrix(data, ["Y", "X1", "X2"], [y, x1, x2])
+        assert run(["fit", str(data), "--dependent", "Y", "--regressors", "X2,X1",
+                    "--out", str(out)]) == 0
+        terms = json.loads(out.read_text())["fit"]["terms"]
+        assert [t["term"] for t in terms] == ["intercept", "X2", "X1"]
+        # the intercept is a ones column in front and carries no relative risk
+        direct = fit_logistic(y.astype(float),
+                              DesignMatrix(np.column_stack([np.ones(300), x2, x1])))
+        assert [t["coefficient"] for t in terms] == list(direct.coefficients)
+        assert "relative_risk" not in terms[0]
+        assert all("relative_risk" in t for t in terms[1:])
+
+    def test_no_intercept_fit_has_only_the_regressor_terms(self, tmp_path):
+        data, out = tmp_path / "d.csv", tmp_path / "fit.json"
+        rng = np.random.default_rng(5)
+        x = rng.integers(0, 2, 200)
+        y = (rng.random(200) < np.where(x == 1, 0.7, 0.5)).astype(int)
+        self._write_matrix(data, ["Y", "X"], [y, x])
+        assert run(["fit", str(data), "--dependent", "Y", "--regressors", "X",
+                    "--no-intercept", "--out", str(out)]) == 0
+        terms = json.loads(out.read_text())["fit"]["terms"]
+        assert [t["term"] for t in terms] == ["X"]
+        direct = fit_logistic(y.astype(float), DesignMatrix(x[:, None]))
+        assert terms[0]["coefficient"] == float(direct.coefficients[0])
+        assert "relative_risk" in terms[0]
+
+    def test_all_zero_regressor_exits_3_naming_it(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        x = np.array([0, 1, 1, 0, 1, 0])
+        self._write_matrix(data, ["Y", "X", "Z"], [x[::-1], x, np.zeros(6, int)])
+        assert run(["fit", str(data), "--dependent", "Y", "--regressors", "X,Z"]) == 3
+        assert "column 'Z' is all zero" in capsys.readouterr().err
 
     def test_singular_design_exits_3(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
