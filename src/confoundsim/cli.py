@@ -35,7 +35,7 @@ from .glm import (DesignMatrix, SingularDesignError, _integer,
                   confidence_interval, fit_logistic, relative_risk)
 from .ingest import (apply_mappings, load_survey, parse_mapping_file,
                      parse_study_json, staged_analysis)
-from .metamodel import ModelParams, _population_blocks, write_population_csv
+from .metamodel import ModelParams, write_population_csv
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -136,11 +136,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = {"command": "simulate", "p": args.p, "k": args.k, "n": args.n,
               "beta_prime": args.beta_prime, "seed": args.seed}
     # the file is opened only after the parameters are checked, so invalid
-    # ones create none; each block of rows is written as it is drawn, and
-    # neither the table nor the CSV is ever held whole
+    # ones create none
     with _output(args.out) as fh:
         fh.write(_header(config))
-        write_population_csv(_population_blocks(params), fh)
+        write_population_csv(params, fh)
     return EXIT_OK
 
 

@@ -222,19 +222,6 @@ class StudySpec:
         return (self.dependent, self.independent,
                 *(col for _, cols in self.stages for col in cols))
 
-    def stage_names(self) -> list[str]:
-        return [name for name, _ in self.stages]
-
-    def cumulative_confounders(self, stage: str) -> tuple[str, ...]:
-        if stage not in self.stage_names():
-            raise ValueError(f"unknown stage {stage!r}; defined: {self.stage_names()}")
-        out: list[str] = []
-        for name, cols in self.stages:
-            out.extend(cols)
-            if name == stage:
-                break
-        return tuple(out)
-
 
 def parse_study_json(text: str) -> StudySpec:
     """Parse the study spec config (JSON: dependent, independent, stages...)."""
@@ -680,17 +667,16 @@ class BuildInfo:
 
 
 def build_design(table: SurveyTable, study: StudySpec,
-                 stage: str) -> tuple[np.ndarray, DesignMatrix, BuildInfo]:
+                 confounders: tuple[str, ...]) -> tuple[np.ndarray, DesignMatrix, BuildInfo]:
     """Assemble (y, X) for one cumulative stage.
 
-    X is intercept + independent + every confounder up to and including
-    `stage`, written into one float64 table.  A CAT confounder C expands to
-    an indicator `C=code` for each code of its kept rows but the reference
-    0, in ascending order.  Rows missing any used column are dropped and
-    counted.  A CAT confounder left with one category, or without category
-    0, raises IngestError naming it.
+    X is intercept + independent + `confounders`, the stage's own and every
+    earlier stage's, written into one float64 table.  A CAT confounder C
+    expands to an indicator `C=code` for each code of its kept rows but the
+    reference 0, in ascending order.  Rows missing any used column are
+    dropped and counted.  A CAT confounder left with one category, or
+    without category 0, raises IngestError naming it.
     """
-    confounders = study.cumulative_confounders(stage)
     used = [study.dependent, study.independent, *confounders]
 
     keep = np.ones(table.values.shape[0], dtype=bool)
@@ -761,12 +747,14 @@ def staged_analysis(table: SurveyTable, study: StudySpec) -> list[StageResult]:
     its row counts.
     """
     results: list[StageResult] = []
-    for stage_name, _ in study.stages:
+    confounders: tuple[str, ...] = ()
+    for stage_name, cols in study.stages:
+        confounders += cols
         info = BuildInfo(n_used=0, n_dropped=0)
         # beta1, sigma1, relative_risk, ci_low, ci_high, baseline_prevalence
         statistics, error = (math.nan,) * 6, None
         try:
-            y, design, info = build_design(table, study, stage_name)
+            y, design, info = build_design(table, study, confounders)
             fit = fit_logistic(y, design)
             if fit.separation_detected:
                 raise IngestError(f"separation detected in stage {stage_name}")
@@ -781,6 +769,6 @@ def staged_analysis(table: SurveyTable, study: StudySpec) -> list[StageResult]:
         except (ValueError, OverflowError) as exc:
             error = str(exc)
         results.append(StageResult(
-            stage_name, len(study.cumulative_confounders(stage_name)), info.n_used,
-            info.n_dropped, *statistics, error=error))
+            stage_name, len(confounders), info.n_used, info.n_dropped,
+            *statistics, error=error))
     return results

@@ -14,7 +14,7 @@ proportional to the predictor column (column 1).
 from __future__ import annotations
 
 import io
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,24 +216,19 @@ def _csv_rows(latent: np.ndarray, responses: np.ndarray) -> str:
     return pairs.tobytes().replace(b"\0", b"").decode("ascii")
 
 
-def write_population_csv(population: ResponseMatrix | Iterable[tuple[np.ndarray, np.ndarray]],
-                         fh: io.TextIOBase) -> None:
-    """Dense debugging dump: header Q,R0,...,Rk then one row per respondent.
+def write_population_csv(params: ModelParams, fh: io.TextIOBase) -> None:
+    """Draw the population of `params` and write it as a dense debugging
+    dump: header Q,R0,...,Rk then one row per respondent.
 
-    `population` is a ResponseMatrix or an iterable of (latent, responses)
-    row blocks, as the draw yields them.  The bytes are those of formatting
-    every entry with "%d": Q is -1 or 1, each response 0 or 1, lines end in
-    "\n".  Since those are the only values a population holds, each row is
-    laid out in numpy as two-byte pairs, "-1" (or a NUL pad and "1"), ",d"
-    per column and "\n" with a pad, and one `bytes.replace` drops the pads.
-    Rows go out in blocks of _BLOCK_ROWS, one fh.write each.  Not a
+    The bytes are those of formatting every entry with "%d": Q is -1 or 1,
+    each response 0 or 1, lines end in "\n".  Since those are the only
+    values a population holds, each row is laid out in numpy as two-byte
+    pairs, "-1" (or a NUL pad and "1"), ",d" per column and "\n" with a
+    pad, and one `bytes.replace` drops the pads.  Rows are written as they
+    are drawn, a block of _BLOCK_ROWS at a time with one fh.write each, so
+    neither the table nor the CSV is ever held whole.  Not a
     stability-guaranteed format.
     """
-    if isinstance(population, ResponseMatrix):
-        lat, resp = population.latent, population.responses
-        population = ((lat[s:s + _BLOCK_ROWS], resp[s:s + _BLOCK_ROWS])
-                      for s in range(0, len(lat), _BLOCK_ROWS))
-    for i, (latent, responses) in enumerate(population):
-        if i == 0:
-            fh.write("Q," + ",".join(f"R{j}" for j in range(responses.shape[1])) + "\n")
+    fh.write("Q," + ",".join(f"R{j}" for j in range(params.k + 1)) + "\n")
+    for latent, responses in _population_blocks(params):
         fh.write(_csv_rows(latent, responses))

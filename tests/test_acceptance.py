@@ -311,7 +311,7 @@ def test_ingest_gate_planted_coefficients():
     mapped = apply_mappings(table, [ColumnSpec("X3", "CAT", ())])
     study = StudySpec(dependent="Y", independent="X1",
                       stages=(("A", ("X2", "X3")),))
-    yv, design, _ = build_design(mapped, study, "A")
+    yv, design, _ = build_design(mapped, study, ("X2", "X3"))
     fit = fit_logistic(yv, design)
     assert fit.converged
     worst_z = max(abs(fit.coefficients[i] - truth[name]) / fit.std_errors[i]

@@ -89,7 +89,7 @@ class TestSimulate:
         buf = io.StringIO()
         buf.write("# header\n")
         before = buf.tell()
-        cli.write_population_csv(m, buf)
+        cli.write_population_csv(m.params, buf)
         assert buf.tell() - before == len(rows)
 
     def test_out_of_range_p_exits_2(self, capsys):
@@ -680,6 +680,29 @@ class TestIngest:
         assert scaled["metadata"]["config"]["unit_change"] == 1.0
         for b, s in zip(base["results"], scaled["results"]):
             assert s["mean_beta1"] * 52.18 == pytest.approx(b["mean_beta1"], rel=1e-12)
+
+    def test_empty_stages_fit_no_confounders_or_repeat_the_last(self, tmp_path):
+        # an empty first stage fits the intercept and the independent column
+        # alone; an empty last stage refits stage C's design and repeats its row
+        golden = DATA_DIR / "golden"
+        study = json.loads((golden / "study.json").read_text())
+        study["stages"] = {"none": [], **study["stages"], "again": []}
+        study_file = tmp_path / "study.json"
+        study_file.write_text(json.dumps(study))
+        out = tmp_path / "stages.csv"
+        assert run(["ingest", "--data", str(golden / "survey.tsv"),
+                    "--mappings", str(golden / "mappings.txt"),
+                    "--study", str(study_file), "--out", str(out)]) == 0
+        header, none, *staged, again = [
+            ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        expected = [ln for ln in (golden / "ingest.csv").read_text().splitlines()
+                    if not ln.startswith("#")]
+        assert [header, *staged] == expected
+        assert again == "again" + staged[-1].removeprefix("C")
+        none = dict(zip(header.split(","), none.split(",")))
+        assert (none["stage"], none["n_confounders"]) == ("none", "0")
+        assert float(none["mean_beta1"]) == 0.12751840008473792
+        assert float(again.split(",")[5]) == 0.1279057540391391
 
     def test_unit_change_flag_is_refused(self, tmp_path, capsys):
         data_file, study_file = synthetic_nsduh(tmp_path, n=50)

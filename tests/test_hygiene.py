@@ -113,7 +113,6 @@ def test_no_dead_private_helpers():
 # "importer: module._name"; a rule shared across modules is added here
 ALLOWED_PRIVATE_IMPORTS = [
     "cli: glm._integer",
-    "cli: metamodel._population_blocks",
     "ensemble: glm._integer",
     "ensemble: metamodel._check_agreement",
     "ensemble: metamodel._check_seed",

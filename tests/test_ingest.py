@@ -711,15 +711,6 @@ class TestStudySpec:
         base.update(kw)
         return StudySpec(**base)
 
-    def test_cumulative_confounders(self):
-        spec = self._spec()
-        assert spec.cumulative_confounders("A") == ("C1",)
-        assert spec.cumulative_confounders("B") == ("C1", "C2", "C3")
-
-    def test_unknown_stage(self):
-        with pytest.raises(ValueError, match="unknown stage"):
-            self._spec().cumulative_confounders("Z")
-
     def test_dependent_cannot_be_confounder(self):
         with pytest.raises(ValueError):
             self._spec(stages=(("A", ("Y",)),))
@@ -736,7 +727,7 @@ class TestStudySpec:
         spec = parse_study_json(
             '{"dependent": "Y", "independent": "X", "unit_change": 52.18,'
             ' "stages": {"A": ["C1"], "B": ["C2"]}}')
-        assert spec.stage_names() == ["A", "B"]
+        assert spec.stages == (("A", ("C1",)), ("B", ("C2",)))
         assert spec.unit_change == 52.18
 
     def test_json_duplicate_stage_key_rejected(self):
@@ -805,8 +796,8 @@ class TestBuildDesign:
         study = StudySpec(dependent="R0", independent="R1",
                           stages=(("A", ()), ("B", ("R2",)), ("C", ("R3", "QBIN"))))
         widths = []
-        for stage in study.stage_names():
-            _, design, _ = build_design(mapped, study, stage)
+        for confounders in ((), ("R2",), ("R2", "R3", "QBIN")):
+            _, design, _ = build_design(mapped, study, confounders)
             widths.append(design.values.shape[1])
         assert widths == [2, 3, 5]
 
@@ -814,7 +805,7 @@ class TestBuildDesign:
         table = load_survey(("Y\tX\tC\n" + "".join(
             f"{i % 2}\t{i % 5}\t{1 + i % 3}\n" for i in range(40))).encode())
         study = StudySpec(dependent="Y", independent="X", stages=(("A", ("C",)),))
-        y, design, info = build_design(table, study, "A")
+        y, design, info = build_design(table, study, ("C",))
         assert design.names == ("intercept", "X", "C")
         assert design.values[:3, 2].tolist() == [1.0, 2.0, 3.0]
         assert (info.n_used, info.n_dropped) == (40, 0)
@@ -829,7 +820,7 @@ class TestBuildDesign:
         table = load_survey(survey_bytes(["Y", "X", "C"], [y, x, c]))
         mapped = apply_mappings(table, [ColumnSpec("C", CAT, ())])
         study = StudySpec(dependent="Y", independent="X", stages=(("A", ("C",)),))
-        _, design, info = build_design(mapped, study, "A")
+        _, design, info = build_design(mapped, study, ("C",))
         assert design.names == ("intercept", "X", "C=1", "C=2")
         # codes 1, 2, 3 relabel to 0, 1, 2; code 1 is the reference
         assert np.array_equal(design.values,
@@ -845,7 +836,7 @@ class TestBuildDesign:
                             missing=np.zeros(values.shape, dtype=bool),
                             header=("Y", "X", "C"), kinds={"C": CAT})
         study = StudySpec(dependent="Y", independent="X", stages=(("A", ("C",)),))
-        _, design, _ = build_design(table, study, "A")
+        _, design, _ = build_design(table, study, ("C",))
         assert design.names == ("intercept", "X", "C=-1", "C=2", "C=5")
         assert np.array_equal(design.values, np.column_stack(
             [np.ones(40), x, c == -1, c == 2, c == 5]))
@@ -856,7 +847,7 @@ class TestBuildDesign:
                                          [np.arange(20) % 2, np.arange(20) % 3, c]))
         mapped = apply_mappings(table, [ColumnSpec("C", CAT, ())])
         study = StudySpec(dependent="Y", independent="X", stages=(("A", ("C",)),))
-        _, design, _ = build_design(mapped, study, "A")
+        _, design, _ = build_design(mapped, study, ("C",))
         assert design.names == ("intercept", "X", "C=1")
         assert np.array_equal(design.values[:, 2], c)
 
@@ -866,7 +857,7 @@ class TestBuildDesign:
                                          [np.arange(70) % 2, np.arange(70) % 4, c]))
         mapped = apply_mappings(table, [ColumnSpec("C", CAT, ())])
         study = StudySpec(dependent="Y", independent="X", stages=(("A", ("C",)),))
-        _, design, _ = build_design(mapped, study, "A")
+        _, design, _ = build_design(mapped, study, ("C",))
         assert design.values.shape == (70, 8)
         assert design.names[2:] == tuple(f"C={code}" for code in range(1, 7))
         # code 1 relabels to the reference 0: its rows carry no indicator
@@ -883,7 +874,7 @@ class TestBuildDesign:
         mapped = apply_mappings(table, [ColumnSpec("A", CAT, ()), ColumnSpec("D", CAT, ())])
         study = StudySpec(dependent="Y", independent="X",
                           stages=(("S1", ("A",)), ("S2", ("B", "D"))))
-        _, design, _ = build_design(mapped, study, "S2")
+        _, design, _ = build_design(mapped, study, ("A", "B", "D"))
         assert design.names == ("intercept", "X", "A=1", "A=2", "B", "D=1")
         assert np.array_equal(design.values, np.column_stack(
             [np.ones(n), np.arange(n) % 7, a == 1, a == 2, b, d == 1]))
@@ -894,7 +885,7 @@ class TestBuildDesign:
         mapped = apply_mappings(load_survey(("Y\tX\tC\n" + "".join(rows)).encode()),
                                 [ColumnSpec("C", CAT, ())])
         study = StudySpec(dependent="Y", independent="X", stages=(("A", ("C",)),))
-        _, design, info = build_design(mapped, study, "A")
+        _, design, info = build_design(mapped, study, ("C",))
         assert (info.n_used, info.n_dropped) == (30, 10)
         assert design.names == ("intercept", "X", "C=1", "C=2")
 
@@ -904,13 +895,13 @@ class TestBuildDesign:
         mapped = apply_mappings(table, [])
         study = StudySpec(dependent="Y", independent="X", stages=(("A", ()),))
         with pytest.raises(IngestError, match="not binary"):
-            build_design(mapped, study, "A")
+            build_design(mapped, study, ())
 
     def test_rows_missing_dependent_dropped_and_counted(self):
         text = b"Y\tX\n1\t3\n\t4\n0\t5\n0\t\n"
         mapped = apply_mappings(load_survey(text), [])
         study = StudySpec(dependent="Y", independent="X", stages=(("A", ()),))
-        y, design, info = build_design(mapped, study, "A")
+        y, design, info = build_design(mapped, study, ())
         assert info.n_used == 2
         assert info.n_dropped == 2
         assert y.tolist() == [1.0, 0.0]
@@ -919,7 +910,7 @@ class TestBuildDesign:
         text = b"Y\tX\n1\t3\n\t\n0\t5\n"
         mapped = apply_mappings(load_survey(text), [])
         study = StudySpec(dependent="Y", independent="X", stages=(("A", ()),))
-        _, _, info = build_design(mapped, study, "A")
+        _, _, info = build_design(mapped, study, ())
         assert (info.n_used, info.n_dropped) == (2, 1)
 
     def test_cat_dependent_rejected(self):
@@ -928,7 +919,7 @@ class TestBuildDesign:
         mapped = apply_mappings(table, [ColumnSpec("Y", CAT, ())])
         study = StudySpec(dependent="Y", independent="X", stages=(("A", ()),))
         with pytest.raises(IngestError, match="must be ORD"):
-            build_design(mapped, study, "A")
+            build_design(mapped, study, ())
 
     def test_cat_confounder_errors_name_the_column(self):
         # one category only; then category 0 present only in rows another
@@ -936,7 +927,7 @@ class TestBuildDesign:
         single = load_survey(b"Y\tX\tC\n1\t1\t1\n0\t2\t1\n1\t3\t1\n0\t4\t1\n")
         study = StudySpec(dependent="Y", independent="X", stages=(("A", ("C",)),))
         with pytest.raises(IngestError, match="at least 2 distinct") as exc:
-            build_design(apply_mappings(single, [ColumnSpec("C", CAT, ())]), study, "A")
+            build_design(apply_mappings(single, [ColumnSpec("C", CAT, ())]), study, ("C",))
         assert exc.value.column == "C" and str(exc.value).endswith("(column C)")
         no_reference = load_survey(b"Y\tX\tC\tD\n" + b"".join(
             b"%d\t%d\t%d\t%s\n" % (i % 2, i % 5, i % 3, b"" if i % 3 == 0 else b"1")
@@ -944,8 +935,30 @@ class TestBuildDesign:
         study = StudySpec(dependent="Y", independent="X", stages=(("A", ("D", "C")),))
         with pytest.raises(IngestError, match="reference category 0 not present") as exc:
             build_design(apply_mappings(no_reference, [ColumnSpec("C", CAT, ())]),
-                         study, "A")
+                         study, ("D", "C"))
         assert exc.value.column == "C"
+
+    @pytest.mark.parametrize("confounders, outcome", [
+        (("NOPE",), "no such column (column NOPE)"),
+        (("C", "C"), "design matrix is rank deficient"),
+        (("X",), "design matrix is rank deficient"),
+        (("Y",), "separated"),
+    ], ids=["absent", "repeated", "independent", "dependent"])
+    def test_a_wrong_confounder_tuple_fails_loudly(self, confounders, outcome):
+        # the tuple is taken as given: a column the study could not hold
+        # still fails, at the design or at the fit
+        rng = np.random.default_rng(4)
+        table = load_survey(survey_bytes(
+            ["Y", "X", "C"], [rng.integers(0, 2, 300), rng.integers(0, 5, 300),
+                              rng.integers(0, 3, 300)]))
+        study = StudySpec(dependent="Y", independent="X", stages=(("A", ("C",)),))
+        if outcome == "separated":
+            fit = fit_logistic(*build_design(table, study, confounders)[:2])
+            assert fit.separation_detected
+        else:
+            with pytest.raises(ValueError) as exc:
+                fit_logistic(*build_design(table, study, confounders)[:2])
+            assert str(exc.value) == outcome
 
 
 class TestStagedAnalysis:
@@ -1002,7 +1015,7 @@ class TestStagedAnalysis:
         mapped = apply_mappings(table, [ColumnSpec("X3", CAT, ())])
         study = StudySpec(dependent="Y", independent="X1",
                           stages=(("A", ("X2",)), ("B", ("X3",))))
-        yv, design, _ = build_design(mapped, study, "B")
+        yv, design, _ = build_design(mapped, study, ("X2", "X3"))
         fit = fit_logistic(yv, design)
         assert fit.converged
         for i, name in enumerate(design.names):
@@ -1037,7 +1050,7 @@ class TestStagedAnalysis:
         study = StudySpec(dependent="Y", independent="X",
                           stages=(("A", ("C",)), ("B", ("S",)), ("C", ("DEAD",))))
         good, separated, dead = staged_analysis(table, study)
-        _, _, info = build_design(table, study, "B")
+        _, _, info = build_design(table, study, ("C", "S"))
         assert info.n_dropped > 0
         assert good.error is None
         # S copies Y: the design is built, then the fit separates
@@ -1106,7 +1119,7 @@ class TestCrossModuleConsistency:
         mapped = apply_mappings(table, [])
         study = StudySpec(dependent="R0", independent="R1",
                           stages=(("A", ("R2", "R3")),))
-        y_ing, design_ing, _ = build_design(mapped, study, "A")
+        y_ing, design_ing, _ = build_design(mapped, study, ("R2", "R3"))
         fit_ing = fit_logistic(y_ing, design_ing)
 
         resp = m.responses.astype(np.float64)
@@ -1123,7 +1136,7 @@ ONE_STAGE = StudySpec(dependent="Y", independent="X", stages=(("A", ()),))
 @pytest.mark.parametrize("call, error, message", [
     (lambda: load_survey(b""), IngestError, "empty survey file"),
     (lambda: load_survey(b"\n  \n"), IngestError, "empty survey file"),
-    (lambda: build_design(load_survey(ALL_X_MISSING), ONE_STAGE, "A"), IngestError,
+    (lambda: build_design(load_survey(ALL_X_MISSING), ONE_STAGE, ()), IngestError,
      "no rows remain after dropping missing values"),
     # returned as the stage's error, not raised
     (lambda: staged_analysis(load_survey(ALL_X_MISSING), ONE_STAGE)[0].error, None,
